@@ -19,11 +19,12 @@ Three families of kernel live here:
   decryption).  Every table is derived programmatically from
   :data:`repro.crypto.aes.SBOX` and GF(2^8) arithmetic, so nothing is
   transcribed.
-* **DES table fusion** — every FIPS 46-3 bit permutation (IP, FP, E,
+* **DES table fusion** — every FIPS 46-3 bit permutation (IP, FP,
   PC1, PC2) becomes a handful of per-byte lookups via
-  :func:`byte_permutation_tables`, and the round function's
-  E-expansion → S-box → P-permutation chain collapses into eight
-  64-entry *SP* tables whose entries are already P-permuted.
+  :func:`byte_permutation_tables`.  The block kernel keeps both
+  Feistel halves E-expanded, so a round is the round-key XOR plus four
+  lookups into S-box-pair tables that already emit E(P(S)), and one
+  call runs all three passes of 3DES (see :func:`_des_tables`).
 * **hash delegation** — SHA-1/MD5 whole-message hashing is handed to
   the platform's optimised primitive (:mod:`hashlib`, the software
   stand-in for the paper's crypto accelerator) when available; the
@@ -282,66 +283,102 @@ def byte_permutation_tables(table: Sequence[int], in_width: int) -> List[List[in
 
 _DES_TABLES: Optional[dict] = None
 
+MASK48 = (1 << 48) - 1
+
 
 def _des_tables() -> dict:
+    """The DES fast-path tables, built on first use.
+
+    The block kernel keeps both Feistel halves *E-expanded* (48 bits
+    each).  E only routes and duplicates bits, so it distributes over
+    XOR: ``E(L ^ f) = E(L) ^ E(f)``.  Every table therefore emits
+    E-form words, and the FIPS round key XORs straight into the state:
+
+    * ``ip_e`` — IP followed by E on each half: eight byte lookups give
+      ``E(L0) ‖ E(R0)`` as one 96-bit int;
+    * ``spe`` — four 4096-entry tables, one per S-box *pair*, each entry
+      ``E(P(S₂ⱼ ‖ S₂ⱼ₊₁))`` for the pair's 12 input bits;
+    * ``fp_e`` — FP read directly off the 96-bit ``E(R16) ‖ E(L16)``
+      word, taking each bit from its middle copy (twelve byte lookups).
+    """
     global _DES_TABLES
     if _DES_TABLES is None:
         from . import des as _des
         from .bitops import permute_bits
 
-        sp = []
+        e0, e1, e2, e3 = byte_permutation_tables(_des._E, 32)
+        spe = []
         for box in range(8):
             entries = []
             for six in range(64):
                 row = ((six >> 4) & 0b10) | (six & 1)
                 col = (six >> 1) & 0xF
-                # Fuse S-box output placement with the P permutation.
-                entries.append(
-                    permute_bits(
-                        _des._SBOXES[box][row][col] << (28 - 4 * box), _des._P, 32
-                    )
+                # S-box output placement fused with P, then expanded.
+                f = permute_bits(
+                    _des._SBOXES[box][row][col] << (28 - 4 * box), _des._P, 32
                 )
-            sp.append(entries)
+                entries.append(e0[f >> 24] | e1[(f >> 16) & 255]
+                               | e2[(f >> 8) & 255] | e3[f & 255])
+            spe.append(entries)
+        # E copies bit b (1..32) of a half once into the middle four bits
+        # of a 6-bit group; this is that copy's position in the 96-bit
+        # E-form of a 64-bit word (high half's expansion on top).
+        middle = [48 * half + 6 * ((b - 1) // 4) + (b - 1) % 4 + 2
+                  for half in (0, 1) for b in range(1, 33)]
         _DES_TABLES = {
-            "ip": byte_permutation_tables(_des._IP, 64),
-            "fp": byte_permutation_tables(_des._FP, 64),
-            "e": byte_permutation_tables(_des._E, 32),
+            "ip_e": byte_permutation_tables(
+                [_des._IP[32 * half + src - 1] for half in (0, 1) for src in _des._E],
+                64,
+            ),
+            "fp_e": byte_permutation_tables([middle[src - 1] for src in _des._FP], 96),
             "pc1": byte_permutation_tables(_des._PC1, 64),
             "pc2": byte_permutation_tables(_des._PC2, 56),
-            "sp": sp,
+            # E is linear, so one pair entry is the XOR of two box entries.
+            "spe": [[hi ^ lo for hi in spe[2 * j] for lo in spe[2 * j + 1]]
+                    for j in range(4)],
         }
     return _DES_TABLES
 
 
 def des_crypt_block(block64: int, round_keys: Sequence[int]) -> int:
-    """Table-driven DES: IP → 16 fused rounds → FP, all on ints."""
+    """Table-driven DES on ints: IP → 16·n E-form rounds → FP.
+
+    ``round_keys`` holds one or more 16-key FIPS schedules; each block
+    of 16 is a full DES pass, and the half-swap is undone between
+    passes.  A single call with the 48 keys of an EDE schedule is
+    therefore 3DES with one IP and one FP, because the inner FP∘IP
+    pairs of three chained DES passes cancel.
+    """
     t = _des_tables()
-    ip = t["ip"]
+    ip = t["ip_e"]
     state = (
-        ip[0][(block64 >> 56) & 255] | ip[1][(block64 >> 48) & 255]
+        ip[0][block64 >> 56] | ip[1][(block64 >> 48) & 255]
         | ip[2][(block64 >> 40) & 255] | ip[3][(block64 >> 32) & 255]
         | ip[4][(block64 >> 24) & 255] | ip[5][(block64 >> 16) & 255]
         | ip[6][(block64 >> 8) & 255] | ip[7][block64 & 255]
     )
-    left = (state >> 32) & MASK32
-    right = state & MASK32
-    e0, e1, e2, e3 = t["e"]
-    sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = t["sp"]
-    for rk in round_keys:
-        x = (e0[right >> 24] | e1[(right >> 16) & 255]
-             | e2[(right >> 8) & 255] | e3[right & 255]) ^ rk
-        f = (sp0[(x >> 42) & 63] ^ sp1[(x >> 36) & 63]
-             ^ sp2[(x >> 30) & 63] ^ sp3[(x >> 24) & 63]
-             ^ sp4[(x >> 18) & 63] ^ sp5[(x >> 12) & 63]
-             ^ sp6[(x >> 6) & 63] ^ sp7[x & 63])
-        left, right = right, left ^ f
-    pre = (right << 32) | left  # final swap undone, per FIPS 46-3
-    fp = t["fp"]
+    left = state >> 48
+    right = state & MASK48
+    s0, s1, s2, s3 = t["spe"]
+    ks = round_keys
+    for start in range(0, len(ks), 16):
+        # Two rounds per step, so the halves trade roles without a swap.
+        for i in range(start, start + 16, 2):
+            x = right ^ ks[i]
+            left ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
+            x = left ^ ks[i + 1]
+            right ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
+        # Undo the last swap (the FIPS 46-3 pre-output is R16 ‖ L16);
+        # the next pass starts from it, since its IP cancels our FP.
+        left, right = right, left
+    pre = (left << 48) | right
+    fp = t["fp_e"]
     return (
-        fp[0][(pre >> 56) & 255] | fp[1][(pre >> 48) & 255]
-        | fp[2][(pre >> 40) & 255] | fp[3][(pre >> 32) & 255]
-        | fp[4][(pre >> 24) & 255] | fp[5][(pre >> 16) & 255]
-        | fp[6][(pre >> 8) & 255] | fp[7][pre & 255]
+        fp[0][pre >> 88] | fp[1][(pre >> 80) & 255] | fp[2][(pre >> 72) & 255]
+        | fp[3][(pre >> 64) & 255] | fp[4][(pre >> 56) & 255]
+        | fp[5][(pre >> 48) & 255] | fp[6][(pre >> 40) & 255]
+        | fp[7][(pre >> 32) & 255] | fp[8][(pre >> 24) & 255]
+        | fp[9][(pre >> 16) & 255] | fp[10][(pre >> 8) & 255] | fp[11][pre & 255]
     )
 
 

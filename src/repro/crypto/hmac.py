@@ -17,6 +17,12 @@ from .sha1 import SHA1
 
 HashFactory = Callable[[], Union[SHA1, MD5]]
 
+# Byte-wise XOR with the RFC 2104 pad constants, as ``bytes.translate``
+# tables: building a pad block is one C-level pass instead of a
+# per-byte generator.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
 
 class HMAC:
     """Keyed-hash message authentication code.
@@ -42,8 +48,8 @@ class HMAC:
         key = key + b"\x00" * (block_size - len(key))
         # Key-schedule caching: absorb the ipad/opad blocks once here, so
         # every digest (and every copy) skips both key-block compressions.
-        self._inner = hash_factory().update(bytes(b ^ 0x36 for b in key))
-        self._outer = hash_factory().update(bytes(b ^ 0x5C for b in key))
+        self._inner = hash_factory().update(key.translate(_IPAD))
+        self._outer = hash_factory().update(key.translate(_OPAD))
 
     def update(self, data: bytes) -> "HMAC":
         """Absorb message bytes; returns self for chaining."""

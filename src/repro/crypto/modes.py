@@ -28,6 +28,13 @@ class BlockCipher(Protocol):
     def decrypt_block(self, block: bytes) -> bytes: ...  # noqa: E704
 
 
+def _blocks(cipher: BlockCipher, data: bytes):
+    """``data`` split into cipher blocks; ragged input is a crypto error."""
+    if len(data) % cipher.block_size:
+        raise InvalidBlockSize(cipher.name, len(data), cipher.block_size)
+    return split_blocks(data, cipher.block_size)
+
+
 class ECB:
     """Electronic codebook — block-aligned inputs only."""
 
@@ -38,14 +45,14 @@ class ECB:
         """Encrypt block-aligned plaintext."""
         return b"".join(
             self.cipher.encrypt_block(block)
-            for block in split_blocks(plaintext, self.cipher.block_size)
+            for block in _blocks(self.cipher, plaintext)
         )
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Decrypt block-aligned ciphertext."""
         return b"".join(
             self.cipher.decrypt_block(block)
-            for block in split_blocks(ciphertext, self.cipher.block_size)
+            for block in _blocks(self.cipher, ciphertext)
         )
 
 
@@ -90,7 +97,7 @@ class CBC:
             plaintext = pkcs7_pad(plaintext, self.cipher.block_size)
         previous = self.iv
         out = []
-        for block in split_blocks(plaintext, self.cipher.block_size):
+        for block in _blocks(self.cipher, plaintext):
             previous = self.cipher.encrypt_block(xor_bytes(block, previous))
             out.append(previous)
         return b"".join(out)
@@ -106,13 +113,9 @@ class CBC:
                     "least one padding block"
                 )
             return b""
-        if len(ciphertext) % self.cipher.block_size:
-            raise InvalidBlockSize(
-                self.cipher.name, len(ciphertext), self.cipher.block_size
-            )
         previous = self.iv
         out = []
-        for block in split_blocks(ciphertext, self.cipher.block_size):
+        for block in _blocks(self.cipher, ciphertext):
             out.append(xor_bytes(self.cipher.decrypt_block(block), previous))
             previous = block
         plaintext = b"".join(out)
@@ -133,7 +136,7 @@ class CBC:
         previous = self.iv
         out = []
         encrypt_block = self.cipher.encrypt_block
-        for block in split_blocks(plaintext, self.cipher.block_size):
+        for block in _blocks(self.cipher, plaintext):
             previous = encrypt_block(xor_bytes(block, previous))
             out.append(previous)
         self.iv = previous

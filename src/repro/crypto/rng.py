@@ -49,7 +49,7 @@ class DeterministicDRBG:
     def random_bytes(self, length: int) -> bytes:
         """Return ``length`` pseudo-random bytes."""
         while len(self._buffer) < length:
-            block = self._mac.copy().update(self._counter.to_bytes(8, "big")).digest()
+            block = self._mac.mac(self._counter.to_bytes(8, "big"))
             self._counter += 1
             self._buffer += block
         out, self._buffer = self._buffer[:length], self._buffer[length:]

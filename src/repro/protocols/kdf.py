@@ -10,17 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hmac import hmac
+from ..crypto.hmac import HMAC
 from .ciphersuites import CipherSuite
 
 
 def p_hash(secret: bytes, seed: bytes, length: int) -> bytes:
-    """RFC 2246 P_hash over HMAC-SHA1: expand ``secret`` to ``length``."""
+    """RFC 2246 P_hash over HMAC-SHA1: expand ``secret`` to ``length``.
+
+    ``secret`` is keyed once; every step then reuses the cached pad
+    states instead of re-keying HMAC."""
+    mac = HMAC(secret).mac
     out = b""
     a = seed
     while len(out) < length:
-        a = hmac(secret, a)
-        out += hmac(secret, a + seed)
+        a = mac(a)
+        out += mac(a + seed)
     return out[:length]
 
 

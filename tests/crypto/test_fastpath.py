@@ -23,6 +23,7 @@ from repro.crypto.des import (
     _P,
     _PC1,
     _PC2,
+    _crypt_block,
     expand_key,
 )
 from repro.crypto.hmac import hmac
@@ -290,6 +291,62 @@ class TestKeyScheduleCaching:
             assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
         with pytest.raises(ValueError):
             xor_bytes(b"ab", b"abc")
+
+
+class TestOnePassEDE:
+    """One 48-key kernel call ≡ three chained reference DES passes."""
+
+    WEAK_KEYS = [bytes.fromhex(k) for k in (
+        "0101010101010101", "FEFEFEFEFEFEFEFE",
+        "E0E0E0E0F1F1F1F1", "1F1F1F1F0E0E0E0E",
+    )]
+
+    @staticmethod
+    def _keys():
+        rng = random.Random(0x3DE5)
+        keys = [bytes(rng.randrange(256) for _ in range(8)) for _ in range(9)]
+        keys += TestOnePassEDE.WEAK_KEYS
+        for i, k1 in enumerate(keys):
+            k2, k3 = keys[(i + 1) % len(keys)], keys[(i + 2) % len(keys)]
+            yield k1                 # 1-key: degenerate single DES
+            yield k1 + k2            # 2-key: K1, K2, K1
+            yield k1 + k2 + k3       # 3-key
+
+    @staticmethod
+    def _schedules(key):
+        # K1 ‖ K2 ‖ K3 for every keying option: 8-byte keys repeat K1,
+        # 16-byte keys wrap back to K1 for K3.
+        triple = (key * 3)[:24]
+        return [expand_key(triple[i:i + 8]) for i in (0, 8, 16)]
+
+    @staticmethod
+    def _reference_ede(block, s1, s2, s3, decrypt):
+        if decrypt:
+            s1, s3 = s3, s1
+            passes = (s1[::-1], s2, s3[::-1])
+        else:
+            passes = (s1, s2[::-1], s3)
+        for schedule in passes:
+            block = _crypt_block(block, schedule, None)
+        return block
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["reference", "fast"])
+    def test_kernel_and_cipher_match_chained_reference(self, flag):
+        rng = random.Random(0xEDE)
+        for key in self._keys():
+            s1, s2, s3 = self._schedules(key)
+            enc48 = s1 + s2[::-1] + s3
+            dec48 = s3[::-1] + s2 + s1[::-1]
+            block = bytes(rng.randrange(256) for _ in range(8))
+            value = bytes_to_int(block)
+            expected_ct = self._reference_ede(value, s1, s2, s3, decrypt=False)
+            expected_pt = self._reference_ede(value, s1, s2, s3, decrypt=True)
+            assert fastpath.des_crypt_block(value, enc48) == expected_ct
+            assert fastpath.des_crypt_block(value, dec48) == expected_pt
+            with fastpath.force(flag):
+                cipher = TripleDES(key)
+                assert cipher.encrypt_block(block) == int_to_bytes(expected_ct, 8)
+                assert cipher.decrypt_block(block) == int_to_bytes(expected_pt, 8)
 
 
 def test_des_crypt_block_int_api():

@@ -24,7 +24,12 @@ from repro.crypto.bitops import (
 )
 from repro.crypto.crc import crc32, crc32_bytes, crc32_combine_xor
 from repro.crypto.des import DES
-from repro.crypto.errors import PaddingError, ParameterError, RandomnessError
+from repro.crypto.errors import (
+    InvalidBlockSize,
+    PaddingError,
+    ParameterError,
+    RandomnessError,
+)
 from repro.crypto.modes import CBC, CTR, ECB
 from repro.crypto.padding import esp_pad, esp_unpad, pkcs7_pad, pkcs7_unpad
 from repro.crypto.registry import (
@@ -168,10 +173,22 @@ class TestModes:
             CBC(AES(bytes(16)), bytes(8))
 
     def test_cbc_ciphertext_alignment_enforced(self):
-        from repro.crypto.errors import InvalidBlockSize
-
         with pytest.raises(InvalidBlockSize):
             CBC(AES(bytes(16)), bytes(16)).decrypt(b"odd-length-data")
+
+    # Regressions: ragged input used to escape as a bare ValueError from
+    # split_blocks instead of the CryptoError the errors contract promises.
+    def test_cbc_unpadded_encrypt_alignment_enforced(self):
+        with pytest.raises(InvalidBlockSize):
+            CBC(AES(bytes(16)), bytes(16)).encrypt(b"odd-length-data", pad=False)
+
+    def test_ecb_encrypt_alignment_enforced(self):
+        with pytest.raises(InvalidBlockSize):
+            ECB(DES(bytes(8))).encrypt(b"odd-len")
+
+    def test_ecb_decrypt_alignment_enforced(self):
+        with pytest.raises(InvalidBlockSize):
+            ECB(AES(bytes(16))).decrypt(b"odd-length-data")
 
     def test_cbc_empty_ciphertext_is_padding_error(self):
         # Regression: used to raise a misleading InvalidBlockSize —
