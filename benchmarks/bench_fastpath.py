@@ -19,14 +19,19 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Tuple
 
+import pytest
+
 from repro.crypto import fastpath
+from repro.crypto.a51 import A51
 from repro.crypto.aes import AES
 from repro.crypto.des import DES
+from repro.crypto.grain import Grain
 from repro.crypto.hmac import hmac
 from repro.crypto.md5 import md5
 from repro.crypto.modes import CBC, ECB
 from repro.crypto.sha1 import sha1
 from repro.crypto.tdes import TripleDES
+from repro.crypto.trivium import Trivium
 
 KEY16 = bytes(range(16))
 KEY8 = bytes(range(8))
@@ -50,6 +55,15 @@ def _hmac_sha1(payload: bytes) -> bytes:
     return hmac(b"bench mac key", payload)
 
 
+def _per_record(factory, key: bytes) -> Callable[[bytes], bytes]:
+    """A fresh stream cipher per 1 KiB record, as WTLS re-keys each
+    record with ``key XOR sequence``: construction plus ``process``."""
+    def run(payload: bytes) -> bytes:
+        return b"".join(factory(key).process(payload[i:i + 1024])
+                        for i in range(0, len(payload), 1024))
+    return run
+
+
 # name, workload, payload bytes on the *reference* side, required speedup.
 # Reference payloads are kept small (the whole point is that the
 # reference loops are slow); throughput normalises them out.
@@ -60,6 +74,9 @@ WORKLOADS: List[Tuple[str, Callable[[bytes], bytes], int, float]] = [
     ("SHA-1", sha1, 64 * 1024, 5.0),
     ("MD5", md5, 64 * 1024, 5.0),
     ("HMAC-SHA1", _hmac_sha1, 64 * 1024, 5.0),
+    ("A5/1", _per_record(A51, bytes(range(11))), 1024, 4.0),
+    ("Grain", _per_record(Grain, bytes(range(18))), 1024, 13.0),
+    ("Trivium", _per_record(Trivium, bytes(range(20))), 1024, 60.0),
 ]
 
 FAST_SCALE = 16  # fast side gets a proportionally larger payload
@@ -119,6 +136,11 @@ def test_md5_speedup():
 
 def test_hmac_sha1_speedup():
     assert measure("HMAC-SHA1")[2] >= _required_speedup("HMAC-SHA1")
+
+
+@pytest.mark.parametrize("name", ["A5/1", "Grain", "Trivium"])
+def test_stream_cipher_speedup(name):
+    assert measure(name)[2] >= _required_speedup(name)
 
 
 def main() -> None:

@@ -18,7 +18,8 @@ makes the fast path work: 64 consecutive spec steps read windows of
 original state bits (every tap index clears the 64-step validity
 bound), so one batched step computes 64 keystream bits with a handful
 of shifts, ANDs and XORs — the software expression of the unrolled
-hardware Trivium would be.
+hardware Trivium would be.  :func:`_run_64` runs every batch one
+``keystream`` call (or the initialisation) needs in one loop frame.
 
 Both dispatch paths advance the state in whole 64-bit (8-byte) chunks
 and buffer leftover bytes, so :meth:`save_state` snapshots are
@@ -33,7 +34,7 @@ The suite key blob is ``key[10] || iv[10]``.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 from . import fastpath
 from .errors import InvalidKeyLength
@@ -45,14 +46,39 @@ _C_BITS = 111
 _INIT_STEPS = 4 * 288
 
 
+# Every byte value with its bit order reversed.
+_REVERSED = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
+
+
 def _load_reflected(data: bytes, width: int) -> int:
     """Bits of ``data`` LSB-first as spec bits 1.., reflected so spec
-    bit x lands at int bit (width - x)."""
-    word = 0
-    for x in range(8 * len(data)):
-        bit = (data[x >> 3] >> (x & 7)) & 1
-        word |= bit << (width - 1 - x)
-    return word
+    bit x lands at int bit (width - x): with every byte bit-reversed,
+    that is a big-endian read moved up to the register's top."""
+    return int.from_bytes(data.translate(_REVERSED), "big") << (
+        width - 8 * len(data))
+
+
+def _run_64(a: int, b: int, c: int, chunks: int,
+            parts: Optional[List[bytes]]) -> Tuple[int, int, int]:
+    """``chunks`` batches of 64 spec steps on (A, B, C), each batch's 8
+    keystream bytes appended to ``parts`` unless it is ``None``.
+
+    Window shifts are ``register_width - x`` for each spec tap ``s_x``;
+    all taps satisfy the 64-step validity bound (x >= 64 / 157 / 241),
+    so every window reads pre-batch state bits only."""
+    for _ in range(chunks):
+        t1 = ((a >> 27) ^ a) & _M64                      # s66 ^ s93
+        t2 = ((b >> 15) ^ b) & _M64                      # s162 ^ s177
+        t3 = ((c >> 45) ^ c) & _M64                      # s243 ^ s288
+        if parts is not None:
+            parts.append((t1 ^ t2 ^ t3).to_bytes(8, "little"))
+        f1 = t1 ^ (((a >> 2) & (a >> 1)) ^ (b >> 6)) & _M64   # + s91·s92 + s171
+        f2 = t2 ^ (((b >> 2) & (b >> 1)) ^ (c >> 24)) & _M64  # + s175·s176 + s264
+        f3 = t3 ^ (((c >> 2) & (c >> 1)) ^ (a >> 24)) & _M64  # + s286·s287 + s69
+        a = (a >> 64) | (f3 << (_A_BITS - 64))
+        b = (b >> 64) | (f1 << (_B_BITS - 64))
+        c = (c >> 64) | (f2 << (_C_BITS - 64))
+    return a, b, c
 
 
 class Trivium:
@@ -103,51 +129,37 @@ class Trivium:
         self._c = (c >> 1) | (t2 << (_C_BITS - 1))
         return z
 
-    def _step_64(self) -> int:
-        """64 spec steps in one batch; returns the 64 keystream bits,
-        step i at bit i.  Window shifts are ``register_width - x`` for
-        each spec tap ``s_x``; all taps satisfy the 64-step validity
-        bound (x >= 64 / 157 / 241), so every window reads pre-batch
-        state bits only."""
-        a, b, c = self._a, self._b, self._c
-        t1 = ((a >> 27) ^ a) & _M64                      # s66 ^ s93
-        t2 = ((b >> 15) ^ b) & _M64                      # s162 ^ s177
-        t3 = ((c >> 45) ^ c) & _M64                      # s243 ^ s288
-        z = t1 ^ t2 ^ t3
-        f1 = t1 ^ (((a >> 2) & (a >> 1)) ^ (b >> 6)) & _M64   # + s91·s92 + s171
-        f2 = t2 ^ (((b >> 2) & (b >> 1)) ^ (c >> 24)) & _M64  # + s175·s176 + s264
-        f3 = t3 ^ (((c >> 2) & (c >> 1)) ^ (a >> 24)) & _M64  # + s286·s287 + s69
-        self._a = (a >> 64) | ((f3 & _M64) << (_A_BITS - 64))
-        self._b = (b >> 64) | ((f1 & _M64) << (_B_BITS - 64))
-        self._c = (c >> 64) | ((f2 & _M64) << (_C_BITS - 64))
-        return z
-
     def _warm_up(self) -> None:
         """The 4 x 288 initialisation steps, output discarded."""
         if self.recorder is None and fastpath.enabled():
-            for _ in range(_INIT_STEPS // 64):
-                self._step_64()
+            self._a, self._b, self._c = _run_64(
+                self._a, self._b, self._c, _INIT_STEPS // 64, None)
         else:
             for _ in range(_INIT_STEPS):
                 self._step_one()
 
     def _chunk(self) -> bytes:
-        """The next 8 keystream bytes (64 steps on either path)."""
-        if self.recorder is None and fastpath.enabled():
-            z = self._step_64()
-        else:
-            z = 0
-            for i in range(64):
-                z |= self._step_one() << i
+        """The next 8 keystream bytes, one spec step at a time."""
+        z = 0
+        for i in range(64):
+            z |= self._step_one() << i
         return z.to_bytes(8, "little")
 
     # -- the RC4-compatible surface -----------------------------------------
 
     def keystream(self, length: int) -> bytes:
-        """Produce the next ``length`` keystream bytes."""
+        """Produce the next ``length`` keystream bytes (whole 8-byte
+        chunks, the leftover bytes kept for the next call)."""
         buffered = self._buffer
-        while len(buffered) < length:
-            buffered += self._chunk()
+        if len(buffered) < length:
+            chunks = (length - len(buffered) + 7) // 8
+            if self.recorder is None and fastpath.enabled():
+                parts: List[bytes] = []
+                self._a, self._b, self._c = _run_64(
+                    self._a, self._b, self._c, chunks, parts)
+            else:
+                parts = [self._chunk() for _ in range(chunks)]
+            buffered += b"".join(parts)
         self._buffer = buffered[length:]
         return buffered[:length]
 

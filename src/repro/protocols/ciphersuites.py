@@ -31,13 +31,22 @@ from ..crypto.tdes import TripleDES
 from ..crypto.trivium import Trivium
 
 
+_CIPHER_FACTORIES = {
+    "DES": DES, "3DES": TripleDES, "AES": AES,
+    "RC4": RC4, "RC2": RC2,
+    "A51": A51, "GRAIN": Grain, "TRIVIUM": Trivium,
+}
+
+
 @dataclass(frozen=True)
 class CipherSuite:
     """One negotiable protection combination.
 
     ``cipher_kind`` is ``block`` or ``stream``; block suites run CBC
-    with an explicit per-direction IV, stream suites keep one RC4
-    keystream per direction.
+    with an explicit per-direction IV.  Stream suites (RC4, A5/1,
+    Grain, Trivium) XOR a keystream: TLS keeps one keystream per
+    direction for the connection, while WTLS builds a fresh one for
+    every record from ``key XOR sequence``.
     """
 
     name: str
@@ -57,14 +66,9 @@ class CipherSuite:
 
     def make_cipher(self, key: bytes):
         """Instantiate the bulk cipher with a negotiated key."""
-        factories = {
-            "DES": DES, "3DES": TripleDES, "AES": AES,
-            "RC4": RC4, "RC2": RC2,
-            "A51": A51, "GRAIN": Grain, "TRIVIUM": Trivium,
-        }
         if self.cipher == "NULL":
             return None
-        return factories[self.cipher](key)
+        return _CIPHER_FACTORIES[self.cipher](key)
 
 
 # The paper's §3.1 matrix: RSA key exchange x {3DES, RC4, RC2, DES} x

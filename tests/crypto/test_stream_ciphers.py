@@ -1,6 +1,6 @@
 """The lightweight stream-cipher family: A5/1, Grain v1, Trivium.
 
-Four layers of assurance, matching the conformance plane's policy:
+Five layers of assurance, matching the conformance plane's policy:
 
 * the published A5/1 pedagogical vector (Briceno/Goldberg/Wagner) on
   both dispatch paths (the corpus files themselves run through
@@ -10,24 +10,29 @@ Four layers of assurance, matching the conformance plane's policy:
   generator) against the packed-integer production ciphers, on fresh
   inputs the frozen pins never saw;
 * hypothesis properties: round-trip identity, fast/reference state
-  equality under arbitrary read-length schedules, save/restore
-  mid-stream, and corruption visibility;
+  equality under arbitrary read-length schedules (WTLS record-sized
+  reads among the explicit examples), save/restore mid-stream, and
+  corruption visibility;
+* fast/reference agreement on the per-record re-key: 200 seeded A5/1
+  key schedules and bursts, and the Trivium key loader against its
+  per-bit formula;
 * interface contracts the record layers rely on (memoryview inputs,
   key-blob splitting, invalid key lengths).
 """
 
 import importlib.util
 import pathlib
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import fastpath
 from repro.crypto.a51 import A51
 from repro.crypto.errors import InvalidKeyLength
 from repro.crypto.grain import Grain
-from repro.crypto.trivium import Trivium
+from repro.crypto.trivium import Trivium, _load_reflected
 
 _TOOL = pathlib.Path(__file__).resolve().parents[2] / "tools" / \
     "gen_stream_vectors.py"
@@ -114,6 +119,9 @@ class TestProperties:
     @settings(max_examples=10, deadline=None)
     @given(lengths=st.lists(st.integers(0, 65), min_size=1, max_size=6),
            flips=st.lists(st.booleans(), min_size=6, max_size=6))
+    # A WTLS 1 KiB request and its reply, each with its MAC.
+    @example(lengths=[1044, 1047, 1044], flips=[False, True, True] * 2)
+    @example(lengths=[1047, 1044], flips=[True, False] * 3)
     def test_paths_agree_under_any_read_schedule(self, factory, key_bytes,
                                                  iv_bytes, lengths, flips):
         """Fast and reference keystreams — and their saved states —
@@ -165,6 +173,40 @@ class TestProperties:
         garbled = factory(key + iv).process(bytes(ciphertext))
         assert garbled[0] == data[0] ^ (1 << bit)
         assert garbled[1:] == data[1:]
+
+
+class TestCrossPath:
+    """Fast vs reference on the key schedule the record layer runs for
+    every record."""
+
+    @staticmethod
+    def _a51_blobs():
+        # Edge keys, then random keys and key || frame-tag blobs; most
+        # random tags have bits above the 22-bit frame number set.
+        rng = random.Random(2003)
+        blobs = [bytes(8), b"\xff" * 8, bytes(11), b"\xff" * 11,
+                 b"\xaa" * 8 + b"\x55" * 3, b"\x55" * 8 + b"\xc0\x00\x01"]
+        return blobs + [rng.randbytes(rng.choice((8, 11)))
+                        for _ in range(194)]
+
+    def test_a51_schedule_and_burst(self):
+        for blob in self._a51_blobs():
+            key, frame = blob[:8], int.from_bytes(blob[8:], "big")
+            with fastpath.force(True):
+                fast = A51(blob).save_state(), A51.burst(key, frame)
+            with fastpath.force(False):
+                reference = A51(blob).save_state(), A51.burst(key, frame)
+            assert fast == reference, blob.hex()
+
+    def test_trivium_loader_matches_per_bit_formula(self):
+        rng = random.Random(80)
+        for data in [bytes(10), b"\xff" * 10] + [rng.randbytes(10)
+                                                 for _ in range(50)]:
+            for width in (93, 84):
+                want = 0
+                for x in range(80):
+                    want |= (data[x >> 3] >> (x & 7) & 1) << (width - 1 - x)
+                assert _load_reflected(data, width) == want
 
 
 class TestInterface:
