@@ -39,11 +39,11 @@ Subpackages
 ``repro.conformance``
     The conformance plane: official-vector registry, differential
     oracles, the handshake state-machine model checker, and the
-    seeded wire-format fuzzer behind ``python -m repro conformance``.
+    seeded wire-format fuzzer behind ``python -m repro run conformance``.
 ``repro.fleet``
     The crash-fault-tolerance plane: the sharded gateway fleet on one
     batched scheduler, durable session checkpoints, crash injection,
-    and deterministic failover behind ``python -m repro failover``.
+    and deterministic failover behind ``python -m repro run failover``.
 
 Quickstart
 ----------

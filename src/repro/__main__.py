@@ -11,37 +11,35 @@ Gives the reproduction a front door:
 * ``telemetry-report`` — seeded gateway chaos run with the telemetry
   plane on: span-tree roll-up, per-phase energy attribution, metrics
   dump, optional deterministic JSONL / flamegraph exports.
-* ``conformance``    — the full conformance plane: official vectors on
-  both dispatch paths, differential oracles, the handshake
-  state-machine check, the seeded wire-format fuzzer, and replay of
-  the committed regression corpus.  Deterministic: same seed, byte-
-  identical report.
-* ``survivability``  — mixed benign/attack load on one virtual clock:
-  four seeded adversary classes against the gateway, exported as a
-  byte-stable JSON survivability report (goodput, shed, breaker
-  transitions, alerts, attacker-vs-user energy).
-* ``failover``       — the sharded gateway fleet under a seeded crash
-  sweep that kills every shard at least once: durable checkpoint
-  restores, resumption / re-handshake cold recovery, structured
-  ``recovering`` sheds, exact energy reconciliation, byte-stable
-  JSON report (the CI two-run ``cmp`` gate).
-* ``mcommerce``      — the §2 m-commerce workload over a healthy
-  fleet: battery-class handsets negotiating the lightweight stream
-  suites, heavy-tailed browse/authenticate/purchase traffic, SET
-  dual-signature purchases, and millijoules-per-transaction by suite
-  and battery class, energy-reconciled and byte-stable.
-* ``fleetwatch``     — the same failover run with the fleet
-  observability plane riding along: cross-shard journey traces
-  stitched through crash/re-home/restore, windowed goodput/latency/
-  energy series, and SLO burn-rate alerting — one byte-stable ops
-  report, plus optional fleet-scope JSONL / Prometheus / folded
-  flamegraph exports.
+* ``run NAME``       — one seeded scenario from :data:`SCENARIOS`,
+  its byte-stable report on stdout (and, with ``--out DIR``, every
+  output file written into ``DIR``); exit status 0 when the
+  scenario's own acceptance predicate holds:
+
+  - ``conformance`` — official vectors on both dispatch paths,
+    differential oracles, the handshake state-machine check, the
+    seeded wire-format fuzzer and the regression corpus;
+  - ``survivability`` — four seeded adversary classes against the
+    gateway under benign load (goodput, shed, breakers, alerts,
+    attacker-vs-user energy);
+  - ``failover`` — the sharded fleet under a crash sweep that kills
+    every shard at least once (restores, cold recovery, ``recovering``
+    sheds, exact energy reconciliation);
+  - ``mcommerce`` — the §2 m-commerce workload over a healthy fleet
+    (stream suites, SET purchases, millijoules per transaction by
+    suite and battery class);
+  - ``fleetwatch`` — the failover run with fleet observability riding
+    along (stitched journeys, windowed series, SLO burn alerts), plus
+    fleet-scope JSONL, Prometheus and folded-stack exports.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
+from importlib import import_module
+from typing import Callable, Dict, NamedTuple
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -202,113 +200,93 @@ def _cmd_telemetry_report(args: argparse.Namespace) -> int:
     return 0 if recon.ok else 1
 
 
-def _cmd_conformance(args: argparse.Namespace) -> int:
-    from .conformance.runner import format_report, run_conformance
-
-    report = run_conformance(
-        seed=args.seed,
-        fuzz_iterations=args.fuzz_iterations,
-        statemachine_depth=args.depth,
-    )
-    text = format_report(report)
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return 0 if report.ok else 1
+def _lazy(module: str, name: str) -> Callable:
+    """``module.name``, imported on first call, not at CLI start-up."""
+    def call(*args, **kwargs):
+        return getattr(import_module(module, __package__), name)(
+            *args, **kwargs)
+    return call
 
 
-def _cmd_survivability(args: argparse.Namespace) -> int:
-    from .adversary import run_survivability
-    from .analysis.survivability import build_report, format_report
-
-    result = run_survivability(
-        sessions=args.sessions,
-        requests_per_session=args.requests,
-        interarrival_s=args.interarrival,
-        attacker_fraction=args.attacker_fraction,
-        fault_rate=args.fault_rate,
-        seed=args.seed,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return 0 if result.reconciliation.ok else 1
+def _json_report(name: str) -> Callable[[object], Dict[str, str]]:
+    """Outputs of a scenario whose report is ``analysis.<name>``'s."""
+    def outputs(result) -> Dict[str, str]:
+        from .analysis.report import format_report
+        build = import_module(f".analysis.{name}", __package__).build_report
+        return {f"{name}.json": format_report(build(result))}
+    return outputs
 
 
-def _cmd_failover(args: argparse.Namespace) -> int:
-    from .analysis.failover import build_report, format_report
-    from .fleet import run_failover
-
-    result = run_failover(
-        sessions=args.sessions,
-        shards=args.shards,
-        requests_per_session=args.requests,
-        interarrival_s=args.interarrival,
-        seed=args.seed,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return 0 if result.reconciliation.ok else 1
+def _conformance_outputs(report) -> Dict[str, str]:
+    from .conformance.runner import format_report
+    return {"conformance.txt": format_report(report)}
 
 
-def _cmd_mcommerce(args: argparse.Namespace) -> int:
-    from .analysis.mcommerce import build_report, format_report
-    from .workloads import run_mcommerce
-
-    result = run_mcommerce(
-        sessions=args.sessions,
-        shards=args.shards,
-        seed=args.seed,
-        duration_s=args.duration,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    ok = (result.reconciliation.ok
-          and all(p["binding_holds"] for p in result.payments))
-    return 0 if ok else 1
-
-
-def _cmd_fleetwatch(args: argparse.Namespace) -> int:
-    from .analysis.fleetwatch import build_report, format_report
+def _fleetwatch_outputs(result) -> Dict[str, str]:
     from .observability.export import (
         fleet_flamegraph_folds,
         fleet_jsonl,
         prometheus_text,
     )
-    from .observability.fleetwatch import run_fleetwatch
-
-    result = run_fleetwatch(
-        sessions=args.sessions,
-        shards=args.shards,
-        requests_per_session=args.requests,
-        interarrival_s=args.interarrival,
-        seed=args.seed,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
     telemetry = result.failover.telemetry
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(fleet_jsonl(telemetry, result.store))
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(prometheus_text(telemetry))
-    if args.folded:
-        with open(args.folded, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(fleet_flamegraph_folds(telemetry, result.store))
-    return 0 if result.failover.reconciliation.ok else 1
+    return {
+        **_json_report("fleetwatch")(result),
+        "fleetwatch.jsonl": fleet_jsonl(telemetry, result.store),
+        "fleetwatch.prom": prometheus_text(telemetry),
+        "fleetwatch.folded": fleet_flamegraph_folds(telemetry,
+                                                    result.store),
+    }
+
+
+def _reconciled(result) -> bool:
+    return result.reconciliation.ok
+
+
+class Scenario(NamedTuple):
+    """One ``python -m repro run`` entry."""
+
+    #: Called as ``run(seed=N)``; every other size is the library default.
+    run: Callable
+    #: Result -> ``{filename: text}``; the first entry is the report.
+    outputs: Callable[[object], Dict[str, str]]
+    #: Result -> whether the scenario's acceptance predicate holds.
+    ok: Callable[[object], bool]
+
+
+SCENARIOS: Dict[str, Scenario] = {
+    "conformance": Scenario(
+        _lazy(".conformance.runner", "run_conformance"),
+        _conformance_outputs, lambda report: report.ok),
+    "survivability": Scenario(
+        _lazy(".adversary", "run_survivability"),
+        _json_report("survivability"), _reconciled),
+    "failover": Scenario(
+        _lazy(".fleet", "run_failover"),
+        _json_report("failover"), _reconciled),
+    "mcommerce": Scenario(
+        _lazy(".workloads", "run_mcommerce"),
+        _json_report("mcommerce"),
+        lambda result: _reconciled(result) and all(
+            payment["binding_holds"] for payment in result.payments)),
+    "fleetwatch": Scenario(
+        _lazy(".observability.fleetwatch", "run_fleetwatch"),
+        _fleetwatch_outputs, lambda result: _reconciled(result.failover)),
+}
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    scenario = SCENARIOS[args.name]
+    result = scenario.run(seed=args.seed)
+    outputs = scenario.outputs(result)
+    print(next(iter(outputs.values())), end="")
+    if args.out:
+        out = pathlib.Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for filename, text in outputs.items():
+            with open(out / filename, "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(text)
+    return 0 if scenario.ok(result) else 1
 
 
 def main(argv=None) -> int:
@@ -344,68 +322,12 @@ def main(argv=None) -> int:
                            help="write the deterministic JSONL trace here")
     telemetry.add_argument("--folded", metavar="PATH", default=None,
                            help="write flamegraph-style folded stacks here")
-    conformance = sub.add_parser(
-        "conformance",
-        help="vectors + oracles + state machine + fuzzing, one report")
-    conformance.add_argument("--seed", type=int, default=2003)
-    conformance.add_argument("--fuzz-iterations", type=int, default=150,
-                             help="mutations per fuzz target")
-    conformance.add_argument("--depth", type=int, default=4,
-                             help="state-machine enumeration depth")
-    conformance.add_argument("--report", metavar="PATH", default=None,
-                             help="also write the report text here")
-    survivability = sub.add_parser(
-        "survivability",
-        help="mixed benign/attack load -> byte-stable JSON report")
-    survivability.add_argument("--sessions", type=int, default=32)
-    survivability.add_argument("--requests", type=int, default=4)
-    survivability.add_argument("--interarrival", type=float, default=0.1)
-    survivability.add_argument("--attacker-fraction", type=float,
-                               default=0.5,
-                               help="attacker share of total traffic")
-    survivability.add_argument("--fault-rate", type=float, default=0.0,
-                               help="wired-leg fault probability")
-    survivability.add_argument("--seed", type=int, default=2003)
-    survivability.add_argument("--report", metavar="PATH", default=None,
-                               help="also write the JSON report here")
-    failover = sub.add_parser(
-        "failover",
-        help="sharded-fleet crash sweep -> byte-stable JSON report")
-    failover.add_argument("--sessions", type=int, default=24)
-    failover.add_argument("--shards", type=int, default=4)
-    failover.add_argument("--requests", type=int, default=6)
-    failover.add_argument("--interarrival", type=float, default=0.35)
-    failover.add_argument("--seed", type=int, default=2003)
-    failover.add_argument("--report", metavar="PATH", default=None,
-                          help="also write the JSON report here")
-
-    mcommerce = sub.add_parser(
-        "mcommerce",
-        help="m-commerce workload over the fleet -> byte-stable report")
-    mcommerce.add_argument("--sessions", type=int, default=18)
-    mcommerce.add_argument("--shards", type=int, default=3)
-    mcommerce.add_argument("--duration", type=float, default=1.2,
-                           help="virtual arrival window in seconds")
-    mcommerce.add_argument("--seed", type=int, default=2003)
-    mcommerce.add_argument("--report", metavar="PATH", default=None,
-                           help="also write the JSON report here")
-
-    fleetwatch = sub.add_parser(
-        "fleetwatch",
-        help="watched failover run: traces + windows + SLO burn alerts")
-    fleetwatch.add_argument("--sessions", type=int, default=24)
-    fleetwatch.add_argument("--shards", type=int, default=4)
-    fleetwatch.add_argument("--requests", type=int, default=6)
-    fleetwatch.add_argument("--interarrival", type=float, default=0.35)
-    fleetwatch.add_argument("--seed", type=int, default=2003)
-    fleetwatch.add_argument("--report", metavar="PATH", default=None,
-                            help="also write the JSON ops report here")
-    fleetwatch.add_argument("--jsonl", metavar="PATH", default=None,
-                            help="write the fleet-scope JSONL trace log")
-    fleetwatch.add_argument("--metrics", metavar="PATH", default=None,
-                            help="write the final Prometheus scrape")
-    fleetwatch.add_argument("--folded", metavar="PATH", default=None,
-                            help="write shard-rooted folded flame stacks")
+    run = sub.add_parser(
+        "run", help="one seeded scenario -> byte-stable report")
+    run.add_argument("name", choices=sorted(SCENARIOS))
+    run.add_argument("--seed", type=int, default=2003)
+    run.add_argument("--out", metavar="DIR", default=None,
+                     help="also write every output file into DIR")
 
     args = parser.parse_args(argv)
     handlers = {
@@ -416,11 +338,7 @@ def main(argv=None) -> int:
         "battery": _cmd_battery,
         "appliance": _cmd_appliance,
         "telemetry-report": _cmd_telemetry_report,
-        "conformance": _cmd_conformance,
-        "survivability": _cmd_survivability,
-        "failover": _cmd_failover,
-        "mcommerce": _cmd_mcommerce,
-        "fleetwatch": _cmd_fleetwatch,
+        "run": _cmd_run,
     }
     return handlers[args.command](args)
 

@@ -117,9 +117,7 @@ class Adversary:
             "exhausted": self.exhausted,
             "rate_per_s": round(self.rate_per_s, 6),
             "energy_spent_mj": round(self.energy_spent_mj, 6),
-            "battery_drained_mj": round(
-                (self.battery.capacity_j - self.battery.remaining_j)
-                * 1000.0, 6),
+            "battery_drained_mj": round(self.battery.drained_mj, 6),
         }
         out.update(self._extra_snapshot())
         return out
@@ -434,5 +432,4 @@ class AdversaryPopulation:
 
     def energy_spent_mj(self) -> float:
         """Energy the attacker population drained from its batteries."""
-        return sum((a.battery.capacity_j - a.battery.remaining_j) * 1000.0
-                   for a in self.adversaries)
+        return sum(a.battery.drained_mj for a in self.adversaries)

@@ -30,7 +30,7 @@ from ..observability.metrics import (
     export_dos_responder,
     export_runtime,
 )
-from ..observability.scenario import ORIGIN, classify_reply
+from ..observability.scenario import ORIGIN
 from ..observability.spans import Telemetry
 from ..protocols.dos import CookieProtectedResponder
 from ..protocols.faults import FaultyChannel
@@ -39,6 +39,8 @@ from ..protocols.gateway_runtime import (
     RuntimeConfig,
     RuntimeStats,
     build_gateway_runtime_world,
+    drain_replies,
+    submit_rounds,
 )
 from ..protocols.alerts import ProtocolAlert
 from ..protocols.reliable import VirtualClock
@@ -206,8 +208,10 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             address = f"192.168.1.{index + 2}"
             nonce = gate_rng.random_bytes(8)
             cookie = responder.first_contact(address, nonce)
-            assert cookie is not None
-            assert responder.second_contact(address, nonce, cookie)
+            if cookie is None or not responder.second_contact(
+                    address, nonce, cookie):
+                raise RuntimeError(
+                    f"{session_id} failed the DoS cookie exchange")
 
         population = AdversaryPopulation([])
         if attacker_fraction > 0.0:
@@ -240,11 +244,9 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             drained = {"user": 0.0, "attacker": 0.0}
 
             def sample_energy(now: float) -> None:
-                user = sum((b.capacity_j - b.remaining_j) * 1000.0
-                           for b in batteries.values())
-                attacker = sum(
-                    (a.battery.capacity_j - a.battery.remaining_j) * 1000.0
-                    for a in population.adversaries)
+                user = sum(b.drained_mj for b in batteries.values())
+                attacker = sum(a.battery.drained_mj
+                               for a in population.adversaries)
                 energy_split["user_mj"].inc(now, user - drained["user"])
                 energy_split["attacker_mj"].inc(
                     now, attacker - drained["attacker"])
@@ -253,15 +255,8 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
 
             runtime.add_ticker(sample_energy)
 
-        session_ids = sorted(handsets)
-        for round_index in range(requests_per_session):
-            for slot, session_id in enumerate(session_ids):
-                handsets[session_id].send(
-                    f"req-{session_id}-{round_index}".encode())
-                runtime.submit(
-                    session_id, ORIGIN,
-                    arrival_offset_s=round_index * interarrival_s
-                    + slot * interarrival_s / max(1, sessions))
+        submit_rounds(runtime, handsets, ORIGIN, requests_per_session,
+                      interarrival_s)
         stats = runtime.run()
 
         # Let the population catch up to the scenario horizon, then
@@ -270,6 +265,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
         if horizon_s > clock.now:
             clock.advance_to(horizon_s)
         population.tick(clock.now)
+        session_ids = sorted(handsets)
         leftover_before = sum(
             runtime.sessions[sid].conn.discarded for sid in session_ids)
         for session_id in session_ids:
@@ -287,14 +283,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
         population.finish(clock.now)
         if energy_split is not None:
             sample_energy(clock.now)  # final flush into the last window
-
-        replies: List[str] = []
-        for session_id in session_ids:
-            conn = handsets[session_id]
-            while conn.endpoint.pending():
-                replies.append(classify_reply(conn.receive()))
-    counts = {kind: replies.count(kind)
-              for kind in ("served", "degraded", "shed")}
+        counts = drain_replies(runtime, handsets)
     all_batteries = list(batteries.values()) + [
         adversary.battery for adversary in population.adversaries]
     return SurvivabilityResult(

@@ -1,6 +1,7 @@
 """Analysis utilities: figure regeneration, reporting, sweeps."""
 
-from .chaos import chaos_point, chaos_sweep, classify_reply
+from ..protocols.gateway_runtime import classify_reply
+from .chaos import chaos_point, chaos_sweep
 from .figures import (
     all_figures,
     figure1_data,

@@ -11,26 +11,17 @@ served request.  Every point is a pure function of its seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..protocols.gateway_runtime import (
-    BUSY_PREFIX,
     RuntimeConfig,
     build_gateway_runtime_world,
+    drain_replies,
+    submit_rounds,
 )
-from ..protocols.wap import DEGRADED_PREFIX
 from .sweep import SweepResult, sweep
 
 ORIGIN = "origin.example"
-
-
-def classify_reply(reply: bytes) -> str:
-    """One of ``served`` / ``degraded`` / ``shed`` for a runtime reply."""
-    if reply.startswith(BUSY_PREFIX):
-        return "shed"
-    if reply.startswith(DEGRADED_PREFIX):
-        return "degraded"
-    return "served"
 
 
 def chaos_point(sessions: int = 4, requests_per_session: int = 8,
@@ -47,24 +38,10 @@ def chaos_point(sessions: int = 4, requests_per_session: int = 8,
         sessions=sessions, seed=seed, config=config)
     if fault_rate > 0.0:
         runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
-    session_ids = sorted(handsets)
-    for round_index in range(requests_per_session):
-        for slot, session_id in enumerate(session_ids):
-            handsets[session_id].send(
-                f"req-{session_id}-{round_index}".encode())
-            runtime.submit(
-                session_id, ORIGIN,
-                arrival_offset_s=round_index * interarrival_s
-                + slot * interarrival_s / max(1, sessions))
+    submit_rounds(runtime, handsets, ORIGIN, requests_per_session,
+                  interarrival_s)
     stats = runtime.run()
-    replies: List[str] = []
-    for session_id in session_ids:
-        conn = handsets[session_id]
-        while conn.endpoint.pending():
-            replies.append(classify_reply(conn.receive()))
-    counts = {kind: replies.count(kind)
-              for kind in ("served", "degraded", "shed")}
-    assert stats.answered == stats.submitted, "a request went unanswered"
+    counts = drain_replies(runtime, handsets)
     return {
         "sessions": sessions,
         "offered_per_s": round(sessions / interarrival_s, 3),

@@ -8,25 +8,19 @@ journal health (checkpoints, torn frames, index evictions), the
 recovery-latency distribution, per-shard sections, and the energy
 block reconciled exactly against the battery ledgers.
 
-``format_report`` is byte-stable: ``json.dumps(..., sort_keys=True)``
-over rounded floats, so two same-seed runs compare with ``cmp`` — the
-CI gate for deterministic failover.
+Every float is rounded, so :func:`repro.analysis.report.format_report`
+renders it byte-stably and two same-seed runs compare with ``cmp`` —
+the CI gate for deterministic failover.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 #: The declared availability bound for the acceptance chaos run: every
 #: submitted request is answered (served/degraded/structured shed) —
 #: a crash may cost latency and recovering sheds, never silence.
 DECLARED_ANSWER_RATE = 1.0
-
-
-def _round_map(values: Dict[str, float], digits: int = 6) -> Dict[str, float]:
-    return {key: round(value, digits)
-            for key, value in sorted(values.items())}
 
 
 def build_report(result) -> Dict[str, object]:
@@ -37,8 +31,7 @@ def build_report(result) -> Dict[str, object]:
     totals = fleet.runtime_totals()
     answered = sum(result.per_session_replies.values())
     user_mj = sum(
-        (battery.capacity_j - battery.remaining_j) * 1000.0
-        for battery in result.batteries.values())
+        battery.drained_mj for battery in result.batteries.values())
     shards = {}
     for shard in fleet.shards:
         ledgers = list(shard.retired_stats) + [shard.runtime.stats]
@@ -116,8 +109,3 @@ def build_report(result) -> Dict[str, object]:
         },
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON rendering (trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

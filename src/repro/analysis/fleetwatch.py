@@ -18,14 +18,13 @@ top of the embedded failover report:
 * the ``failover`` section is the unmodified byte-stable failover
   report — watching a run must not change what the run did.
 
-``format_report`` matches the repo convention: ``json.dumps(...,
-sort_keys=True)`` over rounded floats, trailing newline — the CI
-``cmp`` gate for deterministic fleet observability.
+Every float is rounded, so :func:`repro.analysis.report.format_report`
+renders it byte-stably — the CI ``cmp`` gate for deterministic fleet
+observability.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from ..observability.tracecontext import CTX_TRACE
@@ -96,8 +95,3 @@ def build_report(result) -> Dict[str, object]:
         "slo": watch.engine.summary(),
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON rendering (trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -10,14 +10,13 @@ millijoules, millijoules per transaction — the per-battery-class
 drain, and the energy block reconciled exactly against the battery
 ledgers.
 
-``format_report`` is byte-stable: ``json.dumps(..., sort_keys=True)``
-over rounded floats, so two same-seed runs compare with ``cmp`` — the
-CI gate for a deterministic workload plane.
+Every float is rounded, so :func:`repro.analysis.report.format_report`
+renders it byte-stably and two same-seed runs compare with ``cmp`` —
+the CI gate for a deterministic workload plane.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from ..fleet.runtime import _channel_bytes
@@ -37,7 +36,7 @@ def build_report(result) -> Dict[str, object]:
     by_class: Dict[str, Dict[str, float]] = {}
     for plan in result.plans:
         battery = result.batteries[plan.session_id]
-        drained_mj = (battery.capacity_j - battery.remaining_j) * 1000.0
+        drained_mj = battery.drained_mj
         wire_bytes = _channel_bytes(fleet.channels[plan.session_id])
         transactions = len(plan.arrivals_s)
         suite_row = by_suite.setdefault(plan.suite_name, {
@@ -75,8 +74,7 @@ def build_report(result) -> Dict[str, object]:
     transactions_total = sum(len(plan.arrivals_s)
                              for plan in result.plans)
     user_mj = sum(
-        (battery.capacity_j - battery.remaining_j) * 1000.0
-        for battery in result.batteries.values())
+        battery.drained_mj for battery in result.batteries.values())
     report: Dict[str, object] = {
         "params": dict(result.params),
         "traffic": {
@@ -126,8 +124,3 @@ def build_report(result) -> Dict[str, object]:
         },
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON (the CI ``cmp`` target)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,13 +1,15 @@
-"""Plain-text table/series rendering for the figure benches.
+"""Report rendering: plain-text tables/series for the figure benches,
+canonical JSON for the scenario reports.
 
-The reproduction regenerates each figure's *data*; these helpers print
-it as aligned rows so the bench output reads like the paper's figures
-in tabular form (EXPERIMENTS.md records the same rows).
+The reproduction regenerates each figure's *data*; the table helpers
+print it as aligned rows so the bench output reads like the paper's
+figures in tabular form (EXPERIMENTS.md records the same rows).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import json
+from typing import Dict, Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence],
@@ -40,3 +42,12 @@ def format_series(name: str, points: Iterable, x_label: str = "x",
     """Render an (x, y) series with a title line."""
     body = format_table((x_label, y_label), points)
     return f"== {name} ==\n{body}"
+
+
+def format_report(report: Dict[str, object]) -> str:
+    """Canonical byte-stable JSON for a scenario report dict.
+
+    ``sort_keys`` over the report's rounded floats, trailing newline:
+    two same-seed runs compare equal with ``cmp``.
+    """
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -7,13 +7,12 @@ per-reason shed energy, the DoS gate's cookie accounting, breaker
 transitions, latched alerts, and the attacker-vs-user energy split —
 reconciled exactly against the battery ledgers.
 
-``format_report`` is byte-stable: ``json.dumps(..., sort_keys=True)``
-over rounded floats, so two same-seed runs compare with ``cmp``.
+Every float is rounded, so :func:`repro.analysis.report.format_report`
+renders it byte-stably and two same-seed runs compare with ``cmp``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from ..observability.attribution import adversary_energy_mj
@@ -35,8 +34,7 @@ def build_report(result) -> Dict[str, object]:
     stats = result.stats
     recon = result.reconciliation
     user_mj = sum(
-        (battery.capacity_j - battery.remaining_j) * 1000.0
-        for battery in result.batteries.values())
+        battery.drained_mj for battery in result.batteries.values())
     attacker_mj = result.population.energy_spent_mj()
     answered = sum(result.counts.values())
     report: Dict[str, object] = {
@@ -90,8 +88,3 @@ def build_report(result) -> Dict[str, object]:
         },
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON rendering (trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

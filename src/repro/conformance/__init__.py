@@ -23,8 +23,8 @@ for the whole reproduction:
     with greedy crash minimization and a persisted regression corpus
     replayed forever after.
 ``runner``
-    One-call orchestration behind ``python -m repro conformance``,
-    rendering a byte-stable report for CI's run-twice-and-``cmp``
+    One-call orchestration behind ``python -m repro run conformance``,
+    rendering a byte-stable report for CI's run-twice-and-``diff``
     discipline.
 """
 

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..hardware.battery import Battery
 from ..observability import probe
 from ..observability.attribution import EnergyReconciliation, reconcile_energy
 from ..observability.metrics import export_fleet
-from ..observability.scenario import classify_reply
 from ..observability.spans import Telemetry
-from ..protocols.gateway_runtime import RuntimeStats
+from ..protocols.gateway_runtime import (
+    RuntimeStats,
+    classify_reply,
+    classify_shed_reason,
+)
 from ..protocols.reliable import VirtualClock
 from .runtime import (
     ORIGIN_NAME,
@@ -54,14 +57,27 @@ class FailoverResult:
     params: Dict[str, object] = field(default_factory=dict)
 
 
-def classify_shed_reason(reply: bytes) -> Optional[str]:
-    """The ``reason=`` token of a ``GW-BUSY:`` reply, else ``None``."""
-    if classify_reply(reply) != "shed":
-        return None
-    for token in reply.decode("ascii", "replace").split():
-        if token.startswith("reason="):
-            return token.split("=", 1)[1]
-    return "unknown"
+def tally_replies(fleet: ShardedFleet, session_ids: Iterable[str]
+                  ) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
+    """Collect every session's replies from ``fleet``, in order.
+
+    Returns ``(counts, per_session, shed_reasons)``: served / degraded /
+    shed totals, replies decoded per session, and shed totals per
+    ``reason=`` token.
+    """
+    counts = {"served": 0, "degraded": 0, "shed": 0}
+    per_session: Dict[str, int] = {}
+    shed_reasons: Dict[str, int] = {}
+    for session_id in session_ids:
+        replies = fleet.collect_replies(session_id)
+        per_session[session_id] = len(replies)
+        for reply in replies:
+            kind = classify_reply(reply)
+            counts[kind] += 1
+            if kind == "shed":
+                reason = classify_shed_reason(reply)
+                shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
+    return counts, per_session, shed_reasons
 
 
 def run_failover(sessions: int = 24, shards: int = 4,
@@ -142,17 +158,8 @@ def run_failover(sessions: int = 24, shards: int = 4,
         stats = fleet.run()
         if finisher is not None:
             finisher()
-        counts = {"served": 0, "degraded": 0, "shed": 0}
-        shed_reasons: Dict[str, int] = {}
-        per_session: Dict[str, int] = {}
-        for session_id in session_ids:
-            replies = fleet.collect_replies(session_id)
-            per_session[session_id] = len(replies)
-            for reply in replies:
-                counts[classify_reply(reply)] += 1
-                reason = classify_shed_reason(reply)
-                if reason is not None:
-                    shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
+        counts, per_session, shed_reasons = tally_replies(
+            fleet, session_ids)
     return FailoverResult(
         fleet=fleet,
         telemetry=telemetry,

@@ -79,6 +79,11 @@ class Battery:
         return self.remaining_j >= millijoules / 1000.0
 
     @property
+    def drained_mj(self) -> float:
+        """Energy withdrawn since the last full charge, in millijoules."""
+        return (self.capacity_j - self.remaining_j) * 1000.0
+
+    @property
     def fraction_remaining(self) -> float:
         """Remaining charge as a fraction of capacity."""
         return self.remaining_j / self.capacity_j

@@ -462,14 +462,13 @@ def export_battery(registry: MetricsRegistry, battery,
     labels = {"device": device}
 
     def collect():
-        drained_mj = (battery.capacity_j - battery.remaining_j) * 1000.0
         return [
             ("repro_battery_capacity_j", "battery capacity", labels,
              battery.capacity_j),
             ("repro_battery_remaining_j", "battery charge remaining", labels,
              battery.remaining_j),
             ("repro_battery_drained_mj", "energy withdrawn so far", labels,
-             drained_mj),
+             battery.drained_mj),
             ("repro_battery_fraction_remaining", "charge fraction", labels,
              battery.fraction_remaining),
         ]

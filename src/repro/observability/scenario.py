@@ -1,8 +1,9 @@
 """The canonical telemetry scenario: a seeded gateway chaos run.
 
 One call builds the full N-handset gateway world **with telemetry
-active from the first handshake**, drives a chaos traffic pattern
-(identical shape to :func:`repro.analysis.chaos.chaos_point`), and
+active from the first handshake**, drives the chaos traffic shape
+(:func:`~repro.protocols.gateway_runtime.submit_rounds`, shared with
+:func:`repro.analysis.chaos.chaos_point`), and
 returns the finished :class:`~repro.observability.spans.Telemetry`
 alongside the usual served/degraded/shed ledger — everything
 ``python -m repro telemetry-report``, the CI smoke job, and the
@@ -18,13 +19,15 @@ byte-identical JSONL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..hardware.battery import Battery
 from ..protocols.gateway_runtime import (
     RuntimeConfig,
     RuntimeStats,
     build_gateway_runtime_world,
+    drain_replies,
+    submit_rounds,
 )
 from ..protocols.reliable import VirtualClock
 from . import probe
@@ -33,17 +36,6 @@ from .metrics import export_runtime
 from .spans import Telemetry
 
 ORIGIN = "origin.example"
-
-
-def classify_reply(reply: bytes) -> str:
-    """``served`` / ``degraded`` / ``shed`` for one runtime reply."""
-    from ..protocols.gateway_runtime import BUSY_PREFIX
-    from ..protocols.wap import DEGRADED_PREFIX
-    if reply.startswith(BUSY_PREFIX):
-        return "shed"
-    if reply.startswith(DEGRADED_PREFIX):
-        return "degraded"
-    return "served"
 
 
 @dataclass
@@ -91,23 +83,10 @@ def run_gateway_chaos(sessions: int = 32, requests_per_session: int = 4,
         if fault_rate > 0.0:
             runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
         export_runtime(telemetry.registry, runtime)
-        session_ids = sorted(handsets)
-        for round_index in range(requests_per_session):
-            for slot, session_id in enumerate(session_ids):
-                handsets[session_id].send(
-                    f"req-{session_id}-{round_index}".encode())
-                runtime.submit(
-                    session_id, ORIGIN,
-                    arrival_offset_s=round_index * interarrival_s
-                    + slot * interarrival_s / max(1, sessions))
+        submit_rounds(runtime, handsets, ORIGIN, requests_per_session,
+                      interarrival_s)
         stats = runtime.run()
-        replies: List[str] = []
-        for session_id in session_ids:
-            conn = handsets[session_id]
-            while conn.endpoint.pending():
-                replies.append(classify_reply(conn.receive()))
-    counts = {kind: replies.count(kind)
-              for kind in ("served", "degraded", "shed")}
+        counts = drain_replies(runtime, handsets)
     return ChaosTelemetryResult(
         telemetry=telemetry,
         stats=stats,

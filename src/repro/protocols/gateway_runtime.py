@@ -67,6 +67,25 @@ def busy_reply(reason: str, retry_after_s: Optional[float] = None) -> bytes:
     return reply
 
 
+def classify_reply(reply: bytes) -> str:
+    """One of ``served`` / ``degraded`` / ``shed`` for a runtime reply."""
+    if reply.startswith(BUSY_PREFIX):
+        return "shed"
+    if reply.startswith(DEGRADED_PREFIX):
+        return "degraded"
+    return "served"
+
+
+def classify_shed_reason(reply: bytes) -> Optional[str]:
+    """The ``reason=`` token of a ``GW-BUSY:`` reply, else ``None``."""
+    if not reply.startswith(BUSY_PREFIX):
+        return None
+    for token in reply.decode("ascii", "replace").split():
+        if token.startswith("reason="):
+            return token.split("=", 1)[1]
+    return "unknown"
+
+
 @dataclass(frozen=True)
 class BreakerConfig:
     """Circuit-breaker tunables."""
@@ -745,3 +764,46 @@ def build_gateway_runtime_world(
             channel=(channel_factory(session_id)
                      if channel_factory is not None else None))
     return runtime, handsets, ca
+
+
+def submit_rounds(runtime: GatewayRuntime,
+                  handsets: Dict[str, WTLSConnection], origin: str,
+                  requests_per_session: int, interarrival_s: float) -> None:
+    """Queue the chaos traffic shape on ``runtime``.
+
+    ``requests_per_session`` rounds; in each, every handset (sorted by
+    session id) sends one request, staggered evenly across the
+    ``interarrival_s`` period so the aggregate offered load is
+    ``len(handsets) / interarrival_s`` requests per virtual second.
+    """
+    session_ids = sorted(handsets)
+    sessions = len(session_ids)
+    for round_index in range(requests_per_session):
+        for slot, session_id in enumerate(session_ids):
+            handsets[session_id].send(
+                f"req-{session_id}-{round_index}".encode())
+            runtime.submit(
+                session_id, origin,
+                arrival_offset_s=round_index * interarrival_s
+                + slot * interarrival_s / max(1, sessions))
+
+
+def drain_replies(runtime: GatewayRuntime,
+                  handsets: Dict[str, WTLSConnection]) -> Dict[str, int]:
+    """Read every pending handset reply; served/degraded/shed counts.
+
+    Raises :class:`RuntimeError` when the runtime left a submitted
+    request unanswered — the every-request-answered invariant of every
+    gateway chaos run, checked explicitly so ``python -O`` keeps it.
+    """
+    stats = runtime.stats
+    if stats.answered != stats.submitted:
+        raise RuntimeError(
+            f"a request went unanswered: {stats.answered} answered of "
+            f"{stats.submitted} submitted")
+    counts = {"served": 0, "degraded": 0, "shed": 0}
+    for session_id in sorted(handsets):
+        conn = handsets[session_id]
+        while conn.endpoint.pending():
+            counts[classify_reply(conn.receive())] += 1
+    return counts

@@ -44,12 +44,12 @@ from ..fleet.runtime import (
     FleetStats,
     ShardedFleet,
 )
+from ..fleet.scenario import tally_replies
 from ..hardware.battery import Battery, BatteryEmpty
 from ..hardware.energy import EnergyModel
 from ..observability import probe
 from ..observability.attribution import EnergyReconciliation, reconcile_energy
 from ..observability.metrics import export_fleet
-from ..observability.scenario import classify_reply
 from ..observability.spans import Telemetry
 from ..protocols.ciphersuites import (
     ALL_SUITES,
@@ -352,13 +352,8 @@ def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
                         brownouts[plan.battery_class] = (
                             brownouts.get(plan.battery_class, 0) + 1)
         stats = fleet.run()
-        counts = {"served": 0, "degraded": 0, "shed": 0}
-        per_session: Dict[str, int] = {}
-        for plan in plans:
-            replies = fleet.collect_replies(plan.session_id)
-            per_session[plan.session_id] = len(replies)
-            for reply in replies:
-                counts[classify_reply(reply)] += 1
+        counts, per_session, _ = tally_replies(
+            fleet, [plan.session_id for plan in plans])
     return MCommerceResult(
         fleet=fleet,
         telemetry=telemetry,

@@ -12,11 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import run_survivability
-from repro.analysis.survivability import (
-    DECLARED_GOODPUT_BOUND,
-    build_report,
-    format_report,
-)
+from repro.analysis.report import format_report
+from repro.analysis.survivability import DECLARED_GOODPUT_BOUND, build_report
 
 SEED = 2003
 

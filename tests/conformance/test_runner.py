@@ -5,7 +5,7 @@ from repro.conformance.runner import format_report, run_conformance
 
 def _small_run(seed=2003):
     # Small fuzz budget + shallow enumeration: the full campaign runs
-    # in CI via ``python -m repro conformance``; this test checks the
+    # in CI via ``python -m repro run conformance``; this test checks the
     # wiring and the determinism contract.
     return run_conformance(seed=seed, fuzz_iterations=25,
                            statemachine_depth=2)

@@ -11,7 +11,8 @@ same-seed rerun.
 
 import pytest
 
-from repro.analysis.failover import build_report, format_report
+from repro.analysis.failover import build_report
+from repro.analysis.report import format_report
 from repro.fleet import run_failover
 from repro.fleet.scenario import answered_total
 

@@ -14,8 +14,8 @@ The acceptance gates for the fleet observability plane:
 import pytest
 
 from repro.analysis.failover import build_report as build_failover_report
-from repro.analysis.failover import format_report as format_failover
-from repro.analysis.fleetwatch import build_report, format_report
+from repro.analysis.fleetwatch import build_report
+from repro.analysis.report import format_report
 from repro.fleet.scenario import run_failover
 from repro.observability.fleetwatch import run_fleetwatch
 
@@ -40,9 +40,9 @@ class TestDeterminism:
         assert first == second
 
     def test_watching_does_not_change_the_run(self):
-        plain = format_failover(build_failover_report(run_failover(
+        plain = format_report(build_failover_report(run_failover(
             sessions=10, shards=2, requests_per_session=3, seed=9)))
-        watched = format_failover(build_failover_report(run_fleetwatch(
+        watched = format_report(build_failover_report(run_fleetwatch(
             sessions=10, shards=2, requests_per_session=3,
             seed=9).failover))
         assert plain == watched

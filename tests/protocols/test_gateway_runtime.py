@@ -24,7 +24,6 @@ from repro.hardware.faults import BatteryBrownout, FaultPlan, wrap_engines
 from repro.hardware.processors import ARM7
 from repro.hardware.workloads import BulkWorkload
 from repro.protocols.gateway_runtime import (
-    BUSY_PREFIX,
     CLOSED,
     HALF_OPEN,
     OPEN,
@@ -35,19 +34,14 @@ from repro.protocols.gateway_runtime import (
     TokenBucket,
     build_gateway_runtime_world,
     busy_reply,
+    classify_reply,
+    classify_shed_reason,
+    drain_replies,
 )
 from repro.protocols.wap import DEGRADED_PREFIX, build_wap_world
 
 ORIGIN = "origin.example"
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
-
-
-def classify(reply: bytes) -> str:
-    if reply.startswith(BUSY_PREFIX):
-        return "shed"
-    if reply.startswith(DEGRADED_PREFIX):
-        return "degraded"
-    return "served"
 
 
 # -- token bucket ------------------------------------------------------------
@@ -124,6 +118,26 @@ def test_busy_reply_is_machine_parseable():
         b"GW-BUSY: reason=rate-limited retry-after=0.125"
 
 
+def test_reply_classification():
+    assert classify_reply(busy_reply("deadline")) == "shed"
+    assert classify_reply(DEGRADED_PREFIX + b" origin down") == "degraded"
+    assert classify_reply(b"OK:req") == "served"
+    assert classify_shed_reason(busy_reply("rate-limited", 0.5)) == \
+        "rate-limited"
+    assert classify_shed_reason(b"GW-BUSY:") == "unknown"
+    assert classify_shed_reason(b"OK:req") is None
+
+
+def test_drain_raises_when_a_request_went_unanswered():
+    class StubRuntime:
+        class stats:
+            submitted = 3
+            answered = 2
+
+    with pytest.raises(RuntimeError, match="unanswered"):
+        drain_replies(StubRuntime(), {})
+
+
 # -- shedding paths ----------------------------------------------------------
 
 
@@ -143,7 +157,7 @@ def test_rate_limit_shed_carries_retry_after():
     stats = runtime.run()
     replies = _drain(handsets)["handset-00"]
     assert stats.shed_rate_limited == 2
-    assert [classify(reply) for reply in replies] == [
+    assert [classify_reply(reply) for reply in replies] == [
         "served", "shed", "shed"]
     assert all(b"reason=rate-limited retry-after=" in reply
                for reply in replies[1:])
@@ -204,7 +218,7 @@ def test_handler_failures_counted_and_not_breaker_events():
     replies = _drain(handsets)["handset-00"]
     assert stats.handler_failures == 1
     assert runtime.gateway.handler_failures == 1
-    assert [classify(r) for r in replies] == [
+    assert [classify_reply(r) for r in replies] == [
         "served", "degraded", "served"]
     assert b"origin handler error" in replies[1]
     # Application failures must not open the breaker:
@@ -280,7 +294,7 @@ def test_outage_window_drives_breaker_cycle():
     assert stats.answered == stats.submitted
     # After the breaker re-closed, requests are served for real again.
     final = _drain(handsets)["handset-00"][-1]
-    assert classify(final) == "served"
+    assert classify_reply(final) == "served"
 
 
 # -- the acceptance scenario -------------------------------------------------
@@ -339,7 +353,7 @@ def test_acceptance_chaos_scenario():
     assert stats.answered == stats.submitted
     flat = [reply for session in replies.values() for reply in session]
     assert len(flat) == stats.submitted
-    kinds = [classify(reply) for reply in flat]
+    kinds = [classify_reply(reply) for reply in flat]
     assert kinds.count("served") == stats.served
     assert kinds.count("degraded") == stats.degraded
     assert kinds.count("shed") == stats.shed
@@ -468,7 +482,7 @@ def test_injected_garbage_is_skipped_and_counted():
     assert stats.shed_malformed == 0
     assert stats.served == 1
     reply = handsets["handset-00"].receive()
-    assert classify(reply) == "served"
+    assert classify_reply(reply) == "served"
 
 
 def test_malformed_flood_sheds_structurally():

@@ -3,7 +3,8 @@ negotiation, exact energy reconciliation, byte-stable reporting."""
 
 import pytest
 
-from repro.analysis.mcommerce import build_report, format_report
+from repro.analysis.mcommerce import build_report
+from repro.analysis.report import format_report
 from repro.protocols.ciphersuites import SUITES_BY_NAME
 from repro.workloads import (
     BATTERY_CLASSES,
