@@ -10,7 +10,7 @@ scenario exercises:
 
 * **record** — the TLS record hot path (encode + decode round trip),
   also measured against the uninstrumented inner kernels
-  (``_encode``/``_decode``) to isolate the disabled-probe cost;
+  (``_encode_one``/``_decode``) to isolate the disabled-probe cost;
 * **arq** — go-back-N delivery over a lossy channel (retransmit spans);
 * **gateway** — one WTLS->TLS->WTLS proxied request through the WAP
   gateway (admit/forward/wired-leg spans plus battery attribution).
@@ -85,7 +85,7 @@ def _record_workload(iterations: int = 200, payload_size: int = 512):
 
     def inner() -> None:  # bypasses the probe seam entirely
         for _ in range(iterations):
-            decoder._decode(encoder._encode(CONTENT_APPLICATION, payload))
+            decoder._decode(encoder._encode_one(CONTENT_APPLICATION, payload))
 
     return outer, inner
 

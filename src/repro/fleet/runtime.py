@@ -57,7 +57,7 @@ from ..protocols.handshake import (
     Session,
     run_handshake,
 )
-from ..protocols.kdf import derive_key_block, prf
+from ..protocols.kdf import prf
 from ..protocols.reliable import VirtualClock
 from ..protocols.resumption import (
     CachedSession,
@@ -67,11 +67,7 @@ from ..protocols.resumption import (
 )
 from ..protocols.transport import ChannelEmpty, DuplexChannel
 from ..protocols.wap import OriginServer, WAPGateway
-from ..protocols.wtls import (
-    WTLSConnection,
-    WTLSRecordDecoder,
-    WTLSRecordEncoder,
-)
+from ..protocols.wtls import WTLSConnection, _rederive, connection_pair
 from .journal import CheckpointJournal
 from .ring import ConsistentRing
 from .scheduler import Event, EventScheduler
@@ -768,29 +764,6 @@ def _channel_bytes(channel: DuplexChannel) -> int:
     return sum(len(frame) for _, frame in channel.log)
 
 
-def _wtls_pair(suite, keys, channel: DuplexChannel
-               ) -> Tuple[WTLSConnection, WTLSConnection]:
-    """Build the (handset, gateway) WTLS connection pair for one shared
-    key block over one bearer."""
-    handset = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, keys.client_cipher_key, keys.client_mac_key,
-            keys.client_iv),
-        decoder=WTLSRecordDecoder(
-            suite, keys.server_cipher_key, keys.server_mac_key,
-            keys.server_iv),
-        endpoint=channel.endpoint_a(), suite_name=suite.name)
-    gateway = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, keys.server_cipher_key, keys.server_mac_key,
-            keys.server_iv),
-        decoder=WTLSRecordDecoder(
-            suite, keys.client_cipher_key, keys.client_mac_key,
-            keys.client_iv),
-        endpoint=channel.endpoint_b(), suite_name=suite.name)
-    return handset, gateway
-
-
 def _fleet_connect(client: ClientConfig, server: ServerConfig,
                    channel: DuplexChannel
                    ) -> Tuple[WTLSConnection, WTLSConnection, Session]:
@@ -804,9 +777,8 @@ def _fleet_connect(client: ClientConfig, server: ServerConfig,
         client_session, _server_session = run_handshake(
             client, server, client_ep, server_ep)
     suite = client_session.suite
-    keys = derive_key_block(
-        client_session.master, b"wtls-client", b"wtls-server", suite)
-    handset, gateway = _wtls_pair(suite, keys, channel)
+    handset, gateway = connection_pair(
+        suite, _rederive(client_session.master, suite), client_ep, server_ep)
     return handset, gateway, client_session
 
 
@@ -831,6 +803,5 @@ def _wtls_from_resumed(client_session: Session, server_session: Session,
         server_session.transcript_digest, 48)
     if failover_master != check:
         raise HandshakeFailure("failover key derivation diverged")
-    keys = derive_key_block(
-        failover_master, b"wtls-client", b"wtls-server", suite)
-    return _wtls_pair(suite, keys, channel)
+    return connection_pair(suite, _rederive(failover_master, suite),
+                           channel.endpoint_a(), channel.endpoint_b())

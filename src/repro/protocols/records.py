@@ -11,28 +11,28 @@ the SSL 3.0/TLS 1.0 design the paper's era used.  Tampering, record
 reordering, and truncation all surface as
 :class:`~repro.protocols.alerts.BadRecordMAC`.
 
-The per-record pipeline itself lives in
+The record-layer core both framings share lives in
 :mod:`repro.protocols.records_batch`: each codec compiles its suite
-into a closure once at construction, and the single-record API here is
-a thin delegate over the same pipeline the batched API uses (the
-both-path rule).  Decoder state is transactional — a record that fails
-verification leaves the sequence number, CBC residue chain, and stream
-keystream position untouched, so one tampered record cannot poison the
-valid records behind it.
+into closures once at construction, the single-record and batched
+calls here run the same pipeline (the both-path rule), and their
+traced branches are
+:func:`~repro.protocols.records_batch.trace_record` and
+:func:`~repro.protocols.records_batch.trace_batch`.  This module keeps
+the TLS header parsing and the codec state.  Decoder state is
+transactional — a record that fails verification leaves the sequence
+number, CBC residue chain, and stream keystream position untouched, so
+one tampered record cannot poison the valid records behind it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
-from ..crypto import fastpath
 from ..crypto.hmac import HMAC
 from ..crypto.modes import CBC
-from ..crypto.rc4 import RC4
 from ..observability import probe
-from ..observability.attribution import record_cycles
 from . import records_batch
-from .alerts import DecodeError, RecordOverflow
+from .alerts import DecodeError
 from .ciphersuites import CipherSuite
 from .kdf import KeyBlock
 
@@ -44,34 +44,38 @@ CONTENT_ALERT = 21
 MAX_FRAGMENT = records_batch.MAX_FRAGMENT
 
 
+def _init_codec(codec, suite: CipherSuite, cipher_key: bytes,
+                mac_key: bytes, iv: bytes) -> None:
+    """Set up one direction's suite, MAC, sequence and cipher state."""
+    codec.suite = suite
+    # One keyed HMAC per connection direction; per-record MACs clone
+    # its precomputed pad states instead of rekeying (the record-layer
+    # half of the fast-path key-schedule caching).
+    codec._mac_base = HMAC(mac_key, suite.hash_factory)
+    codec._sequence = 0
+    codec._cipher = codec._stream = codec._cbc = None
+    if suite.cipher == "NULL":
+        return
+    codec._cipher = suite.make_cipher(cipher_key)
+    if suite.cipher_kind == "stream":
+        codec._stream = codec._cipher
+    else:
+        # One CBC context for the connection's lifetime: records chain
+        # the residue IV (TLS 1.0 discipline) instead of rebuilding the
+        # mode object per record.
+        codec._cbc = CBC(codec._cipher, iv)
+
+
 class RecordEncoder:
     """One direction of record protection (write side)."""
 
+    #: Span attribute distinguishing mini-TLS from WTLS record paths.
+    layer = "tls"
+
     def __init__(self, suite: CipherSuite, cipher_key: bytes, mac_key: bytes,
                  iv: bytes) -> None:
-        self.suite = suite
-        self._mac_key = mac_key
-        # One keyed HMAC per connection direction; per-record MACs clone
-        # its precomputed pad states instead of rekeying (the record-layer
-        # half of the fast-path key-schedule caching).
-        self._mac_base = HMAC(mac_key, suite.hash_factory)
-        self._sequence = 0
-        if suite.cipher == "NULL":
-            self._stream: Optional[RC4] = None
-            self._cipher = None
-            self._cbc: Optional[CBC] = None
-        elif suite.cipher_kind == "stream":
-            self._stream = suite.make_cipher(cipher_key)
-            self._cipher = None
-            self._cbc = None
-        else:
-            self._stream = None
-            self._cipher = suite.make_cipher(cipher_key)
-            # One CBC context for the connection's lifetime: records chain
-            # the residue IV (TLS 1.0 discipline) instead of rebuilding the
-            # mode object per record.
-            self._cbc = CBC(self._cipher, iv)
-        self._encode_one, self._encode_parts, self._encode_span = \
+        _init_codec(self, suite, cipher_key, mac_key, iv)
+        self._encode_one, self._encode_span = \
             records_batch.compile_tls_encoder(self)
 
     @property
@@ -81,48 +85,27 @@ class RecordEncoder:
         teardown)."""
         return self._sequence
 
-    def _mac(self, content_type: int, payload: bytes) -> bytes:
-        if len(payload) > MAX_FRAGMENT:
-            raise RecordOverflow(
-                f"record payload of {len(payload)} bytes exceeds the "
-                f"2^14-byte TLS fragment ceiling"
-            )
-        header = (
-            self._sequence.to_bytes(8, "big")
-            + bytes([content_type])
-            + len(payload).to_bytes(2, "big")
-        )
-        return self._mac_base.mac(header + payload)
-
-    #: Span attribute distinguishing mini-TLS from WTLS record paths.
-    layer = "tls"
-
     def encode(self, content_type: int, payload: bytes) -> bytes:
         """Protect one payload into a wire record."""
         telemetry = probe.active
         if telemetry is None:          # hot path: one read, one branch
             return self._encode_one(content_type, payload)
-        suite = self.suite
-        cipher = self._stream if self._stream is not None else self._cipher
-        with telemetry.span(
-                "record.encode", layer=self.layer, suite=suite.name,
-                n=len(payload),
-                path=fastpath.dispatch_path(
-                    getattr(cipher, "recorder", None))):
-            telemetry.add_cycles(
-                record_cycles(suite.cipher, suite.mac, len(payload)),
-                kind="record")
-            return self._encode_one(content_type, payload)
-
-    def _encode(self, content_type: int, payload: bytes) -> bytes:
-        return self._encode_one(content_type, payload)
+        return records_batch.trace_record(
+            telemetry, self, "record.encode", len(payload),
+            getattr(self._cipher, "recorder", None),
+            self._encode_one, content_type, payload)
 
     def encode_batch(self, items: Iterable[Tuple[int, bytes]],
                      max_fragment: int = MAX_FRAGMENT) -> bytes:
         """Protect N ``(content_type, payload)`` items into one buffer.
 
         See :func:`repro.protocols.records_batch.encode_batch`."""
-        return records_batch.encode_batch(self, items, max_fragment)
+        telemetry = probe.active
+        if telemetry is None:          # hot path: one read, one branch
+            return records_batch.encode_batch(self, items, max_fragment)[0]
+        return records_batch.trace_batch(
+            telemetry, self, "record.encode_batch", records_batch.encode_batch,
+            self, items, max_fragment)
 
 
 class RecordDecoder:
@@ -133,24 +116,12 @@ class RecordDecoder:
     verifies, so a tampered record is rejected without desynchronising
     the decoder for later genuine records."""
 
+    #: Span attribute distinguishing mini-TLS from WTLS record paths.
+    layer = "tls"
+
     def __init__(self, suite: CipherSuite, cipher_key: bytes, mac_key: bytes,
                  iv: bytes) -> None:
-        self.suite = suite
-        self._mac_key = mac_key
-        self._mac_base = HMAC(mac_key, suite.hash_factory)
-        self._sequence = 0
-        if suite.cipher == "NULL":
-            self._stream: Optional[RC4] = None
-            self._cipher = None
-            self._cbc: Optional[CBC] = None
-        elif suite.cipher_kind == "stream":
-            self._stream = suite.make_cipher(cipher_key)
-            self._cipher = None
-            self._cbc = None
-        else:
-            self._stream = None
-            self._cipher = suite.make_cipher(cipher_key)
-            self._cbc = CBC(self._cipher, iv)
+        _init_codec(self, suite, cipher_key, mac_key, iv)
         self._decode_one, self._decode_span = \
             records_batch.compile_tls_decoder(self)
 
@@ -159,30 +130,14 @@ class RecordDecoder:
         """Next expected record sequence number (diagnostics)."""
         return self._sequence
 
-    #: Span attribute distinguishing mini-TLS from WTLS record paths.
-    layer = "tls"
-
     def decode(self, record: bytes) -> Tuple[int, bytes]:
         """Verify and open one wire record -> (content_type, payload)."""
         telemetry = probe.active
         if telemetry is None:          # hot path: one read, one branch
             return self._decode(record)
-        suite = self.suite
-        cipher = self._stream if self._stream is not None else self._cipher
-        with telemetry.span(
-                "record.decode", layer=self.layer, suite=suite.name,
-                n=len(record),
-                path=fastpath.dispatch_path(
-                    getattr(cipher, "recorder", None))) as span:
-            try:
-                content_type, payload = self._decode(record)
-            except Exception as exc:
-                span.set(error=type(exc).__name__)
-                raise
-            telemetry.add_cycles(
-                record_cycles(suite.cipher, suite.mac, len(payload)),
-                kind="record")
-            return content_type, payload
+        return records_batch.trace_record(
+            telemetry, self, "record.decode", len(record),
+            getattr(self._cipher, "recorder", None), self._decode, record)
 
     def _decode(self, record: bytes) -> Tuple[int, bytes]:
         if len(record) < 3:
@@ -197,8 +152,19 @@ class RecordDecoder:
     def decode_batch(self, buffer: bytes) -> List[Tuple[int, bytes]]:
         """Open a buffer of concatenated records -> ``[(type, payload)]``.
 
-        See :func:`repro.protocols.records_batch.decode_batch`."""
-        return records_batch.decode_batch(self, buffer)
+        Walks the buffer with ``memoryview`` slices (record bodies are
+        never copied before the cipher/MAC consume them).  A failing
+        record raises
+        :class:`~repro.protocols.records_batch.BatchRecordError`
+        carrying everything decoded before it; thanks to the
+        transactional decoder the caller can resume — a retransmission
+        of the genuine record will verify."""
+        telemetry = probe.active
+        if telemetry is None:          # hot path: one read, one branch
+            return self._decode_span(memoryview(buffer))[0]
+        return records_batch.trace_batch(
+            telemetry, self, "record.decode_batch", self._decode_span,
+            memoryview(buffer), n=len(buffer))
 
 
 def make_record_pair(suite: CipherSuite, keys: KeyBlock,

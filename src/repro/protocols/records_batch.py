@@ -1,10 +1,13 @@
-"""Batched zero-copy record plane shared by mini-TLS and WTLS.
+"""Record-layer core shared by mini-TLS and WTLS.
 
 The paper frames security processing as a *throughput* problem: thin
 appliances must push protected records as fast as the hardware allows
-(§3.2's processing-gap numbers are records-per-second numbers).  PR 1
-made the crypto kernels fast; this module removes the per-record object
-churn that remained in the record layer itself:
+(§3.2's processing-gap numbers are records-per-second numbers), and it
+treats mini-TLS and WTLS as one "secure transport service interface"
+(§2).  This module is the one record pipeline behind both framings'
+codec classes (:mod:`repro.protocols.records`,
+:mod:`repro.protocols.wtls`), which keep only their header parsing and
+the probe check:
 
 * **precompiled per-suite closures** — each encoder/decoder compiles
   its suite's seal/open pipeline once at construction, so the per
@@ -14,13 +17,20 @@ churn that remained in the record layer itself:
   keyed :class:`~repro.crypto.hmac.HMAC` is built once and every
   record MAC is two hash-state clones (:meth:`HMAC.mac`), never a
   re-key;
-* **a single carried CBC context** — block suites keep one
+* **a single carried CBC context** — TLS block suites keep one
   :class:`~repro.crypto.modes.CBC` per direction and chain the residue
   (:meth:`CBC.encrypt_next` / :meth:`CBC.decrypt_next`) instead of
-  building a fresh mode object per record;
-* **memoryview framing** — :func:`decode_batch` walks one buffer with
-  ``memoryview`` slices; record bodies are never copied out of the
-  batch buffer before the cipher/MAC consume them.
+  building a fresh mode object per record; WTLS derives each record's
+  key or IV from the sequence number in one place (:func:`_wtls_crypt`);
+* **memoryview framing** — the decoders' span walks cross one buffer
+  with ``memoryview`` slices; record bodies are never copied out of the
+  batch buffer before the cipher/MAC consume them;
+* **one fragment loop and one traced branch per call shape** —
+  :func:`fragment_walk` splits oversized payloads for both encoders,
+  and :func:`trace_record` / :func:`trace_batch` hold the span,
+  attribute and cycle-charging logic of every record call.  The codec
+  methods read ``probe.active`` once and, while it is ``None``, call
+  the compiled closure directly.
 
 Transactional decoder contract
 ------------------------------
@@ -43,15 +53,13 @@ one record at a time.
 
 from __future__ import annotations
 
-from hmac import compare_digest
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, List, Tuple
 
 from ..crypto import fastpath
 from ..crypto.bitops import constant_time_compare
 from ..crypto.errors import InvalidBlockSize, PaddingError
 from ..crypto.hmac import HMAC
 from ..crypto.modes import CBC
-from ..observability import probe
 from ..observability.attribution import record_cycles
 from .alerts import (
     BadRecordMAC,
@@ -130,20 +138,127 @@ def _mac_fn(mac_base: HMAC) -> Callable[[bytes, bytes], bytes]:
 
 
 # ---------------------------------------------------------------------------
+# Shared by both framings: the fragment loop and the traced calls
+# ---------------------------------------------------------------------------
+
+
+def fragment_walk(encode_parts):
+    """Build an encoder's span walk over its per-record ``encode_parts``.
+
+    ``encode_span(items, max_fragment, append)`` seals every
+    ``(content_type, payload)`` item, splitting payloads larger than
+    ``max_fragment`` across consecutive records, and returns
+    ``(records, payload_bytes)``.  The one fragment loop of both
+    framings."""
+    def encode_span(items, max_fragment: int, append) -> Tuple[int, int]:
+        emitted = payload_bytes = 0
+        for content_type, payload in items:
+            length = len(payload)
+            payload_bytes += length
+            if length > max_fragment:
+                view = memoryview(payload)
+                for offset in range(0, length, max_fragment):
+                    encode_parts(content_type,
+                                 view[offset:offset + max_fragment], append)
+                    emitted += 1
+            else:
+                encode_parts(content_type, payload, append)
+                emitted += 1
+        return emitted, payload_bytes
+
+    return encode_span
+
+
+def encode_batch(encoder, items, max_fragment: int = MAX_FRAGMENT):
+    """Protect ``(content_type, payload)`` items into one wire buffer.
+
+    Returns ``(wire, payload_bytes, summary)`` (see :func:`trace_batch`).
+    Concatenated records — a batch of one is byte-identical to the
+    encoder's single-record ``encode``.  Payloads larger than
+    ``max_fragment`` are fragmented across consecutive records (TLS's
+    answer to the 2^14 ceiling) instead of erroring.
+    """
+    if not 0 < max_fragment <= MAX_FRAGMENT:
+        raise ValueError(
+            f"max_fragment must be in 1..{MAX_FRAGMENT}, got {max_fragment}"
+        )
+    parts: List[bytes] = []
+    emitted, payload_bytes = encoder._encode_span(
+        items, max_fragment, parts.append)
+    return b"".join(parts), payload_bytes, {
+        "records": emitted, "n": payload_bytes}
+
+
+def _charge(telemetry, suite, n_bytes: int) -> None:
+    telemetry.add_cycles(record_cycles(suite.cipher, suite.mac, n_bytes),
+                         kind="record")
+
+
+def trace_record(telemetry, codec, name: str, n: int, recorder, call, *args):
+    """Run one single-record ``call(*args)`` inside its record span.
+
+    The traced branch of ``encode``/``decode`` on both framings (the
+    dark branch calls the compiled closure directly).  ``recorder`` is
+    the side-channel recorder that decides the span's dispatch path.
+    ``record.encode`` charges the payload's modelled cycles before the
+    call, so a refused record still costs its attempt;
+    ``record.decode`` charges the opened payload after the call and
+    tags a failure with its ``error``."""
+    suite = codec.suite
+    with telemetry.span(name, layer=codec.layer, suite=suite.name, n=n,
+                        path=fastpath.dispatch_path(recorder)) as span:
+        if name == "record.encode":
+            _charge(telemetry, suite, n)
+            return call(*args)
+        try:
+            result = call(*args)
+        except Exception as exc:
+            span.set(error=type(exc).__name__)
+            raise
+        _charge(telemetry, suite, len(result[1]))
+        return result
+
+
+def trace_batch(telemetry, codec, name: str, walk, *args, **opening):
+    """Run one batch ``walk(*args)`` inside its ``record.*_batch`` span.
+
+    Every batch walk returns ``(result, payload_bytes, summary)``; the
+    dark branch keeps ``result`` only, this traced branch charges the
+    payload bytes' modelled cycles and sets ``summary`` (``records``
+    plus ``n`` or ``damaged``) on the span.  ``opening`` holds the
+    attributes known before the walk (``n`` of a buffer to decode).  A
+    :class:`BatchRecordError` tags the span with the failing record's
+    ``error`` and ``index``."""
+    suite = codec.suite
+    with telemetry.span(name, layer=codec.layer, suite=suite.name,
+                        **opening, path=fastpath.dispatch_path()) as span:
+        try:
+            result, payload_bytes, summary = walk(*args)
+        except BatchRecordError as exc:
+            span.set(error=type(exc.cause).__name__, index=exc.index)
+            raise
+        _charge(telemetry, suite, payload_bytes)
+        span.set(**summary)
+        return result
+
+
+# ---------------------------------------------------------------------------
 # mini-TLS: implicit 64-bit sequence, MAC-then-encrypt, residue-chained CBC
 # ---------------------------------------------------------------------------
 
 
 def compile_tls_encoder(encoder):
     """Compile a :class:`~repro.protocols.records.RecordEncoder`'s suite
-    into ``(encode_one, encode_parts)`` closures.
+    into ``(encode_one, encode_span)`` closures.
 
-    ``encode_parts(content_type, payload, append)`` emits the record as
-    wire fragments via ``append`` — the batched path joins all records'
-    fragments once, so a NULL-cipher record never copies its payload at
-    all (``b"".join`` consumes the caller's ``memoryview`` directly).
-    ``encode_one`` is the single-record wrapper over the same closure,
-    which is what keeps the two paths byte-identical by construction.
+    ``encode_parts(content_type, payload, append)`` emits one record as
+    wire fragments via ``append``; ``encode_span`` is
+    :func:`fragment_walk` over it, so the batched path joins all
+    records' fragments once and a NULL-cipher record never copies its
+    payload at all (``b"".join`` consumes the caller's ``memoryview``
+    directly).  ``encode_one`` is the single-record wrapper over the
+    same closure, which is what keeps the two paths byte-identical by
+    construction.
     """
     mac = _mac_fn(encoder._mac_base)
     mac_len = encoder._mac_base.digest_size
@@ -195,66 +310,7 @@ def compile_tls_encoder(encoder):
         encode_parts(content_type, payload, parts.append)
         return b"".join(parts)
 
-    def encode_span(items, max_fragment: int, append) -> int:
-        emitted = 0
-        for content_type, payload in items:
-            length = len(payload)
-            if length > max_fragment:
-                view = memoryview(payload)
-                for offset in range(0, length, max_fragment):
-                    encode_parts(content_type,
-                                 view[offset:offset + max_fragment], append)
-                    emitted += 1
-            else:
-                encode_parts(content_type, payload, append)
-                emitted += 1
-        return emitted
-
-    inner = getattr(encoder._mac_base._inner, "_impl", None)
-    outer = getattr(encoder._mac_base._outer, "_impl", None)
-    if seal is None and inner is not None and outer is not None:
-        generic_encode_span = encode_span
-        inner_copy = inner.copy
-        outer_copy = outer.copy
-
-        def encode_span(items, max_fragment: int, append) -> int:
-            # Fused walk for cipherless suites on the hashlib-backed
-            # fast path — MAC clone chain and framing inlined into one
-            # loop frame, no per-record closure calls.  Byte-identical
-            # to the generic walk (the hypothesis equivalence property
-            # and the record-batch oracle pin it); oversize payloads
-            # and sequence exhaustion delegate to the generic path for
-            # its exact fragmenting/alert behaviour.
-            sequence = encoder._sequence
-            emitted = 0
-            try:
-                for content_type, payload in items:
-                    length = len(payload)
-                    if length > max_fragment or sequence > TLS_MAX_SEQUENCE:
-                        encoder._sequence = sequence
-                        emitted += generic_encode_span(
-                            [(content_type, payload)], max_fragment, append)
-                        sequence = encoder._sequence
-                        continue
-                    h = inner_copy()
-                    h.update(
-                        ((sequence << 24) | (content_type << 16) | length)
-                        .to_bytes(11, "big"))
-                    h.update(payload)
-                    o = outer_copy()
-                    o.update(h.digest())
-                    body_len = length + mac_len
-                    append(bytes(
-                        (content_type, body_len >> 8, body_len & 0xFF)))
-                    append(payload)
-                    append(o.digest())
-                    sequence += 1
-                    emitted += 1
-            finally:
-                encoder._sequence = sequence
-            return emitted
-
-    return encode_one, encode_parts, encode_span
+    return encode_one, fragment_walk(encode_parts)
 
 
 def compile_tls_decoder(decoder):
@@ -267,14 +323,10 @@ def compile_tls_decoder(decoder):
     keystream position) commits only after the MAC verifies: the
     transactional contract.
 
-    ``open_span(view)`` walks a buffer of concatenated records and
-    returns ``[(type, payload)]``, raising :class:`BatchRecordError` on
-    the first failing record.  For cipherless suites the walk is fused
-    — header parse, MAC, compare and sequence commit in one loop frame
-    with no per-record function calls, which is where the record layer
-    itself (not the cipher) is the bottleneck.  Ciphered suites share
-    the generic walk over ``open_one``; their per-record cost is the
-    cipher kernel, not dispatch.
+    ``open_span(view)`` walks a buffer of concatenated records over
+    ``open_one`` and returns ``([(type, payload)], payload_bytes,
+    summary)`` (see :func:`trace_batch`), raising
+    :class:`BatchRecordError` on the first failing record.
     """
     mac = _mac_fn(decoder._mac_base)
     mac_len = decoder._mac_base.digest_size
@@ -339,11 +391,12 @@ def compile_tls_decoder(decoder):
             decoder._sequence = sequence + 1
             return content_type, payload
 
-    def open_span(view) -> List[Tuple[int, bytes]]:
+    def open_span(view):
         out: List[Tuple[int, bytes]] = []
         append = out.append
         offset = 0
         total = len(view)
+        payload_bytes = 0
         while offset < total:
             if total - offset < _TLS_HEADER:
                 raise BatchRecordError(
@@ -358,141 +411,16 @@ def compile_tls_decoder(decoder):
                         f"record length field {length} overruns batch "
                         f"({total - offset - _TLS_HEADER} bytes left)"))
             try:
-                append(open_one(view[offset], view[offset + _TLS_HEADER:end]))
+                record = open_one(view[offset],
+                                  view[offset + _TLS_HEADER:end])
             except ProtocolAlert as exc:
                 raise BatchRecordError(len(out), out, exc) from exc
+            append(record)
+            payload_bytes += len(record[1])
             offset = end
-        return out
-
-    inner = getattr(decoder._mac_base._inner, "_impl", None)
-    outer = getattr(decoder._mac_base._outer, "_impl", None)
-    if stream is None and cbc is None and inner is not None \
-            and outer is not None:
-        generic_span = open_span
-        inner_copy = inner.copy
-        outer_copy = outer.copy
-
-        def open_span(view) -> List[Tuple[int, bytes]]:
-            # Fused walk for cipherless suites on the hashlib-backed
-            # fast path — header parse, MAC clone chain, compare and
-            # sequence commit in one loop frame, no per-record closure
-            # calls.  Identical behaviour to the generic walk (the
-            # hypothesis equivalence property and the record-batch
-            # oracle pin it).  Anything unusual — truncation, short
-            # record, MAC mismatch, sequence wrap — breaks to the
-            # generic walk, which raises with the exact single-record
-            # alert and transactional bookkeeping; only its
-            # index/decoded are re-based onto this batch.
-            out: List[Tuple[int, bytes]] = []
-            append = out.append
-            offset = 0
-            total = len(view)
-            sequence = decoder._sequence
-            while offset < total:
-                if total - offset < _TLS_HEADER:
-                    break  # slow path raises the truncation alert
-                length = (view[offset + 1] << 8) | view[offset + 2]
-                end = offset + _TLS_HEADER + length
-                if (end > total or length < mac_len
-                        or sequence > TLS_MAX_SEQUENCE):
-                    break  # slow path raises with the exact message
-                content_type = view[offset]
-                plen = length - mac_len
-                payload = bytes(
-                    view[offset + _TLS_HEADER:offset + _TLS_HEADER + plen])
-                h = inner_copy()
-                h.update(
-                    ((sequence << 24) | (content_type << 16) | plen)
-                    .to_bytes(11, "big"))
-                h.update(payload)
-                o = outer_copy()
-                o.update(h.digest())
-                if not compare_digest(
-                        o.digest(), view[offset + _TLS_HEADER + plen:end]):
-                    break  # slow path raises BadRecordMAC
-                append((content_type, payload))
-                sequence += 1
-                offset = end
-            decoder._sequence = sequence
-            if offset < total:
-                try:
-                    out.extend(generic_span(view[offset:]))
-                except BatchRecordError as exc:
-                    raise BatchRecordError(
-                        len(out) + exc.index, out + exc.decoded, exc.cause
-                    ) from exc.cause
-            return out
+        return out, payload_bytes, {"records": len(out)}
 
     return open_one, open_span
-
-
-def _encode_batch(encoder, items, max_fragment: int) -> Tuple[bytes, int]:
-    if not 0 < max_fragment <= MAX_FRAGMENT:
-        raise ValueError(
-            f"max_fragment must be in 1..{MAX_FRAGMENT}, got {max_fragment}"
-        )
-    parts: List[bytes] = []
-    emitted = encoder._encode_span(items, max_fragment, parts.append)
-    return b"".join(parts), emitted
-
-
-def encode_batch(encoder, items: Iterable[Tuple[int, bytes]],
-                 max_fragment: int = MAX_FRAGMENT) -> bytes:
-    """Protect N ``(content_type, payload)`` items into one wire buffer.
-
-    Concatenated records — a batch of one is byte-identical to
-    :meth:`~repro.protocols.records.RecordEncoder.encode`.  Payloads
-    larger than ``max_fragment`` are fragmented across consecutive
-    records (TLS's answer to the 2^14 ceiling) instead of erroring.
-    """
-    telemetry = probe.active
-    if telemetry is None:              # hot path: one read, one branch
-        return _encode_batch(encoder, items, max_fragment)[0]
-    items = list(items)
-    suite = encoder.suite
-    with telemetry.span(
-            "record.encode_batch", layer=encoder.layer, suite=suite.name,
-            path=fastpath.dispatch_path()) as span:
-        buffer, emitted = _encode_batch(encoder, items, max_fragment)
-        payload_bytes = sum(len(payload) for _, payload in items)
-        telemetry.add_cycles(
-            record_cycles(suite.cipher, suite.mac, payload_bytes),
-            kind="record")
-        span.set(records=emitted, n=payload_bytes)
-        return buffer
-
-
-def _decode_batch(decoder, buffer) -> List[Tuple[int, bytes]]:
-    return decoder._decode_span(memoryview(buffer))
-
-
-def decode_batch(decoder, buffer: bytes) -> List[Tuple[int, bytes]]:
-    """Open a buffer of concatenated records -> ``[(type, payload)]``.
-
-    Walks the buffer with ``memoryview`` slices (record bodies are
-    never copied before the cipher/MAC consume them).  A failing record
-    raises :class:`BatchRecordError` carrying everything decoded before
-    it; thanks to the transactional decoder the caller can resume — a
-    retransmission of the genuine record will verify.
-    """
-    telemetry = probe.active
-    if telemetry is None:              # hot path: one read, one branch
-        return _decode_batch(decoder, buffer)
-    suite = decoder.suite
-    with telemetry.span(
-            "record.decode_batch", layer=decoder.layer, suite=suite.name,
-            n=len(buffer), path=fastpath.dispatch_path()) as span:
-        try:
-            records = _decode_batch(decoder, buffer)
-        except BatchRecordError as exc:
-            span.set(error=type(exc.cause).__name__, index=exc.index)
-            raise
-        payload_bytes = sum(len(payload) for _, payload in records)
-        telemetry.add_cycles(
-            record_cycles(suite.cipher, suite.mac, payload_bytes),
-            kind="record")
-        span.set(records=len(records))
-        return records
 
 
 # ---------------------------------------------------------------------------
@@ -500,38 +428,49 @@ def decode_batch(decoder, buffer: bytes) -> List[Tuple[int, bytes]]:
 # ---------------------------------------------------------------------------
 
 
-def compile_wtls_encoder(encoder) -> Callable[[bytes], bytes]:
-    """Compile a WTLS encoder's suite into ``encode_one(payload)``.
+def _wtls_crypt(codec, decrypt: bool):
+    """The per-record cipher of a WTLS codec's suite, or ``None``.
 
-    The per-record key/IV derivations (``key xor seq``, ``iv xor seq``)
-    collapse to one big-int XOR each; block suites reuse one cached
-    cipher instance (the key schedule is per-connection, only the IV is
-    per-record)."""
-    suite = encoder.suite
-    mac = _mac_fn(encoder._mac_base)
-    key = encoder._key
-    iv = encoder._iv
+    Returns ``crypt(sequence, data)``.  Records stay independently
+    decryptable after loss: stream suites re-key every record from
+    ``key xor seq``, block suites run CBC from ``iv xor seq`` over one
+    cached key schedule (the key is per-connection, only the IV is per
+    record).  Each derivation is one big-int XOR."""
+    suite = codec.suite
     if suite.cipher == "NULL":
-        seal = None
-    elif suite.cipher_kind == "stream":
+        return None
+    if suite.cipher_kind == "stream":
         make_cipher = suite.make_cipher
-        key_int = int.from_bytes(key, "big")
-        key_len = len(key)
+        key_int = int.from_bytes(codec._key, "big")
+        key_len = len(codec._key)
 
-        def seal(sequence: int, protected: bytes) -> bytes:
-            # Per-record re-key from key xor seq (loss tolerance).
+        def crypt(sequence: int, data) -> bytes:
             return make_cipher(
                 (key_int ^ sequence).to_bytes(key_len, "big")
-            ).process(protected)
-    else:
-        cipher = suite.make_cipher(key)
-        iv_int = int.from_bytes(iv, "big")
-        iv_len = len(iv)
+            ).process(data)
 
-        def seal(sequence: int, protected: bytes) -> bytes:
-            record_iv = ((iv_int ^ sequence).to_bytes(iv_len, "big")
-                         if iv_len else b"")
-            return CBC(cipher, record_iv).encrypt(protected)
+        return crypt
+    cipher = suite.make_cipher(codec._key)
+    iv_int = int.from_bytes(codec._iv, "big")
+    iv_len = len(codec._iv)
+
+    def crypt(sequence: int, data) -> bytes:
+        record_iv = ((iv_int ^ sequence).to_bytes(iv_len, "big")
+                     if iv_len else b"")
+        if decrypt:
+            return CBC(cipher, record_iv).decrypt(bytes(data))
+        return CBC(cipher, record_iv).encrypt(data)
+
+    return crypt
+
+
+def compile_wtls_encoder(encoder):
+    """Compile a WTLS encoder's suite into ``(encode_one, encode_span)``.
+
+    ``encode_one(payload)`` seals one datagram; ``encode_span`` is
+    :func:`fragment_walk` over it (WTLS items carry no content type)."""
+    mac = _mac_fn(encoder._mac_base)
+    seal = _wtls_crypt(encoder, decrypt=False)
 
     def encode_one(payload: bytes) -> bytes:
         sequence = encoder._sequence
@@ -555,51 +494,42 @@ def compile_wtls_encoder(encoder) -> Callable[[bytes], bytes]:
         body_len = len(body)
         return header + bytes((body_len >> 8, body_len & 0xFF)) + body
 
-    return encode_one
+    def encode_parts(_content_type, payload, append) -> None:
+        append(encode_one(payload))
+
+    return encode_one, fragment_walk(encode_parts)
 
 
-def compile_wtls_decoder(decoder) -> Callable[[int, bytes], Tuple[int, bytes]]:
-    """Compile a WTLS decoder's suite into ``open_one(sequence, body)``.
+def compile_wtls_decoder(decoder):
+    """Compile a WTLS decoder's suite into ``(open_one, open_span)``.
 
-    The WTLS decoder was already transactional by construction — replay
-    set and counters commit only after the MAC verifies; per-record
-    keys/IVs mean there is no chained state to poison."""
-    suite = decoder.suite
+    ``open_one(sequence, body)`` opens one datagram.  The WTLS decoder
+    is transactional by construction — replay set and counters commit
+    only after the MAC verifies; per-record keys/IVs mean there is no
+    chained state to poison.
+
+    ``open_span(view, skip_damaged)`` walks a buffer of records over
+    ``open_one`` and returns ``(([(sequence, payload)], damaged),
+    payload_bytes, summary)`` (see :func:`trace_batch` and
+    :meth:`~repro.protocols.wtls.WTLSRecordDecoder.decode_batch`).
+    """
     mac = _mac_fn(decoder._mac_base)
-    key = decoder._key
-    iv = decoder._iv
-    if suite.cipher == "NULL":
-        unseal = None
-    elif suite.cipher_kind == "stream":
-        make_cipher = suite.make_cipher
-        key_int = int.from_bytes(key, "big")
-        key_len = len(key)
+    unseal = _wtls_crypt(decoder, decrypt=True)
 
-        def unseal(sequence: int, body) -> bytes:
-            return make_cipher(
-                (key_int ^ sequence).to_bytes(key_len, "big")
-            ).process(body)
-    else:
-        cipher = suite.make_cipher(key)
-        iv_int = int.from_bytes(iv, "big")
-        iv_len = len(iv)
-
-        def unseal(sequence: int, body) -> bytes:
-            record_iv = ((iv_int ^ sequence).to_bytes(iv_len, "big")
-                         if iv_len else b"")
+    def open_one(sequence: int, body) -> Tuple[int, bytes]:
+        if sequence in decoder._seen:
+            raise ReplayError(f"WTLS record {sequence} replayed")
+        if unseal is None:
+            protected = body
+        else:
             try:
-                return CBC(cipher, record_iv).decrypt(bytes(body))
+                protected = unseal(sequence, body)
             except PaddingError as exc:
                 if decoder.distinguishable_errors:
                     raise  # the Vaudenay-era flaw: padding error visible
                 raise BadRecordMAC(f"WTLS padding invalid: {exc}") from exc
             except InvalidBlockSize as exc:
                 raise BadRecordMAC(f"WTLS body misaligned: {exc}") from exc
-
-    def open_one(sequence: int, body) -> Tuple[int, bytes]:
-        if sequence in decoder._seen:
-            raise ReplayError(f"WTLS record {sequence} replayed")
-        protected = unseal(sequence, body) if unseal is not None else body
         if len(protected) < WTLS_MAC_BYTES:
             raise BadRecordMAC("WTLS record too short for MAC")
         length = len(protected) - WTLS_MAC_BYTES
@@ -613,115 +543,45 @@ def compile_wtls_decoder(decoder) -> Callable[[int, bytes], Tuple[int, bytes]]:
         decoder.received += 1
         return sequence, payload
 
-    return open_one
+    def open_span(view, skip_damaged: bool):
+        out: List[Tuple[int, bytes]] = []
+        damaged: List[ProtocolAlert] = []
+        offset = 0
+        total = len(view)
+        payload_bytes = 0
+        while offset < total:
+            if total - offset < _WTLS_HEADER:
+                exc: ProtocolAlert = DecodeError(
+                    "batch truncated inside a WTLS record header")
+                if skip_damaged:
+                    damaged.append(exc)
+                    break  # no length field to resynchronise on
+                raise BatchRecordError(len(out), out, exc)
+            sequence = (
+                (view[offset] << 24) | (view[offset + 1] << 16)
+                | (view[offset + 2] << 8) | view[offset + 3]
+            )
+            length = (view[offset + 4] << 8) | view[offset + 5]
+            end = offset + _WTLS_HEADER + length
+            if end > total:
+                exc = DecodeError(
+                    f"WTLS record length field {length} overruns batch "
+                    f"({total - offset - _WTLS_HEADER} bytes left)")
+                if skip_damaged:
+                    damaged.append(exc)
+                    break
+                raise BatchRecordError(len(out), out, exc)
+            try:
+                record = open_one(sequence, view[offset + _WTLS_HEADER:end])
+            except (BadRecordMAC, DecodeError, ReplayError) as exc2:
+                if not skip_damaged:
+                    raise BatchRecordError(len(out), out, exc2) from exc2
+                damaged.append(exc2)
+            else:
+                out.append(record)
+                payload_bytes += len(record[1])
+            offset = end
+        return ((out, damaged), payload_bytes,
+                {"records": len(out), "damaged": len(damaged)})
 
-
-def _wtls_encode_batch(encoder, payloads, max_fragment: int) -> Tuple[bytes, int]:
-    if not 0 < max_fragment <= MAX_FRAGMENT:
-        raise ValueError(
-            f"max_fragment must be in 1..{MAX_FRAGMENT}, got {max_fragment}"
-        )
-    encode_one = encoder._encode_one
-    parts: List[bytes] = []
-    append = parts.append
-    emitted = 0
-    for payload in payloads:
-        length = len(payload)
-        if length > max_fragment:
-            view = memoryview(payload)
-            for offset in range(0, length, max_fragment):
-                append(encode_one(view[offset:offset + max_fragment]))
-                emitted += 1
-        else:
-            append(encode_one(payload))
-            emitted += 1
-    return b"".join(parts), emitted
-
-
-def wtls_encode_batch(encoder, payloads: Iterable[bytes],
-                      max_fragment: int = MAX_FRAGMENT) -> bytes:
-    """Protect N datagram payloads into one buffer of WTLS records."""
-    telemetry = probe.active
-    if telemetry is None:              # hot path: one read, one branch
-        return _wtls_encode_batch(encoder, payloads, max_fragment)[0]
-    payloads = list(payloads)
-    suite = encoder.suite
-    with telemetry.span(
-            "record.encode_batch", layer="wtls", suite=suite.name,
-            path=fastpath.dispatch_path()) as span:
-        buffer, emitted = _wtls_encode_batch(encoder, payloads, max_fragment)
-        payload_bytes = sum(len(payload) for payload in payloads)
-        telemetry.add_cycles(
-            record_cycles(suite.cipher, suite.mac, payload_bytes),
-            kind="record")
-        span.set(records=emitted, n=payload_bytes)
-        return buffer
-
-
-def _wtls_decode_batch(decoder, buffer, skip_damaged: bool):
-    view = memoryview(buffer)
-    open_one = decoder._decode_one
-    out: List[Tuple[int, bytes]] = []
-    damaged: List[ProtocolAlert] = []
-    offset = 0
-    total = len(view)
-    while offset < total:
-        if total - offset < _WTLS_HEADER:
-            exc: ProtocolAlert = DecodeError(
-                "batch truncated inside a WTLS record header")
-            if skip_damaged:
-                damaged.append(exc)
-                break  # no length field to resynchronise on
-            raise BatchRecordError(len(out), out, exc)
-        sequence = (
-            (view[offset] << 24) | (view[offset + 1] << 16)
-            | (view[offset + 2] << 8) | view[offset + 3]
-        )
-        length = (view[offset + 4] << 8) | view[offset + 5]
-        end = offset + _WTLS_HEADER + length
-        if end > total:
-            exc = DecodeError(
-                f"WTLS record length field {length} overruns batch "
-                f"({total - offset - _WTLS_HEADER} bytes left)")
-            if skip_damaged:
-                damaged.append(exc)
-                break
-            raise BatchRecordError(len(out), out, exc)
-        try:
-            out.append(open_one(sequence, view[offset + _WTLS_HEADER:end]))
-        except (BadRecordMAC, DecodeError, ReplayError) as exc2:
-            if not skip_damaged:
-                raise BatchRecordError(len(out), out, exc2) from exc2
-            damaged.append(exc2)
-        offset = end
-    return out, damaged
-
-
-def wtls_decode_batch(decoder, buffer: bytes, skip_damaged: bool = False
-                      ) -> Tuple[List[Tuple[int, bytes]], List[ProtocolAlert]]:
-    """Open a buffer of WTLS records -> ``([(sequence, payload)], damaged)``.
-
-    With ``skip_damaged`` (the datagram discipline of
-    :meth:`~repro.protocols.wtls.WTLSConnection.receive_next`) corrupt,
-    replayed, or truncated records are collected in ``damaged`` and the
-    walk continues at the next record; otherwise the first failure
-    raises :class:`BatchRecordError`.
-    """
-    telemetry = probe.active
-    if telemetry is None:              # hot path: one read, one branch
-        return _wtls_decode_batch(decoder, buffer, skip_damaged)
-    suite = decoder.suite
-    with telemetry.span(
-            "record.decode_batch", layer="wtls", suite=suite.name,
-            n=len(buffer), path=fastpath.dispatch_path()) as span:
-        try:
-            records, damaged = _wtls_decode_batch(decoder, buffer, skip_damaged)
-        except BatchRecordError as exc:
-            span.set(error=type(exc.cause).__name__, index=exc.index)
-            raise
-        payload_bytes = sum(len(payload) for _, payload in records)
-        telemetry.add_cycles(
-            record_cycles(suite.cipher, suite.mac, payload_bytes),
-            kind="record")
-        span.set(records=len(records), damaged=len(damaged))
-        return records, damaged
+    return open_one, open_span

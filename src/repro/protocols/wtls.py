@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from ..crypto import fastpath
 from ..crypto.hmac import HMAC
 from ..observability import probe
-from ..observability.attribution import record_cycles
 from . import records_batch
-from .alerts import BadRecordMAC, DecodeError, ReplayError
+from .alerts import BadRecordMAC, DecodeError, ProtocolAlert, ReplayError
 from .ciphersuites import CipherSuite
 from .handshake import ClientConfig, ServerConfig, run_handshake
 from .kdf import KeyBlock, derive_key_block
@@ -43,6 +41,9 @@ class WTLSRecordEncoder:
     remain independently decryptable after loss.
     """
 
+    #: Span attribute distinguishing WTLS from mini-TLS record paths.
+    layer = "wtls"
+
     def __init__(self, suite: CipherSuite, cipher_key: bytes, mac_key: bytes,
                  iv: bytes) -> None:
         self.suite = suite
@@ -56,7 +57,8 @@ class WTLSRecordEncoder:
         # The suite's seal pipeline, compiled once: per-record key/IV
         # derivation (key xor seq / iv xor seq) collapses to a big-int
         # XOR and block suites reuse one cached key schedule.
-        self._encode_one = records_batch.compile_wtls_encoder(self)
+        self._encode_one, self._encode_span = \
+            records_batch.compile_wtls_encoder(self)
 
     @property
     def sequence(self) -> int:
@@ -68,24 +70,22 @@ class WTLSRecordEncoder:
         telemetry = probe.active
         if telemetry is None:          # hot path: one read, one branch
             return self._encode_one(payload)
-        suite = self.suite
-        with telemetry.span(
-                "record.encode", layer="wtls", suite=suite.name,
-                n=len(payload), path=fastpath.dispatch_path()):
-            telemetry.add_cycles(
-                record_cycles(suite.cipher, suite.mac, len(payload)),
-                kind="record")
-            return self._encode_one(payload)
-
-    def _encode(self, payload: bytes) -> bytes:
-        return self._encode_one(payload)
+        return records_batch.trace_record(
+            telemetry, self, "record.encode", len(payload), None,
+            self._encode_one, payload)
 
     def encode_batch(self, payloads: Iterable[bytes],
                      max_fragment: int = records_batch.MAX_FRAGMENT) -> bytes:
         """Protect N datagram payloads into one buffer of records.
 
-        See :func:`repro.protocols.records_batch.wtls_encode_batch`."""
-        return records_batch.wtls_encode_batch(self, payloads, max_fragment)
+        See :func:`repro.protocols.records_batch.encode_batch`."""
+        items = ((None, payload) for payload in payloads)
+        telemetry = probe.active
+        if telemetry is None:          # hot path: one read, one branch
+            return records_batch.encode_batch(self, items, max_fragment)[0]
+        return records_batch.trace_batch(
+            telemetry, self, "record.encode_batch", records_batch.encode_batch,
+            self, items, max_fragment)
 
 
 class WTLSRecordDecoder:
@@ -98,6 +98,9 @@ class WTLSRecordDecoder:
     both into :class:`~repro.protocols.alerts.BadRecordMAC`.
     """
 
+    #: Span attribute distinguishing WTLS from mini-TLS record paths.
+    layer = "wtls"
+
     def __init__(self, suite: CipherSuite, cipher_key: bytes, mac_key: bytes,
                  iv: bytes, distinguishable_errors: bool = False) -> None:
         self.suite = suite
@@ -109,26 +112,17 @@ class WTLSRecordDecoder:
         self.distinguishable_errors = distinguishable_errors
         self.highest_sequence = -1
         self.received = 0
-        self._decode_one = records_batch.compile_wtls_decoder(self)
+        self._decode_one, self._decode_span = \
+            records_batch.compile_wtls_decoder(self)
 
     def decode(self, record: bytes) -> Tuple[int, bytes]:
         """Open one datagram -> (sequence, payload); tolerates gaps."""
         telemetry = probe.active
         if telemetry is None:          # hot path: one read, one branch
             return self._decode(record)
-        suite = self.suite
-        with telemetry.span(
-                "record.decode", layer="wtls", suite=suite.name,
-                n=len(record), path=fastpath.dispatch_path()) as span:
-            try:
-                sequence, payload = self._decode(record)
-            except Exception as exc:
-                span.set(error=type(exc).__name__)
-                raise
-            telemetry.add_cycles(
-                record_cycles(suite.cipher, suite.mac, len(payload)),
-                kind="record")
-            return sequence, payload
+        return records_batch.trace_record(
+            telemetry, self, "record.decode", len(record), None,
+            self._decode, record)
 
     def _decode(self, record: bytes) -> Tuple[int, bytes]:
         if len(record) < 6:
@@ -139,11 +133,21 @@ class WTLSRecordDecoder:
             raise DecodeError("WTLS record length mismatch")
         return self._decode_one(sequence, memoryview(record)[6:])
 
-    def decode_batch(self, buffer: bytes, skip_damaged: bool = False):
+    def decode_batch(self, buffer: bytes, skip_damaged: bool = False
+                     ) -> Tuple[List[Tuple[int, bytes]], List[ProtocolAlert]]:
         """Open a buffer of records -> ``([(sequence, payload)], damaged)``.
 
-        See :func:`repro.protocols.records_batch.wtls_decode_batch`."""
-        return records_batch.wtls_decode_batch(self, buffer, skip_damaged)
+        With ``skip_damaged`` (the datagram discipline of
+        :meth:`WTLSConnection.receive_next`) corrupt, replayed, or
+        truncated records are collected in ``damaged`` and the walk
+        continues at the next record; otherwise the first failure raises
+        :class:`~repro.protocols.records_batch.BatchRecordError`."""
+        telemetry = probe.active
+        if telemetry is None:          # hot path: one read, one branch
+            return self._decode_span(memoryview(buffer), skip_damaged)[0]
+        return records_batch.trace_batch(
+            telemetry, self, "record.decode_batch", self._decode_span,
+            memoryview(buffer), skip_damaged, n=len(buffer))
 
     @property
     def records_lost(self) -> int:
@@ -200,6 +204,8 @@ class WTLSConnection:
         :class:`~repro.protocols.transport.ChannelEmpty` when the link
         runs dry first.
         """
+        if max_skip < 0:
+            raise ValueError(f"max_skip must be >= 0, got {max_skip}")
         last_error: Optional[Exception] = None
         for _ in range(max_skip + 1):
             raw = self.endpoint.receive()
@@ -210,7 +216,6 @@ class WTLSConnection:
                 last_error = exc
                 continue
             return payload
-        assert last_error is not None
         raise last_error
 
     @property
@@ -238,35 +243,35 @@ def wtls_connect(client: ClientConfig, server: ServerConfig,
         server_ep = channel.endpoint_b()
     with probe.span("session", kind="wtls",
                     server=server.certificate.subject):
-        client_session, server_session = run_handshake(
-            client, server, client_ep, server_ep
-        )
+        client_session, _ = run_handshake(client, server, client_ep, server_ep)
     suite = client_session.suite
-    client_keys = _rederive(client_session.master, client, server, suite)
-    server_keys = _rederive(server_session.master, client, server, suite)
-    client_conn = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, client_keys.client_cipher_key,
-            client_keys.client_mac_key, client_keys.client_iv),
-        decoder=WTLSRecordDecoder(
-            suite, client_keys.server_cipher_key,
-            client_keys.server_mac_key, client_keys.server_iv),
-        endpoint=client_ep, suite_name=suite.name,
-    )
-    server_conn = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, server_keys.server_cipher_key,
-            server_keys.server_mac_key, server_keys.server_iv),
-        decoder=WTLSRecordDecoder(
-            suite, server_keys.client_cipher_key,
-            server_keys.client_mac_key, server_keys.client_iv),
-        endpoint=server_ep, suite_name=suite.name,
-    )
-    return client_conn, server_conn
+    # The Finished exchange proved both masters equal: one key block.
+    return connection_pair(suite, _rederive(client_session.master, suite),
+                           client_ep, server_ep)
 
 
-def _rederive(master: bytes, client: ClientConfig, server: ServerConfig,
-              suite: CipherSuite) -> KeyBlock:
+def connection_pair(suite: CipherSuite, keys: KeyBlock,
+                    client_ep: Endpoint, server_ep: Endpoint
+                    ) -> Tuple[WTLSConnection, WTLSConnection]:
+    """Build the (client, server) connections for one shared key block:
+    the handset and gateway ends of a WTLS session."""
+    client_half = (keys.client_cipher_key, keys.client_mac_key,
+                   keys.client_iv)
+    server_half = (keys.server_cipher_key, keys.server_mac_key,
+                   keys.server_iv)
+    return (
+        WTLSConnection(
+            encoder=WTLSRecordEncoder(suite, *client_half),
+            decoder=WTLSRecordDecoder(suite, *server_half),
+            endpoint=client_ep, suite_name=suite.name),
+        WTLSConnection(
+            encoder=WTLSRecordEncoder(suite, *server_half),
+            decoder=WTLSRecordDecoder(suite, *client_half),
+            endpoint=server_ep, suite_name=suite.name),
+    )
+
+
+def _rederive(master: bytes, suite: CipherSuite) -> KeyBlock:
     # Independent label-space from the TLS record keys: WTLS derives its
     # own key block from the shared master secret.
     return derive_key_block(master, b"wtls-client", b"wtls-server", suite)
