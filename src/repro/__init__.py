@@ -45,6 +45,10 @@ Subpackages
     batched scheduler, durable session checkpoints, crash injection,
     and deterministic failover behind ``python -m repro run failover``.
 
+Subpackages load on first use: ``import repro`` loads none of them,
+and each package resolves its exported names on first attribute
+access (PEP 562), loading only the submodule that defines the name.
+
 Quickstart
 ----------
 >>> from repro.core import provision_appliance
@@ -55,19 +59,21 @@ True
 
 __version__ = "1.0.0"
 
-from . import (  # noqa: F401
-    analysis,
-    attacks,
-    conformance,
-    core,
-    crypto,
-    fleet,
-    hardware,
-    observability,
-    protocols,
-)
+from ._lazy import lazy_exports
 
 __all__ = [
     "crypto", "protocols", "hardware", "attacks", "core", "analysis",
     "observability", "conformance", "fleet", "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": "analysis",
+    ".attacks": "attacks",
+    ".conformance": "conformance",
+    ".core": "core",
+    ".crypto": "crypto",
+    ".fleet": "fleet",
+    ".hardware": "hardware",
+    ".observability": "observability",
+    ".protocols": "protocols",
+})

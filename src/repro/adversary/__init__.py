@@ -11,18 +11,7 @@ by the :class:`~repro.protocols.gateway_runtime.GatewayRuntime` event
 loop, and the deliverable is a byte-stable **survivability report**.
 """
 
-from .population import (
-    Adversary,
-    AdversaryPopulation,
-    Alert,
-    AlertRule,
-    CookieFloodAdversary,
-    DowngradeAdversary,
-    FuzzInjectionAdversary,
-    StreamStripAdversary,
-    TimingProbeAdversary,
-)
-from .scenario import SurvivabilityResult, run_survivability
+from .._lazy import lazy_exports
 
 __all__ = [
     "Adversary",
@@ -37,3 +26,11 @@ __all__ = [
     "SurvivabilityResult",
     "run_survivability",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".population": "Adversary AdversaryPopulation Alert AlertRule "
+                   "CookieFloodAdversary DowngradeAdversary "
+                   "FuzzInjectionAdversary StreamStripAdversary "
+                   "TimingProbeAdversary",
+    ".scenario": "SurvivabilityResult run_survivability",
+})

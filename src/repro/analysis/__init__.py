@@ -1,24 +1,10 @@
 """Analysis utilities: figure regeneration, reporting, sweeps."""
 
-from ..protocols.gateway_runtime import classify_reply
-from .chaos import chaos_point, chaos_sweep
-from .figures import (
-    all_figures,
-    figure1_data,
-    figure2_data,
-    figure3_data,
-    figure4_data,
-    figure5_data,
-    figure6_data,
-)
-from .report import format_series, format_table
-from .sidechannel_metrics import (
-    SuccessCurve,
-    cpa_success_curve,
-    leakage_snr,
-    timing_attack_success_curve,
-)
-from .sweep import SweepResult, sweep
+from .._lazy import lazy_exports
+
+# Named like its submodule, so bound now: importing the submodule
+# first would otherwise rebind the name to the module.
+from .sweep import sweep
 
 __all__ = [
     "figure1_data", "figure2_data", "figure3_data", "figure4_data",
@@ -29,3 +15,14 @@ __all__ = [
     "leakage_snr", "cpa_success_curve", "timing_attack_success_curve",
     "SuccessCurve",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos": "chaos_point chaos_sweep",
+    ".figures": "all_figures figure1_data figure2_data figure3_data "
+                "figure4_data figure5_data figure6_data",
+    ".report": "format_series format_table",
+    ".sidechannel_metrics": "SuccessCurve cpa_success_curve leakage_snr "
+                            "timing_attack_success_curve",
+    ".sweep": "SweepResult",
+    "..protocols.gateway_runtime": "classify_reply",
+})

@@ -8,54 +8,7 @@ Every attack's success or failure is computed by doing it, and each
 has a paired countermeasure demonstrated to defeat it.
 """
 
-from .countermeasures import (
-    BlindedRSA,
-    constant_time_decrypt_raw,
-    verified_crt_sign,
-)
-from .fault import (
-    FaultInjector,
-    bellcore_attack,
-    differential_fault_attack,
-    recover_private_key,
-)
-from .padding_oracle import (
-    OracleStats,
-    decrypt_block,
-    make_wtls_oracle,
-    recover_plaintext,
-)
-from .power import (
-    CPAResult,
-    DPAResult,
-    MaskedAES,
-    acquire_aes_traces,
-    acquire_des_traces,
-    cpa_attack_aes,
-    dpa_attack_des,
-)
-from .software import (
-    AttackOutcome,
-    application_patching,
-    firmware_tampering,
-    invocation_flood,
-    run_standard_campaign,
-    trojan_key_theft,
-    unsigned_secure_install,
-)
-from .timing import (
-    TimingAttack,
-    TimingAttackResult,
-    exponent_hamming_weight_from_trace,
-    measure_sqm,
-    rsa_verifier,
-)
-from .wep_attacks import (
-    IVCollisionExperiment,
-    KeystreamHarvester,
-    bitflip_forgery,
-    run_iv_collision_experiment,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "TimingAttack", "TimingAttackResult", "measure_sqm", "rsa_verifier",
@@ -73,3 +26,21 @@ __all__ = [
     "BlindedRSA", "constant_time_decrypt_raw", "verified_crt_sign",
     "decrypt_block", "recover_plaintext", "make_wtls_oracle", "OracleStats",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".countermeasures": "BlindedRSA constant_time_decrypt_raw "
+                        "verified_crt_sign",
+    ".fault": "FaultInjector bellcore_attack differential_fault_attack "
+              "recover_private_key",
+    ".padding_oracle": "OracleStats decrypt_block make_wtls_oracle "
+                       "recover_plaintext",
+    ".power": "CPAResult DPAResult MaskedAES acquire_aes_traces "
+              "acquire_des_traces cpa_attack_aes dpa_attack_des",
+    ".software": "AttackOutcome application_patching firmware_tampering "
+                 "invocation_flood run_standard_campaign trojan_key_theft "
+                 "unsigned_secure_install",
+    ".timing": "TimingAttack TimingAttackResult "
+               "exponent_hamming_weight_from_trace measure_sqm rsa_verifier",
+    ".wep_attacks": "IVCollisionExperiment KeystreamHarvester bitflip_forgery "
+                    "run_iv_collision_experiment",
+})

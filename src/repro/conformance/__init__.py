@@ -28,36 +28,7 @@ for the whole reproduction:
     discipline.
 """
 
-from .fuzzcorpus import (
-    CrashRecord,
-    FuzzReport,
-    FuzzTarget,
-    default_targets,
-    load_regressions,
-    minimize,
-    persist_crashers,
-    replay_regression,
-    run_fuzz,
-)
-from .oracles import ORACLES, run_oracles
-from .runner import ConformanceReport, format_report, run_conformance
-from .statemachine import (
-    STATES,
-    SYMBOLS,
-    TRANSITIONS,
-    ReferenceServerMachine,
-    StateMachineReport,
-    check_model,
-    golden_messages,
-)
-from .vectors import (
-    CheckResult,
-    VectorCorpus,
-    VectorFile,
-    check_vector,
-    load_corpus,
-    run_vectors,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CheckResult", "VectorCorpus", "VectorFile",
@@ -71,3 +42,15 @@ __all__ = [
     "persist_crashers", "load_regressions", "replay_regression",
     "ConformanceReport", "run_conformance", "format_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".fuzzcorpus": "CrashRecord FuzzReport FuzzTarget default_targets "
+                   "load_regressions minimize persist_crashers "
+                   "replay_regression run_fuzz",
+    ".oracles": "ORACLES run_oracles",
+    ".runner": "ConformanceReport format_report run_conformance",
+    ".statemachine": "STATES SYMBOLS TRANSITIONS ReferenceServerMachine "
+                     "StateMachineReport check_model golden_messages",
+    ".vectors": "CheckResult VectorCorpus VectorFile check_vector load_corpus "
+                "run_vectors",
+})

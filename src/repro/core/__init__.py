@@ -9,137 +9,7 @@ environment, biometric user identification, DRM, and the complete
 :class:`~repro.core.appliance.MobileAppliance` composition.
 """
 
-from .appliance import ApplianceLocked, MobileAppliance, provision_appliance
-from .base_architecture import (
-    ModularBaseArchitecture,
-    SecureMemory,
-    SecurityFirmwareAPI,
-    reference_architecture,
-)
-from .battery_aware import (
-    BatteryAwarePolicy,
-    MissionReport,
-    MissionSimulator,
-    SuiteChoice,
-    compare_policies,
-)
-from .battery_life import (
-    BatteryLifeReport,
-    battery_gap_series,
-    figure4_report,
-    simulate_transactions,
-    transactions_until_empty,
-)
-from .biometrics import (
-    BiometricMatcher,
-    ErrorRates,
-    FingerprintSample,
-    FingerSimulator,
-    Template,
-    equal_error_rate,
-    evaluate_matcher,
-    roc_sweep,
-)
-from .concerns import (
-    AttackClass,
-    Concern,
-    ConcernProfile,
-    PROFILES,
-    coverage_table,
-    verify_mechanisms_importable,
-)
-from .drm import (
-    ContentProvider,
-    DRMAgent,
-    License,
-    LicenseInvalid,
-    ProtectedContent,
-    RightsViolation,
-    UsageRules,
-)
-from .evolution import (
-    EVENTS,
-    ProtocolEvent,
-    algorithm_introduction,
-    cumulative_revisions,
-    domain_cadence,
-    events_for,
-    mean_revision_interval,
-    protocols,
-    required_algorithms_by,
-)
-from .gap import (
-    GapPoint,
-    GapSurface,
-    compute_surface,
-    gap_factor,
-    max_sustainable_rate_mbps,
-    stronger_crypto_demand,
-    widening_gap_series,
-)
-from .keystore import (
-    AccessDenied,
-    KeyPolicy,
-    KeyUsage,
-    SecureKeyStore,
-    World,
-)
-from .firmware_update import (
-    FirmwarePackage,
-    UpdateAgent,
-    UpdateRejected,
-    build_package,
-)
-from .malware_filter import (
-    MalwareDetected,
-    MalwareFilter,
-    ScanVerdict,
-    Signature,
-    install_with_scan,
-)
-from .layers import (
-    SecurityLayer,
-    default_stack,
-    dependency_edges,
-    validate_stack,
-)
-from .secure_storage import (
-    FlashDevice,
-    SecureStorage,
-    StorageTampered,
-    theft_scenario,
-)
-from .supervisor import (
-    ApplianceSupervisor,
-    DegradationEvent,
-    DegradationReport,
-    SupervisorGaveUp,
-    supervise_appliance,
-)
-from .tamper_response import (
-    EnvironmentEvent,
-    ProbingAttacker,
-    TamperMesh,
-    TamperResponder,
-)
-from .secure_boot import (
-    BootFailure,
-    BootReport,
-    BootStage,
-    SecureBootROM,
-    VendorSigner,
-    expected_measurement,
-    reference_chain,
-)
-from .secure_execution import (
-    InvocationBudgetExceeded,
-    MeasurementMismatch,
-    SecureAPI,
-    SecureExecutionEnvironment,
-    SecurityViolation,
-    TrustedApplication,
-    sign_application,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "MobileAppliance", "provision_appliance", "ApplianceLocked",
@@ -176,3 +46,44 @@ __all__ = [
     "SupervisorGaveUp", "supervise_appliance",
     "FirmwarePackage", "UpdateAgent", "UpdateRejected", "build_package",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".appliance": "ApplianceLocked MobileAppliance provision_appliance",
+    ".base_architecture": "ModularBaseArchitecture SecureMemory "
+                          "SecurityFirmwareAPI reference_architecture",
+    ".battery_aware": "BatteryAwarePolicy MissionReport MissionSimulator "
+                      "SuiteChoice compare_policies",
+    ".battery_life": "BatteryLifeReport battery_gap_series figure4_report "
+                     "simulate_transactions transactions_until_empty",
+    ".biometrics": "BiometricMatcher ErrorRates FingerprintSample "
+                   "FingerSimulator Template equal_error_rate "
+                   "evaluate_matcher roc_sweep",
+    ".concerns": "AttackClass Concern ConcernProfile PROFILES coverage_table "
+                 "verify_mechanisms_importable",
+    ".drm": "ContentProvider DRMAgent License LicenseInvalid ProtectedContent "
+            "RightsViolation UsageRules",
+    ".evolution": "EVENTS ProtocolEvent algorithm_introduction "
+                  "cumulative_revisions domain_cadence events_for "
+                  "mean_revision_interval protocols required_algorithms_by",
+    ".firmware_update": "FirmwarePackage UpdateAgent UpdateRejected "
+                        "build_package",
+    ".gap": "GapPoint GapSurface compute_surface gap_factor "
+            "max_sustainable_rate_mbps stronger_crypto_demand "
+            "widening_gap_series",
+    ".keystore": "AccessDenied KeyPolicy KeyUsage SecureKeyStore World",
+    ".layers": "SecurityLayer default_stack dependency_edges validate_stack",
+    ".malware_filter": "MalwareDetected MalwareFilter ScanVerdict Signature "
+                       "install_with_scan",
+    ".secure_boot": "BootFailure BootReport BootStage SecureBootROM "
+                    "VendorSigner expected_measurement reference_chain",
+    ".secure_execution": "InvocationBudgetExceeded MeasurementMismatch "
+                         "SecureAPI SecureExecutionEnvironment "
+                         "SecurityViolation TrustedApplication "
+                         "sign_application",
+    ".secure_storage": "FlashDevice SecureStorage StorageTampered "
+                       "theft_scenario",
+    ".supervisor": "ApplianceSupervisor DegradationEvent DegradationReport "
+                   "SupervisorGaveUp supervise_appliance",
+    ".tamper_response": "EnvironmentEvent ProbingAttacker TamperMesh "
+                        "TamperResponder",
+})

@@ -9,43 +9,13 @@ instrumentation (:mod:`repro.crypto.trace`,
 physical measurement bench.
 """
 
-from . import fastpath
-from .a51 import A51
-from .aes import AES
-from .des import DES
-from .dh import DHGroup, DHParty
-from .errors import (
-    CryptoError,
-    DecryptionError,
-    IntegrityError,
-    InvalidBlockSize,
-    InvalidKeyLength,
-    PaddingError,
-    ParameterError,
-    RandomnessError,
-    SignatureError,
-)
-from .grain import Grain
-from .hmac import HMAC, hmac, hmac_verify
-from .kea import KEAKeyPair, KEAParty
-from .md5 import MD5, md5
-from .modes import CBC, CTR, ECB
-from .modmath import OperationTimer, modexp, modexp_ladder, modexp_sqm
-from .rc2 import RC2
-from .rc4 import RC4
-from .registry import (
-    AlgorithmInfo,
-    AlgorithmRegistry,
-    aes_rollout,
-    default_registry,
-    lightweight_rollout,
-)
-from .rng import DeterministicDRBG, HardwareTRNG
-from .rsa import RSAPrivateKey, RSAPublicKey, generate_keypair
-from .sha1 import SHA1, sha1
-from .tdes import TripleDES
-from .trace import TraceRecorder, TraceSample
-from .trivium import Trivium
+from .._lazy import lazy_exports
+
+# Exports named like their submodule are bound now: importing the
+# submodule first would otherwise rebind the name to the module.
+from .hmac import hmac
+from .md5 import md5
+from .sha1 import sha1
 
 __all__ = [
     "fastpath",
@@ -64,3 +34,30 @@ __all__ = [
     "InvalidKeyLength", "PaddingError", "ParameterError", "RandomnessError",
     "SignatureError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".a51": "A51",
+    ".aes": "AES",
+    ".des": "DES",
+    ".dh": "DHGroup DHParty",
+    ".errors": "CryptoError DecryptionError IntegrityError InvalidBlockSize "
+               "InvalidKeyLength PaddingError ParameterError RandomnessError "
+               "SignatureError",
+    ".fastpath": "fastpath",
+    ".grain": "Grain",
+    ".hmac": "HMAC hmac_verify",
+    ".kea": "KEAKeyPair KEAParty",
+    ".md5": "MD5",
+    ".modes": "CBC CTR ECB",
+    ".modmath": "OperationTimer modexp modexp_ladder modexp_sqm",
+    ".rc2": "RC2",
+    ".rc4": "RC4",
+    ".registry": "AlgorithmInfo AlgorithmRegistry aes_rollout "
+                 "default_registry lightweight_rollout",
+    ".rng": "DeterministicDRBG HardwareTRNG",
+    ".rsa": "RSAPrivateKey RSAPublicKey generate_keypair",
+    ".sha1": "SHA1",
+    ".tdes": "TripleDES",
+    ".trace": "TraceRecorder TraceSample",
+    ".trivium": "Trivium",
+})

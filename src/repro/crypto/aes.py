@@ -7,9 +7,10 @@ registry therefore treats AES as the "newly standardised" algorithm a
 deployed handset must be able to adopt after the fact.
 
 The S-box is derived programmatically (multiplicative inverse in
-GF(2^8) followed by the FIPS 197 affine map) rather than transcribed,
-eliminating table-entry typos; the implementation is validated against
-the FIPS 197 Appendix C known-answer vectors for all three key sizes.
+GF(2^8), read from exp/log tables over the generator 3, followed by
+the FIPS 197 affine map) rather than transcribed, eliminating
+table-entry typos; the implementation is validated against the FIPS
+197 Appendix C known-answer vectors for all three key sizes.
 
 Probe points (``aes.sbox_out`` in round 1, ``aes.round_out``) feed the
 DPA attack in :mod:`repro.attacks.power`.
@@ -41,14 +42,16 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> List[int]:
-    # Multiplicative inverses via exponentiation: a^254 = a^-1 in GF(2^8).
+    # Multiplicative inverses from exp/log tables over the generator 3:
+    # if a = 3^k then a^-1 = 3^(255 - k).
+    exp = [1] * 255
+    log = [0] * 256
+    for k in range(1, 255):
+        exp[k] = _gf_mul(exp[k - 1], 3)
+        log[exp[k]] = k
     sbox = [0] * 256
     for value in range(256):
-        inv = 0
-        if value:
-            inv = value
-            for _ in range(253):  # inv = value^254
-                inv = _gf_mul(inv, value)
+        inv = exp[-log[value]] if value else 0
         transformed = 0
         for bit in range(8):
             t = (

@@ -157,8 +157,16 @@ class CBC:
         return plaintext
 
     def commit_residue(self, ciphertext: bytes) -> None:
-        """Advance the chain: ``ciphertext``'s last block is the next IV."""
-        self.iv = bytes(ciphertext[-self.cipher.block_size:])
+        """Advance the chain: ``ciphertext``'s last block is the next IV.
+
+        An empty ciphertext leaves the chain where it is; a ragged one
+        raises :class:`InvalidBlockSize`."""
+        if ciphertext:
+            block_size = self.cipher.block_size
+            if len(ciphertext) % block_size:
+                raise InvalidBlockSize(
+                    self.cipher.name, len(ciphertext), block_size)
+            self.iv = bytes(ciphertext[-block_size:])
 
 
 class CTR:

@@ -8,22 +8,7 @@ and deterministic failover (warm from checkpoint, cold via the
 resumption / re-handshake paths).
 """
 
-from .journal import CheckpointJournal
-from .ring import ConsistentRing
-from .runtime import (
-    CrashPlan,
-    FleetConfig,
-    FleetStats,
-    ShardCrash,
-    ShardedFleet,
-)
-from .scenario import FailoverResult, run_failover
-from .scheduler import Event, EventScheduler
-from .snapshot import (
-    SessionSnapshot,
-    capture_connection,
-    restore_connection,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CheckpointJournal",
@@ -41,3 +26,12 @@ __all__ = [
     "restore_connection",
     "run_failover",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".journal": "CheckpointJournal",
+    ".ring": "ConsistentRing",
+    ".runtime": "CrashPlan FleetConfig FleetStats ShardCrash ShardedFleet",
+    ".scenario": "FailoverResult run_failover",
+    ".scheduler": "Event EventScheduler",
+    ".snapshot": "SessionSnapshot capture_connection restore_connection",
+})

@@ -8,77 +8,7 @@ ladder of security-processing architectures (software → ISA
 extensions → crypto accelerator → programmable protocol engine).
 """
 
-from .accelerators import (
-    CryptoAccelerator,
-    ExecutionReport,
-    SoftwareEngine,
-    UnsupportedWorkload,
-    architecture_ladder,
-)
-from .battery import Battery, BatteryEmpty, battery_capacity_trend
-from .bus import (
-    BusFault,
-    BusMaster,
-    BusRegion,
-    SystemBus,
-    dma_snoop_attack,
-    provision_keys_on_bus,
-)
-from .cycles import (
-    BULK_IPB,
-    bulk_ipb,
-    bulk_mips_demand,
-    handshake_cost,
-    handshake_mips_demand,
-    rsa_private_instructions,
-    rsa_public_instructions,
-    total_mips_demand,
-)
-from .faults import (
-    AcceleratorFailure,
-    BatteryBrownout,
-    FaultPlan,
-    FlakyEngine,
-    GlitchCampaign,
-    HardwareFaultLog,
-    ScheduledGlitch,
-    wrap_engines,
-)
-from .energy import (
-    RSA_SECURITY_OVERHEAD_MJ_PER_KB,
-    RX_MJ_PER_KB,
-    SENSOR_BATTERY_KJ,
-    TX_MJ_PER_KB,
-    EnergyModel,
-)
-from .engine_program import (
-    EngineContext,
-    EngineFault,
-    Instruction,
-    Microprogram,
-    ProgrammableProtocolEngine,
-    stock_engine,
-)
-from .isa_extensions import ISAExtensionEngine
-from .platform_builder import (
-    HardwarePlatform,
-    pda_platform,
-    phone_platform,
-    sensor_node_platform,
-)
-from .processors import (
-    ARM7,
-    ARM9,
-    CATALOG,
-    DRAGONBALL,
-    PENTIUM4,
-    STRONGARM_SA1100,
-    Processor,
-    embedded_catalog,
-)
-from .protocol_engine import ProtocolEngine
-from .radio import BEARERS, GSM_RADIO, SENSOR_RADIO, WLAN_RADIO, Radio
-from .workloads import BulkWorkload, HandshakeWorkload, SessionWorkload
+from .._lazy import lazy_exports
 
 __all__ = [
     "Processor", "CATALOG", "PENTIUM4", "STRONGARM_SA1100", "ARM7", "ARM9",
@@ -104,3 +34,28 @@ __all__ = [
     "SystemBus", "BusRegion", "BusMaster", "BusFault",
     "provision_keys_on_bus", "dma_snoop_attack",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".accelerators": "CryptoAccelerator ExecutionReport SoftwareEngine "
+                     "UnsupportedWorkload architecture_ladder",
+    ".battery": "Battery BatteryEmpty battery_capacity_trend",
+    ".bus": "BusFault BusMaster BusRegion SystemBus dma_snoop_attack "
+            "provision_keys_on_bus",
+    ".cycles": "BULK_IPB bulk_ipb bulk_mips_demand handshake_cost "
+               "handshake_mips_demand rsa_private_instructions "
+               "rsa_public_instructions total_mips_demand",
+    ".energy": "RSA_SECURITY_OVERHEAD_MJ_PER_KB RX_MJ_PER_KB "
+               "SENSOR_BATTERY_KJ TX_MJ_PER_KB EnergyModel",
+    ".engine_program": "EngineContext EngineFault Instruction Microprogram "
+                       "ProgrammableProtocolEngine stock_engine",
+    ".faults": "AcceleratorFailure BatteryBrownout FaultPlan FlakyEngine "
+               "GlitchCampaign HardwareFaultLog ScheduledGlitch wrap_engines",
+    ".isa_extensions": "ISAExtensionEngine",
+    ".platform_builder": "HardwarePlatform pda_platform phone_platform "
+                         "sensor_node_platform",
+    ".processors": "ARM7 ARM9 CATALOG DRAGONBALL PENTIUM4 STRONGARM_SA1100 "
+                   "Processor embedded_catalog",
+    ".protocol_engine": "ProtocolEngine",
+    ".radio": "BEARERS GSM_RADIO SENSOR_RADIO WLAN_RADIO Radio",
+    ".workloads": "BulkWorkload HandshakeWorkload SessionWorkload",
+})

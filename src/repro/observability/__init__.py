@@ -10,6 +10,7 @@ here would cycle straight back through the protocol stack.
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from . import probe
 
 __all__ = [
@@ -57,62 +58,19 @@ __all__ = [
     "run_fleetwatch",
 ]
 
-_LAZY = {
-    "Telemetry": "spans",
-    "Span": "spans",
-    "SpanEvent": "spans",
-    "derive_trace_id": "spans",
-    "MetricsRegistry": "metrics",
-    "Counter": "metrics",
-    "Gauge": "metrics",
-    "Histogram": "metrics",
-    "REGISTRY": "metrics",
-    "attach_ledger": "metrics",
-    "record_cycles": "attribution",
-    "handshake_cycles": "attribution",
-    "modexp_cycles": "attribution",
-    "span_rollup": "attribution",
-    "phase_energy_mj": "attribution",
-    "reconcile_energy": "attribution",
-    "EnergyReconciliation": "attribution",
-    "to_jsonl": "export",
-    "write_jsonl": "export",
-    "prometheus_text": "export",
-    "span_tree": "export",
-    "flamegraph_folds": "export",
-    "fleet_jsonl": "export",
-    "fleet_flamegraph_folds": "export",
-    "rollup_table": "export",
-    "run_gateway_chaos": "scenario",
-    "ChaosTelemetryResult": "scenario",
-    "TraceContext": "tracecontext",
-    "FleetTraceStore": "tracecontext",
-    "Journey": "tracecontext",
-    "WindowedSeries": "timeseries",
-    "QuantileSketch": "timeseries",
-    "register_series": "timeseries",
-    "SloSpec": "slo",
-    "SloEngine": "slo",
-    "BurnRatePolicy": "slo",
-    "Alert": "slo",
-    "FleetWatch": "fleetwatch",
-    "FleetWatchConfig": "fleetwatch",
-    "FleetwatchResult": "fleetwatch",
-    "run_fleetwatch": "fleetwatch",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".attribution": "record_cycles handshake_cycles modexp_cycles span_rollup "
+                    "phase_energy_mj reconcile_energy EnergyReconciliation",
+    ".export": "to_jsonl write_jsonl prometheus_text span_tree "
+               "flamegraph_folds fleet_jsonl fleet_flamegraph_folds "
+               "rollup_table",
+    ".fleetwatch": "FleetWatch FleetWatchConfig FleetwatchResult "
+                   "run_fleetwatch",
+    ".metrics": "MetricsRegistry Counter Gauge Histogram REGISTRY "
+                "attach_ledger",
+    ".scenario": "run_gateway_chaos ChaosTelemetryResult",
+    ".slo": "SloSpec SloEngine BurnRatePolicy Alert",
+    ".spans": "Telemetry Span SpanEvent derive_trace_id",
+    ".timeseries": "WindowedSeries QuantileSketch register_series",
+    ".tracecontext": "TraceContext FleetTraceStore Journey",
+})

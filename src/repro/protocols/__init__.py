@@ -6,93 +6,7 @@ an IPSec-style ESP datapath, GSM-style bearer security, and the WAP
 gateway architecture with its observable "WAP gap".
 """
 
-from .aka import (
-    AKAChallenge,
-    AuthenticationCentre,
-    FalseBaseStation,
-    ServingNetwork3G,
-    USIM,
-    false_base_station_attack,
-)
-from .alerts import (
-    BadRecordMAC,
-    CertificateError,
-    DecodeError,
-    HandshakeFailure,
-    ProtocolAlert,
-    ReplayError,
-    UnexpectedMessage,
-)
-from .bearer import SIM, BaseStation, Handset, HomeRegister, clone_sim
-from .certificates import Certificate, CertificateAuthority
-from .ciphersuites import (
-    ALL_SUITES,
-    SUITES_BY_NAME,
-    CipherSuite,
-    negotiate,
-    suites_for_registry,
-)
-from .dos import CookieProtectedResponder, FloodReport, flood_experiment
-from .faults import FaultModel, FaultStats, FaultyChannel, GilbertElliott
-from .gateway_runtime import (
-    BUSY_PREFIX,
-    BreakerConfig,
-    CircuitBreaker,
-    GatewayRuntime,
-    RuntimeConfig,
-    RuntimeStats,
-    TokenBucket,
-    build_gateway_runtime_world,
-    busy_reply,
-)
-from .handshake import (
-    ClientConfig,
-    HandshakeAttemptLog,
-    ServerConfig,
-    Session,
-    run_handshake,
-    run_handshake_with_fallback,
-)
-from .ipsec import SecurityAssociation, make_tunnel
-from .payment import (
-    DualSignedPayment,
-    Merchant,
-    OrderInfo,
-    PaymentError,
-    PaymentGateway,
-    PaymentInfo,
-    create_payment,
-    non_repudiation_evidence,
-)
-from .kdf import derive_key_block, master_secret, prf
-from .records import RecordDecoder, RecordEncoder, make_record_pair
-from .recovery import ReconnectPolicy, RecoveryReport, ResilientSession
-from .reliable import (
-    ARQConfig,
-    ReliableEndpoint,
-    ReliableLink,
-    ReliableStats,
-    RetryBudgetExhausted,
-    VirtualClock,
-)
-from .smartcard import APDU, CardResponse, SIMCard, kiosk_cloning_attack
-from .resumption import (
-    CachedSession,
-    SessionCache,
-    cache_session,
-    resume,
-)
-from .tls import SecureConnection, connect, connect_with_fallback
-from .transport import ChannelClosed, ChannelEmpty, DuplexChannel, Endpoint
-from .wap import (
-    DEGRADED_PREFIX,
-    HandlerFailure,
-    OriginServer,
-    WAPGateway,
-    build_wap_world,
-)
-from .wep import WEPFrame, WEPStation
-from .wtls import WTLSConnection, wtls_connect
+from .._lazy import lazy_exports
 
 __all__ = [
     "ProtocolAlert", "HandshakeFailure", "BadRecordMAC", "DecodeError",
@@ -128,3 +42,38 @@ __all__ = [
     "non_repudiation_evidence",
     "SIMCard", "APDU", "CardResponse", "kiosk_cloning_attack",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".aka": "AKAChallenge AuthenticationCentre FalseBaseStation "
+            "ServingNetwork3G USIM false_base_station_attack",
+    ".alerts": "BadRecordMAC CertificateError DecodeError HandshakeFailure "
+               "ProtocolAlert ReplayError UnexpectedMessage",
+    ".bearer": "SIM BaseStation Handset HomeRegister clone_sim",
+    ".certificates": "Certificate CertificateAuthority",
+    ".ciphersuites": "ALL_SUITES SUITES_BY_NAME CipherSuite negotiate "
+                     "suites_for_registry",
+    ".dos": "CookieProtectedResponder FloodReport flood_experiment",
+    ".faults": "FaultModel FaultStats FaultyChannel GilbertElliott",
+    ".gateway_runtime": "BUSY_PREFIX BreakerConfig CircuitBreaker "
+                        "GatewayRuntime RuntimeConfig RuntimeStats "
+                        "TokenBucket build_gateway_runtime_world busy_reply",
+    ".handshake": "ClientConfig HandshakeAttemptLog ServerConfig Session "
+                  "run_handshake run_handshake_with_fallback",
+    ".ipsec": "SecurityAssociation make_tunnel",
+    ".kdf": "derive_key_block master_secret prf",
+    ".payment": "DualSignedPayment Merchant OrderInfo PaymentError "
+                "PaymentGateway PaymentInfo create_payment "
+                "non_repudiation_evidence",
+    ".records": "RecordDecoder RecordEncoder make_record_pair",
+    ".recovery": "ReconnectPolicy RecoveryReport ResilientSession",
+    ".reliable": "ARQConfig ReliableEndpoint ReliableLink ReliableStats "
+                 "RetryBudgetExhausted VirtualClock",
+    ".resumption": "CachedSession SessionCache cache_session resume",
+    ".smartcard": "APDU CardResponse SIMCard kiosk_cloning_attack",
+    ".tls": "SecureConnection connect connect_with_fallback",
+    ".transport": "ChannelClosed ChannelEmpty DuplexChannel Endpoint",
+    ".wap": "DEGRADED_PREFIX HandlerFailure OriginServer WAPGateway "
+            "build_wap_world",
+    ".wep": "WEPFrame WEPStation",
+    ".wtls": "WTLSConnection wtls_connect",
+})

@@ -8,16 +8,7 @@ seeded, replayable traffic — session mixes, heavy-tailed arrivals,
 handset battery classes — aimed at the sharded gateway fleet.
 """
 
-from .mcommerce import (
-    BATTERY_CLASSES,
-    SESSION_KINDS,
-    BatteryClass,
-    HandsetPlan,
-    MCommerceResult,
-    SessionKind,
-    plan_workload,
-    run_mcommerce,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BATTERY_CLASSES",
@@ -29,3 +20,8 @@ __all__ = [
     "plan_workload",
     "run_mcommerce",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".mcommerce": "BATTERY_CLASSES SESSION_KINDS BatteryClass HandsetPlan "
+                  "MCommerceResult SessionKind plan_workload run_mcommerce",
+})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, INV_SBOX, SBOX, key_expansion
+from repro.crypto.aes import AES, INV_SBOX, SBOX, _gf_mul, key_expansion
 from repro.crypto.errors import InvalidBlockSize, InvalidKeyLength
 from repro.crypto.trace import TraceRecorder
 
@@ -55,6 +55,24 @@ class TestSBox:
 
     def test_bijection(self):
         assert sorted(SBOX) == list(range(256))
+
+    def test_matches_the_power_construction(self):
+        # FIPS 197 5.1.1 written out the slow way: the inverse as a^254,
+        # then the affine map b ^ rotl(b, 1..4) ^ 0x63.
+        def rotl(b, n):
+            return ((b << n) | (b >> (8 - n))) & 0xFF
+
+        expected = []
+        for value in range(256):
+            inv = 0
+            if value:
+                inv = 1
+                for _ in range(254):
+                    inv = _gf_mul(inv, value)
+            expected.append(inv ^ rotl(inv, 1) ^ rotl(inv, 2) ^ rotl(inv, 3)
+                            ^ rotl(inv, 4) ^ 0x63)
+        assert SBOX == expected
+        assert INV_SBOX == [expected.index(s) for s in range(256)]
 
     def test_inverse_consistency(self):
         for value in range(256):

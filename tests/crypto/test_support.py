@@ -199,6 +199,25 @@ class TestModes:
     def test_cbc_empty_ciphertext_ok_without_padding(self):
         assert CBC(AES(bytes(16)), bytes(16)).decrypt(b"", pad=False) == b""
 
+    # Regressions: an empty or short residue used to become the next IV,
+    # so the following chained call failed with a bare ValueError.
+    def test_cbc_empty_chained_ciphertext_leaves_the_chain_unchanged(self):
+        key, iv = bytes(range(16)), bytes(range(16, 32))
+        sender = CBC(AES(key), iv)
+        first = sender.encrypt_next(b"first record")
+        second = sender.encrypt_next(b"second record")
+        receiver = CBC(AES(key), iv)
+        assert receiver.decrypt_next(first) == b"first record"
+        assert receiver.decrypt_next(b"", pad=False) == b""
+        assert receiver.iv == first[-16:]
+        assert receiver.decrypt_next(second) == b"second record"
+
+    def test_cbc_short_residue_is_invalid_block_size(self):
+        cbc = CBC(AES(bytes(16)), bytes(16))
+        with pytest.raises(InvalidBlockSize):
+            cbc.commit_residue(b"short")
+        assert cbc.iv == bytes(16)
+
     def test_cbc_iv_reuse_warns(self):
         cbc = CBC(AES(bytes(16)), bytes(16))
         cbc.encrypt(b"first message...")

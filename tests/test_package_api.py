@@ -1,27 +1,98 @@
-"""Public API surface: every exported name exists and is documented."""
+"""Public API surface: every exported name exists and is documented,
+and importing a package loads only what its caller uses."""
 
 import importlib
+import json
+import os
+import pathlib
+import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.crypto",
-    "repro.protocols",
-    "repro.hardware",
-    "repro.attacks",
-    "repro.core",
-    "repro.analysis",
-    "repro.observability",
+import repro
+
+PACKAGES = ["repro"] + [
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg]
+
+#: The ``__all__`` names that are modules; every other export must not be.
+MODULE_EXPORTS = {
+    "repro": {"crypto", "protocols", "hardware", "attacks", "core",
+              "analysis", "observability", "conformance", "fleet"},
+    "repro.crypto": {"fastpath"},
+    "repro.observability": {"probe"},
+}
+
+#: Modules importing the fleet and WTLS must not load: the fleet's
+#: record path needs none of them.
+NOT_FOR_THE_FLEET = [
+    *(f"repro.{name}" for name in (
+        "analysis", "attacks", "conformance", "core", "adversary",
+        "workloads")),
+    *(f"repro.protocols.{name}" for name in (
+        "smartcard", "dos", "recovery", "aka", "bearer", "ipsec",
+        "payment")),
+    "repro.hardware.accelerators",
+    "repro.hardware.engine_program",
 ]
+
+#: Run in a fresh interpreter: import every module of the package tree
+#: first, so an export that shares its name with a submodule
+#: (``repro.crypto.sha1``) shows if the submodule import rebound it.
+_SURFACE = textwrap.dedent("""
+    import importlib, json, pkgutil, sys, types
+    import repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    report = {}
+    for name in PACKAGES:
+        package = sys.modules[name]
+        report[name] = {
+            "missing": [n for n in package.__all__ if not hasattr(package, n)],
+            "modules": sorted(
+                n for n in package.__all__
+                if isinstance(getattr(package, n, None), types.ModuleType)),
+            "not_in_dir": [n for n in package.__all__ if n not in dir(package)],
+        }
+    print(json.dumps(report))
+""")
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this ``repro``."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, check=True, env=env)
+
+
+@pytest.fixture(scope="module")
+def surface():
+    """Per package: exports missing, module-valued, and absent from dir()."""
+    out = _fresh("-c", f"PACKAGES = {PACKAGES!r}\n{_SURFACE}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_every_package_is_discovered():
+    assert {"repro.adversary", "repro.fleet", "repro.workloads",
+            *MODULE_EXPORTS} <= set(PACKAGES)
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
-def test_all_names_resolve(package_name):
-    package = importlib.import_module(package_name)
-    for name in package.__all__:
-        assert hasattr(package, name), \
-            f"{package_name}.__all__ exports missing name {name!r}"
+def test_all_names_resolve(package_name, surface):
+    report = surface[package_name]
+    assert report["missing"] == [], \
+        f"{package_name}.__all__ exports missing names"
+    assert set(report["modules"]) == MODULE_EXPORTS.get(package_name, set()), \
+        f"{package_name}.__all__ names resolve to the wrong kind of object"
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_dir_lists_every_export(package_name, surface):
+    assert surface[package_name]["not_in_dir"] == []
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -41,9 +112,27 @@ def test_exports_have_docstrings(package_name):
     assert undocumented == []
 
 
-def test_version():
-    import repro
+def test_fleet_import_loads_only_what_the_fleet_uses():
+    out = _fresh("-c", "import json, sys\n"
+                       "import repro.fleet, repro.protocols.wtls\n"
+                       "import repro.fleet.runtime\n"
+                       "print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(out.stdout))
+    assert "repro.fleet.runtime" in loaded
+    assert sorted(loaded.intersection(NOT_FOR_THE_FLEET)) == []
 
+
+def test_cli_help_loads_no_subpackage():
+    out = _fresh("-X", "importtime", "-m", "repro", "--help")
+    assert "telemetry-report" in out.stdout
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in out.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "repro" in loaded
+    assert sorted(loaded.intersection(PACKAGES[1:])) == []
+
+
+def test_version():
     assert repro.__version__ == "1.0.0"
 
 
