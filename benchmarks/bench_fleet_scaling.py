@@ -33,7 +33,6 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.fleet import run_failover
-from repro.fleet.scenario import answered_total
 
 GRID: List[Tuple[int, int]] = [(12, 2), (24, 4), (48, 4), (48, 8)]
 REQUESTS = 4
@@ -62,7 +61,7 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
             "sessions": sessions,
             "shards": shards,
             "submitted": result.fleet.submitted,
-            "answered": answered_total(result),
+            "answered": result.answered,
             "served": result.counts["served"],
             "shed": result.counts["shed"],
             "shed_recovering": stats.shed_recovering,

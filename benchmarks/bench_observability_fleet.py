@@ -42,7 +42,6 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.fleet import run_failover
-from repro.fleet.scenario import answered_total
 from repro.observability.fleetwatch import run_fleetwatch
 
 GRID: List[Tuple[int, int]] = [
@@ -85,7 +84,7 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
         sweep[f"{sessions}x{shards}"] = {
             "sessions": sessions,
             "shards": shards,
-            "answered": answered_total(dark),
+            "answered": dark.answered,
             "counts": ledger,
             "crashes": dark.stats.crashes,
             "layers": {
@@ -99,7 +98,7 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
                     "wall_s": round(traced_s, 4),
                 },
                 "watched": {
-                    "spans": len(watched.failover.telemetry.spans),
+                    "spans": len(watched.telemetry.spans),
                     "windows": len(watched.watch.fleet_windows()),
                     "samples": watched.watch.samples_taken,
                     "alerts": len(summary["alerts"]),
@@ -109,11 +108,11 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
             },
             "ledger_invariant": (
                 dict(traced.counts) == ledger
-                and dict(watched.failover.counts) == ledger),
+                and dict(watched.counts) == ledger),
             # The dark layer attributes no energy (no spans), so the
             # reconciliation invariant is a lit-layer property.
             "reconciled": (traced.reconciliation.ok
-                           and watched.failover.reconciliation.ok),
+                           and watched.reconciliation.ok),
             "peak_rss_kb": _peak_rss_kb(),
         }
     return {

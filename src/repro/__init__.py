@@ -35,7 +35,7 @@ Subpackages
 ``repro.observability``
     The unified telemetry plane: virtual-time spans, the metrics
     registry with ledger adapters, energy/cycle attribution, and the
-    deterministic exports behind ``python -m repro telemetry-report``.
+    deterministic exports behind ``python -m repro run telemetry``.
 ``repro.conformance``
     The conformance plane: official-vector registry, differential
     oracles, the handshake state-machine model checker, and the

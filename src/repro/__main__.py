@@ -8,13 +8,11 @@ Gives the reproduction a front door:
 * ``gap``            — the Figure 3 feasibility explorer;
 * ``battery``        — the Figure 4 report + battery-gap projection;
 * ``appliance``      — provision/boot/unlock/transact walkthrough;
-* ``telemetry-report`` — seeded gateway chaos run with the telemetry
-  plane on: span-tree roll-up, per-phase energy attribution, metrics
-  dump, optional deterministic JSONL / flamegraph exports.
 * ``run NAME``       — one seeded scenario from :data:`SCENARIOS`,
   its byte-stable report on stdout (and, with ``--out DIR``, every
-  output file written into ``DIR``); exit status 0 when the
-  scenario's own acceptance predicate holds:
+  output file written into ``DIR``); exit status 0 when the result's
+  ``ok`` holds — every request answered and every millijoule
+  reconciled (for ``conformance``, every check passed):
 
   - ``conformance`` — official vectors on both dispatch paths,
     differential oracles, the handshake state-machine check, the
@@ -30,7 +28,10 @@ Gives the reproduction a front door:
     suite and battery class);
   - ``fleetwatch`` — the failover run with fleet observability riding
     along (stitched journeys, windowed series, SLO burn alerts), plus
-    fleet-scope JSONL, Prometheus and folded-stack exports.
+    fleet-scope JSONL, Prometheus and folded-stack exports;
+  - ``telemetry`` — the gateway chaos run with the telemetry plane on:
+    span-tree roll-up and per-phase energy attribution, plus the
+    deterministic JSONL trace, Prometheus metrics and flamegraph folds.
 """
 
 from __future__ import annotations
@@ -139,67 +140,6 @@ def _cmd_appliance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_telemetry_report(args: argparse.Namespace) -> int:
-    from .observability.attribution import phase_energy_mj
-    from .observability.export import (
-        flamegraph_folds,
-        prometheus_text,
-        rollup_table,
-        span_tree,
-        write_jsonl,
-    )
-    from .observability.scenario import run_gateway_chaos
-
-    result = run_gateway_chaos(
-        sessions=args.sessions,
-        requests_per_session=args.requests,
-        interarrival_s=args.interarrival,
-        fault_rate=args.fault_rate,
-        seed=args.seed,
-    )
-    telemetry = result.telemetry
-
-    print("=" * 24, "telemetry report", "=" * 24)
-    print(f"trace id: {telemetry.trace_id}  "
-          f"(seed {args.seed}, {args.sessions} sessions x "
-          f"{args.requests} requests, fault rate {args.fault_rate})")
-    print(f"replies: {result.counts}")
-    print()
-
-    print("-- span tree (truncated) " + "-" * 37)
-    print(span_tree(telemetry, max_spans=args.max_spans))
-    print()
-
-    print("-- energy/cycle roll-up " + "-" * 38)
-    print(rollup_table(telemetry))
-    print()
-
-    print("-- per-phase energy (mJ) " + "-" * 37)
-    for phase, mj in sorted(phase_energy_mj(telemetry).items(),
-                            key=lambda item: (-item[1], item[0])):
-        print(f"  {phase:<24} {mj:.6f}")
-    recon = result.reconciliation
-    print(f"  attributed {recon.attributed_mj:.6f} mJ vs battery drain "
-          f"{recon.battery_drain_mj:.6f} mJ "
-          f"(delta {recon.delta_mj:.3e}) -> "
-          f"{'reconciled' if recon.ok else 'MISMATCH'}")
-    print()
-
-    if args.metrics:
-        print("-- metrics " + "-" * 51)
-        print(prometheus_text(telemetry))
-        print()
-
-    if args.jsonl:
-        write_jsonl(telemetry, args.jsonl)
-        print(f"wrote deterministic trace to {args.jsonl}")
-    if args.folded:
-        with open(args.folded, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(flamegraph_folds(telemetry))
-        print(f"wrote flamegraph folds to {args.folded}")
-    return 0 if recon.ok else 1
-
-
 def _lazy(module: str, name: str) -> Callable:
     """``module.name``, imported on first call, not at CLI start-up."""
     def call(*args, **kwargs):
@@ -228,7 +168,7 @@ def _fleetwatch_outputs(result) -> Dict[str, str]:
         fleet_jsonl,
         prometheus_text,
     )
-    telemetry = result.failover.telemetry
+    telemetry = result.telemetry
     return {
         **_json_report("fleetwatch")(result),
         "fleetwatch.jsonl": fleet_jsonl(telemetry, result.store),
@@ -238,39 +178,77 @@ def _fleetwatch_outputs(result) -> Dict[str, str]:
     }
 
 
-def _reconciled(result) -> bool:
-    return result.reconciliation.ok
+def _telemetry_outputs(result) -> Dict[str, str]:
+    from .observability.attribution import phase_energy_mj
+    from .observability.export import (
+        flamegraph_folds,
+        prometheus_text,
+        rollup_table,
+        span_tree,
+        to_jsonl,
+    )
+    telemetry = result.telemetry
+    params = result.params
+    recon = result.reconciliation
+    phases = sorted(phase_energy_mj(telemetry).items(),
+                    key=lambda item: (-item[1], item[0]))
+    report = "\n".join([
+        "=" * 24 + " telemetry report " + "=" * 24,
+        f"trace id: {telemetry.trace_id}  "
+        f"(seed {params['seed']}, {params['sessions']} sessions x "
+        f"{params['requests_per_session']} requests, "
+        f"fault rate {params['fault_rate']})",
+        f"replies: {result.counts}",
+        "",
+        "-- span tree (truncated) " + "-" * 37,
+        span_tree(telemetry, max_spans=60),
+        "",
+        "-- energy/cycle roll-up " + "-" * 38,
+        rollup_table(telemetry),
+        "",
+        "-- per-phase energy (mJ) " + "-" * 37,
+        *(f"  {phase:<24} {mj:.6f}" for phase, mj in phases),
+        f"  attributed {recon.attributed_mj:.6f} mJ vs battery drain "
+        f"{recon.battery_drain_mj:.6f} mJ "
+        f"(delta {recon.delta_mj:.3e}) -> "
+        f"{'reconciled' if recon.ok else 'MISMATCH'}",
+        "",
+    ])
+    return {
+        "telemetry.txt": report,
+        "telemetry.jsonl": to_jsonl(telemetry),
+        "telemetry.prom": prometheus_text(telemetry),
+        "telemetry.folded": flamegraph_folds(telemetry),
+    }
 
 
 class Scenario(NamedTuple):
-    """One ``python -m repro run`` entry."""
+    """One ``python -m repro run`` entry; its result's ``ok`` is the
+    exit status."""
 
     #: Called as ``run(seed=N)``; every other size is the library default.
     run: Callable
     #: Result -> ``{filename: text}``; the first entry is the report.
     outputs: Callable[[object], Dict[str, str]]
-    #: Result -> whether the scenario's acceptance predicate holds.
-    ok: Callable[[object], bool]
 
 
 SCENARIOS: Dict[str, Scenario] = {
     "conformance": Scenario(
         _lazy(".conformance.runner", "run_conformance"),
-        _conformance_outputs, lambda report: report.ok),
+        _conformance_outputs),
     "survivability": Scenario(
         _lazy(".adversary", "run_survivability"),
-        _json_report("survivability"), _reconciled),
+        _json_report("survivability")),
     "failover": Scenario(
-        _lazy(".fleet", "run_failover"),
-        _json_report("failover"), _reconciled),
+        _lazy(".fleet", "run_failover"), _json_report("failover")),
     "mcommerce": Scenario(
-        _lazy(".workloads", "run_mcommerce"),
-        _json_report("mcommerce"),
-        lambda result: _reconciled(result) and all(
-            payment["binding_holds"] for payment in result.payments)),
+        _lazy(".workloads", "run_mcommerce"), _json_report("mcommerce")),
     "fleetwatch": Scenario(
         _lazy(".observability.fleetwatch", "run_fleetwatch"),
-        _fleetwatch_outputs, lambda result: _reconciled(result.failover)),
+        _fleetwatch_outputs),
+    "telemetry": Scenario(
+        _lazy(".observability.scenario", "run_gateway_chaos"),
+        _telemetry_outputs),
 }
 
 
@@ -286,7 +264,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             with open(out / filename, "w", encoding="utf-8",
                       newline="\n") as fh:
                 fh.write(text)
-    return 0 if scenario.ok(result) else 1
+    return 0 if result.ok else 1
 
 
 def main(argv=None) -> int:
@@ -306,22 +284,6 @@ def main(argv=None) -> int:
     appliance = sub.add_parser("appliance",
                                help="provision/boot/transact walkthrough")
     appliance.add_argument("--seed", type=int, default=0)
-    telemetry = sub.add_parser(
-        "telemetry-report",
-        help="gateway chaos run with the telemetry plane on")
-    telemetry.add_argument("--sessions", type=int, default=32)
-    telemetry.add_argument("--requests", type=int, default=4)
-    telemetry.add_argument("--interarrival", type=float, default=0.1)
-    telemetry.add_argument("--fault-rate", type=float, default=0.2)
-    telemetry.add_argument("--seed", type=int, default=0)
-    telemetry.add_argument("--max-spans", type=int, default=60,
-                           help="span-tree rows to print")
-    telemetry.add_argument("--metrics", action="store_true",
-                           help="also dump the Prometheus text format")
-    telemetry.add_argument("--jsonl", metavar="PATH", default=None,
-                           help="write the deterministic JSONL trace here")
-    telemetry.add_argument("--folded", metavar="PATH", default=None,
-                           help="write flamegraph-style folded stacks here")
     run = sub.add_parser(
         "run", help="one seeded scenario -> byte-stable report")
     run.add_argument("name", choices=sorted(SCENARIOS))
@@ -337,7 +299,6 @@ def main(argv=None) -> int:
         "gap": _cmd_gap,
         "battery": _cmd_battery,
         "appliance": _cmd_appliance,
-        "telemetry-report": _cmd_telemetry_report,
         "run": _cmd_run,
     }
     return handlers[args.command](args)

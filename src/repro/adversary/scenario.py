@@ -17,27 +17,26 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..conformance.fuzzcorpus import default_targets, mutation_stream
 from ..crypto.rng import DeterministicDRBG
 from ..hardware.battery import Battery
 from ..observability import probe
-from ..observability.attribution import EnergyReconciliation, reconcile_energy
+from ..observability.attribution import reconcile_energy
 from ..observability.metrics import (
     export_adversary_population,
     export_dos_responder,
     export_runtime,
 )
-from ..observability.scenario import ORIGIN
+from ..observability.scenario import HANDSET_BATTERY_J, ORIGIN, ScenarioResult
 from ..observability.spans import Telemetry
 from ..protocols.dos import CookieProtectedResponder
 from ..protocols.faults import FaultyChannel
 from ..protocols.gateway_runtime import (
     OPEN,
     RuntimeConfig,
-    RuntimeStats,
     build_gateway_runtime_world,
     drain_replies,
     submit_rounds,
@@ -55,10 +54,14 @@ from .population import (
 
 GATEWAY_SUBJECT = "gateway.operator"
 SECRET_ROTATION_S = 0.25
+#: Per-handset benign request period, in virtual seconds.
+INTERARRIVAL_S = 0.1
+#: Every adversary's battery, in joules.
+ATTACKER_BATTERY_J = 2.0
 
 
 def survivability_config() -> RuntimeConfig:
-    """The default runtime sizing for the survivability scenario.
+    """The runtime sizing for the survivability scenario.
 
     Unlike the chaos scenario (which deliberately overloads admission
     to exercise shedding), survivability needs a gateway *sized for its
@@ -72,51 +75,41 @@ def survivability_config() -> RuntimeConfig:
 
 
 @dataclass
-class SurvivabilityResult:
-    """Everything one seeded mixed-load run produced."""
+class SurvivabilityResult(ScenarioResult):
+    """One seeded mixed-load run: the scenario ledger plus the
+    attackers, the DoS gate and the breaker history."""
 
-    telemetry: Telemetry
-    stats: RuntimeStats
-    counts: Dict[str, int]
-    batteries: Dict[str, Battery]
     population: AdversaryPopulation
     responder: CookieProtectedResponder
     breakers: Dict[str, List]
-    reconciliation: EnergyReconciliation
-    leftover_discarded: int = 0
-    params: Dict[str, object] = field(default_factory=dict)
-    #: Windowed attacker-vs-user battery-drain split (mJ per window),
-    #: present only when ``energy_window_s`` was passed — the default
-    #: run (and its byte-stable report) is unchanged.
-    energy_split: Optional[Dict[str, object]] = None
+    leftover_discarded: int
 
     @property
     def benign_goodput(self) -> float:
         """Fraction of benign requests fully served."""
-        answered = sum(self.counts.values())
+        answered = self.answered
         return self.counts.get("served", 0) / answered if answered else 0.0
 
 
-def _build_population(seed: int, rate_per_class: float,
-                      attacker_battery_j: float, runtime, responder,
+def _build_population(seed: int, rate_per_class: float, runtime, responder,
                       channels, ca) -> AdversaryPopulation:
     wtls_target = next(t for t in default_targets()
                        if t.name == "wtls_record")
     flood = CookieFloodAdversary(
         "flood-0", rate_per_class, seed, responder,
-        battery=Battery(capacity_j=attacker_battery_j))
+        battery=Battery(capacity_j=ATTACKER_BATTERY_J))
     downgrade = DowngradeAdversary(
         "mitm-0", rate_per_class, seed,
         server_config=runtime.gateway.gateway_config, ca=ca,
         expected_server=GATEWAY_SUBJECT,
-        battery=Battery(capacity_j=attacker_battery_j))
+        battery=Battery(capacity_j=ATTACKER_BATTERY_J))
     timing = TimingProbeAdversary(
         "probe-0", rate_per_class, seed,
-        battery=Battery(capacity_j=attacker_battery_j))
+        battery=Battery(capacity_j=ATTACKER_BATTERY_J))
     fuzz = FuzzInjectionAdversary(
         "fuzz-0", rate_per_class, seed, channels,
         mutations=mutation_stream(wtls_target, seed),
-        battery=Battery(capacity_j=attacker_battery_j))
+        battery=Battery(capacity_j=ATTACKER_BATTERY_J))
     population = AdversaryPopulation(
         [flood, downgrade, timing, fuzz])
 
@@ -147,13 +140,8 @@ def _build_population(seed: int, rate_per_class: float,
 
 
 def run_survivability(sessions: int = 32, requests_per_session: int = 4,
-                      interarrival_s: float = 0.1,
                       attacker_fraction: float = 0.5,
-                      fault_rate: float = 0.0, seed: int = 2003,
-                      battery_capacity_j: float = 5.0,
-                      attacker_battery_j: float = 2.0,
-                      config: Optional[RuntimeConfig] = None,
-                      energy_window_s: Optional[float] = None
+                      fault_rate: float = 0.0, seed: int = 2003
                       ) -> SurvivabilityResult:
     """One seeded mixed benign/attack run on a single virtual clock.
 
@@ -163,22 +151,16 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
     ``attacker_fraction`` of total traffic.  Every benign request is
     answered (served / degraded / structured shed), every millijoule
     reconciles, and the whole run is a pure function of its parameters.
-
-    ``energy_window_s`` (opt-in) additionally tracks the
-    attacker-vs-user battery-drain split as windowed series
-    (``result.energy_split`` with ``user_mj`` / ``attacker_mj``
-    :class:`~repro.observability.timeseries.WindowedSeries`); the run
-    itself — and the default survivability report — is unchanged.
     """
     if not 0.0 <= attacker_fraction < 1.0:
         raise ValueError("attacker fraction must be in [0, 1)")
     clock = VirtualClock()
     telemetry = Telemetry(
         seed=("survivability", sessions, requests_per_session,
-              interarrival_s, attacker_fraction, fault_rate, seed),
+              INTERARRIVAL_S, attacker_fraction, fault_rate, seed),
         clock=clock, label="survivability")
     batteries = {
-        f"handset-{index:02d}": Battery(capacity_j=battery_capacity_j)
+        f"handset-{index:02d}": Battery(capacity_j=HANDSET_BATTERY_J)
         for index in range(sessions)
     }
     channels = {
@@ -186,15 +168,14 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             seed=seed * 1000 + index)
         for index in range(sessions)
     }
-    horizon_s = requests_per_session * interarrival_s
+    horizon_s = requests_per_session * INTERARRIVAL_S
     with probe.activate(telemetry):
         runtime, handsets, ca = build_gateway_runtime_world(
             sessions=sessions, seed=seed,
-            config=config or survivability_config(),
+            config=survivability_config(),
             batteries=batteries, clock=clock,
             channel_factory=channels.__getitem__)
-        if fault_rate > 0.0:
-            runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
+        runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
         export_runtime(telemetry.registry, runtime)
 
         # The DoS front gate: benign handsets pass the cookie exchange
@@ -215,12 +196,11 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
 
         population = AdversaryPopulation([])
         if attacker_fraction > 0.0:
-            benign_rate = sessions / interarrival_s
+            benign_rate = sessions / INTERARRIVAL_S
             attacker_rate = (attacker_fraction
                              / (1.0 - attacker_fraction)) * benign_rate
             population = _build_population(
-                seed, attacker_rate / 4.0, attacker_battery_j,
-                runtime, responder, channels, ca)
+                seed, attacker_rate / 4.0, runtime, responder, channels, ca)
             export_adversary_population(telemetry.registry, population)
         runtime.add_ticker(population.tick)
 
@@ -233,30 +213,8 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
 
         runtime.add_ticker(rotate)
 
-        energy_split: Optional[Dict[str, object]] = None
-        if energy_window_s is not None:
-            from ..observability.timeseries import WindowedSeries
-            energy_split = {
-                "user_mj": WindowedSeries("user_mj", energy_window_s),
-                "attacker_mj": WindowedSeries("attacker_mj",
-                                              energy_window_s),
-            }
-            drained = {"user": 0.0, "attacker": 0.0}
-
-            def sample_energy(now: float) -> None:
-                user = sum(b.drained_mj for b in batteries.values())
-                attacker = sum(a.battery.drained_mj
-                               for a in population.adversaries)
-                energy_split["user_mj"].inc(now, user - drained["user"])
-                energy_split["attacker_mj"].inc(
-                    now, attacker - drained["attacker"])
-                drained["user"] = user
-                drained["attacker"] = attacker
-
-            runtime.add_ticker(sample_energy)
-
         submit_rounds(runtime, handsets, ORIGIN, requests_per_session,
-                      interarrival_s)
+                      INTERARRIVAL_S)
         stats = runtime.run()
 
         # Let the population catch up to the scenario horizon, then
@@ -281,8 +239,6 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             runtime.sessions[sid].conn.discarded
             for sid in session_ids) - leftover_before
         population.finish(clock.now)
-        if energy_split is not None:
-            sample_energy(clock.now)  # final flush into the last window
         counts = drain_replies(runtime, handsets)
     all_batteries = list(batteries.values()) + [
         adversary.battery for adversary in population.adversaries]
@@ -290,6 +246,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
         telemetry=telemetry,
         stats=stats,
         counts=counts,
+        submitted=stats.submitted,
         batteries=batteries,
         population=population,
         responder=responder,
@@ -300,12 +257,11 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
         params={
             "sessions": sessions,
             "requests_per_session": requests_per_session,
-            "interarrival_s": interarrival_s,
+            "interarrival_s": INTERARRIVAL_S,
             "attacker_fraction": attacker_fraction,
             "fault_rate": fault_rate,
             "seed": seed,
-            "battery_capacity_j": battery_capacity_j,
-            "attacker_battery_j": attacker_battery_j,
+            "battery_capacity_j": HANDSET_BATTERY_J,
+            "attacker_battery_j": ATTACKER_BATTERY_J,
         },
-        energy_split=energy_split,
     )

@@ -11,10 +11,9 @@ served request.  Every point is a pure function of its seed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..protocols.gateway_runtime import (
-    RuntimeConfig,
     build_gateway_runtime_world,
     drain_replies,
     submit_rounds,
@@ -26,8 +25,7 @@ ORIGIN = "origin.example"
 
 def chaos_point(sessions: int = 4, requests_per_session: int = 8,
                 interarrival_s: float = 0.2, fault_rate: float = 0.0,
-                seed: int = 0,
-                config: Optional[RuntimeConfig] = None) -> Dict[str, float]:
+                seed: int = 0) -> Dict[str, float]:
     """Run one grid point and return its ledger.
 
     ``interarrival_s`` is the per-handset request period; the aggregate
@@ -35,9 +33,8 @@ def chaos_point(sessions: int = 4, requests_per_session: int = 8,
     second, which the runtime's admission rate then accepts or sheds.
     """
     runtime, handsets, _ = build_gateway_runtime_world(
-        sessions=sessions, seed=seed, config=config)
-    if fault_rate > 0.0:
-        runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
+        sessions=sessions, seed=seed)
+    runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
     submit_rounds(runtime, handsets, ORIGIN, requests_per_session,
                   interarrival_s)
     stats = runtime.run()

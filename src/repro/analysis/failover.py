@@ -1,8 +1,8 @@
 """The failover report: what the multi-shard chaos run survived.
 
-Turns one :class:`~repro.fleet.scenario.FailoverResult` into a plain
-dict (and its canonical JSON form): the benign answer ledger with the
-``recovering`` shed window broken out, the crash/detection/migration
+Turns one :func:`~repro.fleet.scenario.run_failover` result into a
+plain dict (and its canonical JSON form): the benign answer ledger with
+the ``recovering`` shed window broken out, the crash/detection/migration
 timeline counters, the warm / cold-resume / cold-full recovery split,
 journal health (checkpoints, torn frames, index evictions), the
 recovery-latency distribution, per-shard sections, and the energy
@@ -29,7 +29,7 @@ def build_report(result) -> Dict[str, object]:
     fleet = result.fleet
     recon = result.reconciliation
     totals = fleet.runtime_totals()
-    answered = sum(result.per_session_replies.values())
+    answered = result.answered
     user_mj = sum(
         battery.drained_mj for battery in result.batteries.values())
     shards = {}
@@ -50,10 +50,11 @@ def build_report(result) -> Dict[str, object]:
     report: Dict[str, object] = {
         "params": dict(result.params),
         "benign": {
-            "submitted": fleet.submitted,
+            "submitted": result.submitted,
             "answered": answered,
             "answer_rate": round(
-                answered / fleet.submitted if fleet.submitted else 1.0, 6),
+                answered / result.submitted if result.submitted else 1.0,
+                6),
             "counts": dict(result.counts),
             "shed_reasons": {key: result.shed_reasons[key]
                              for key in sorted(result.shed_reasons)},

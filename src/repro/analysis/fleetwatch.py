@@ -34,7 +34,7 @@ from .failover import build_report as build_failover_report
 def _journey_rows(result) -> Dict[str, object]:
     """JSON-ready journey section, keyed by session id."""
     store = result.store
-    telemetry = result.failover.telemetry
+    telemetry = result.telemetry
     crash_milestones: Dict[str, int] = {}
     for event in telemetry.events:
         trace_id = event.attrs.get(CTX_TRACE)
@@ -58,7 +58,7 @@ def build_report(result) -> Dict[str, object]:
     """The fleetwatch report as a plain, JSON-ready dict."""
     watch = result.watch
     store = result.store
-    config = result.config
+    config = watch.config
     journeys = _journey_rows(result)
     tiers_seen = sorted({tier for row in journeys.values()
                          for tier in row["tiers"]})
@@ -68,13 +68,13 @@ def build_report(result) -> Dict[str, object]:
         spans_per_stream[stream] = spans_per_stream.get(stream, 0) + 1
     report: Dict[str, object] = {
         "params": {
-            **dict(result.failover.params),
+            **dict(result.params),
             "window_s": config.window_s,
             "slide_s": config.slide_s,
             "sample_interval_s": config.sample_interval_s,
             "samples_taken": watch.samples_taken,
         },
-        "failover": build_failover_report(result.failover),
+        "failover": build_failover_report(result),
         "traces": {
             "streams": store.streams(),
             "spans_total": len(merged),

@@ -28,7 +28,7 @@ def build_report(result) -> Dict[str, object]:
     fleet = result.fleet
     recon = result.reconciliation
     totals = fleet.runtime_totals()
-    answered = sum(result.per_session_replies.values())
+    answered = result.answered
     horizon_s = max((max(plan.arrivals_s) for plan in result.plans
                      if plan.arrivals_s), default=0.0)
 

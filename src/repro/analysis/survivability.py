@@ -36,7 +36,7 @@ def build_report(result) -> Dict[str, object]:
     user_mj = sum(
         battery.drained_mj for battery in result.batteries.values())
     attacker_mj = result.population.energy_spent_mj()
-    answered = sum(result.counts.values())
+    answered = result.answered
     report: Dict[str, object] = {
         "params": dict(result.params),
         "benign": {

@@ -16,7 +16,6 @@ __all__ = [
     "CrashPlan",
     "Event",
     "EventScheduler",
-    "FailoverResult",
     "FleetConfig",
     "FleetStats",
     "SessionSnapshot",
@@ -31,7 +30,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".journal": "CheckpointJournal",
     ".ring": "ConsistentRing",
     ".runtime": "CrashPlan FleetConfig FleetStats ShardCrash ShardedFleet",
-    ".scenario": "FailoverResult run_failover",
+    ".scenario": "run_failover",
     ".scheduler": "Event EventScheduler",
     ".snapshot": "SessionSnapshot capture_connection restore_connection",
 })

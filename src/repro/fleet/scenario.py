@@ -18,43 +18,20 @@ back is the acceptance ledger for the crash-fault-tolerance plane:
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..hardware.battery import Battery
 from ..observability import probe
-from ..observability.attribution import EnergyReconciliation, reconcile_energy
+from ..observability.attribution import reconcile_energy
 from ..observability.metrics import export_fleet
+from ..observability.scenario import HANDSET_BATTERY_J, ScenarioResult
 from ..observability.spans import Telemetry
-from ..protocols.gateway_runtime import (
-    RuntimeStats,
-    classify_reply,
-    classify_shed_reason,
-)
+from ..protocols.gateway_runtime import classify_reply, classify_shed_reason
 from ..protocols.reliable import VirtualClock
-from .runtime import (
-    ORIGIN_NAME,
-    CrashPlan,
-    FleetConfig,
-    FleetStats,
-    ShardedFleet,
-)
+from .runtime import ORIGIN_NAME, CrashPlan, FleetConfig, ShardedFleet
 
-
-@dataclass
-class FailoverResult:
-    """Everything one seeded failover chaos run produced."""
-
-    fleet: ShardedFleet
-    telemetry: Telemetry
-    stats: FleetStats
-    shard_stats: Dict[str, RuntimeStats]
-    counts: Dict[str, int]
-    shed_reasons: Dict[str, int]
-    per_session_replies: Dict[str, int]
-    batteries: Dict[str, Battery]
-    reconciliation: EnergyReconciliation
-    params: Dict[str, object] = field(default_factory=dict)
+#: When the first shard dies, in virtual seconds.
+CRASH_START_S = 0.4
 
 
 def tally_replies(fleet: ShardedFleet, session_ids: Iterable[str]
@@ -83,19 +60,15 @@ def tally_replies(fleet: ShardedFleet, session_ids: Iterable[str]
 def run_failover(sessions: int = 24, shards: int = 4,
                  requests_per_session: int = 6,
                  interarrival_s: float = 0.35,
-                 crash_start_s: float = 0.4,
-                 crash_spacing_s: Optional[float] = None,
                  seed: int = 2003,
-                 battery_capacity_j: float = 5.0,
-                 config: Optional[FleetConfig] = None,
                  instrument=None,
-                 probe_enabled: bool = True) -> FailoverResult:
+                 probe_enabled: bool = True) -> ScenarioResult:
     """One seeded multi-shard crash run with telemetry on.
 
     The crash plan is a staggered sweep killing every shard exactly
     once (so migrations always have survivors) spread across the
-    request window; shards restart between crashes, so later crashes
-    migrate sessions onto earlier casualties.
+    request window from :data:`CRASH_START_S`; shards restart between
+    crashes, so later crashes migrate sessions onto earlier casualties.
 
     ``instrument`` is the observability seam: called with
     ``(fleet, telemetry)`` after the fleet is built but before any
@@ -108,32 +81,28 @@ def run_failover(sessions: int = 24, shards: int = 4,
     compares against); the returned reconciliation is then vacuous,
     since nothing attributes energy.
     """
-    if config is None:
-        # Size the bounded stores *below* the per-shard session count:
-        # journal-index evictions force some sessions down the cold
-        # (resumption) path and ticket-cache evictions force a few all
-        # the way to the full re-handshake — the chaos run exercises
-        # every recovery tier, not just the warm one.
-        config = FleetConfig(
-            shards=shards,
-            journal_index_limit=max(2, (2 * sessions) // (3 * shards)),
-            ticket_cache_limit=max(3, (2 * sessions) // 3))
-    if config.shards != shards:
-        raise ValueError("config.shards must match the shards argument")
+    # Size the bounded stores *below* the per-shard session count:
+    # journal-index evictions force some sessions down the cold
+    # (resumption) path and ticket-cache evictions force a few all the
+    # way to the full re-handshake — the chaos run exercises every
+    # recovery tier, not just the warm one.
+    config = FleetConfig(
+        shards=shards,
+        journal_index_limit=max(2, (2 * sessions) // (3 * shards)),
+        ticket_cache_limit=max(3, (2 * sessions) // 3))
     clock = VirtualClock()
     telemetry = Telemetry(
         seed=("fleet-failover", sessions, shards, requests_per_session,
               interarrival_s, seed),
         clock=clock, label="fleet-failover")
     batteries = {
-        f"handset-{index:02d}": Battery(capacity_j=battery_capacity_j)
+        f"handset-{index:02d}": Battery(capacity_j=HANDSET_BATTERY_J)
         for index in range(sessions)
     }
     horizon_s = requests_per_session * interarrival_s
-    if crash_spacing_s is None:
-        crash_spacing_s = max(
-            horizon_s / max(1, shards),
-            config.restart_delay_s + config.heartbeat_interval_s)
+    crash_spacing_s = max(
+        horizon_s / max(1, shards),
+        config.restart_delay_s + config.heartbeat_interval_s)
     activation = (probe.activate(telemetry) if probe_enabled
                   else contextlib.nullcontext())
     with activation:
@@ -145,7 +114,7 @@ def run_failover(sessions: int = 24, shards: int = 4,
         for session_id in session_ids:
             fleet.attach_session(session_id, battery=batteries[session_id])
         plan = CrashPlan.seeded_sweep(
-            shards, start_s=crash_start_s, spacing_s=crash_spacing_s,
+            shards, start_s=CRASH_START_S, spacing_s=crash_spacing_s,
             seed=seed, jitter_s=config.heartbeat_interval_s / 2.0)
         fleet.apply_plan(plan)
         for round_index in range(requests_per_session):
@@ -160,15 +129,11 @@ def run_failover(sessions: int = 24, shards: int = 4,
             finisher()
         counts, per_session, shed_reasons = tally_replies(
             fleet, session_ids)
-    return FailoverResult(
-        fleet=fleet,
+    return ScenarioResult(
         telemetry=telemetry,
         stats=stats,
-        shard_stats={shard.name: shard.runtime.stats
-                     for shard in fleet.shards},
         counts=counts,
-        shed_reasons=shed_reasons,
-        per_session_replies=per_session,
+        submitted=fleet.submitted,
         batteries=batteries,
         reconciliation=reconcile_energy(telemetry, batteries.values()),
         params={
@@ -176,14 +141,12 @@ def run_failover(sessions: int = 24, shards: int = 4,
             "shards": shards,
             "requests_per_session": requests_per_session,
             "interarrival_s": interarrival_s,
-            "crash_start_s": crash_start_s,
+            "crash_start_s": CRASH_START_S,
             "crash_spacing_s": round(crash_spacing_s, 6),
             "seed": seed,
-            "battery_capacity_j": battery_capacity_j,
+            "battery_capacity_j": HANDSET_BATTERY_J,
         },
+        fleet=fleet,
+        per_session_replies=per_session,
+        shed_reasons=shed_reasons,
     )
-
-
-def answered_total(result: FailoverResult) -> int:
-    """Replies the handsets actually decoded, across all sessions."""
-    return sum(result.per_session_replies.values())

@@ -41,7 +41,7 @@ __all__ = [
     "fleet_flamegraph_folds",
     "rollup_table",
     "run_gateway_chaos",
-    "ChaosTelemetryResult",
+    "ScenarioResult",
     "TraceContext",
     "FleetTraceStore",
     "Journey",
@@ -68,7 +68,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                    "run_fleetwatch",
     ".metrics": "MetricsRegistry Counter Gauge Histogram REGISTRY "
                 "attach_ledger",
-    ".scenario": "run_gateway_chaos ChaosTelemetryResult",
+    ".scenario": "run_gateway_chaos ScenarioResult",
     ".slo": "SloSpec SloEngine BurnRatePolicy Alert",
     ".spans": "Telemetry Span SpanEvent derive_trace_id",
     ".timeseries": "WindowedSeries QuantileSketch register_series",

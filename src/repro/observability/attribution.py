@@ -8,7 +8,7 @@ withdrawals the same way.  The roll-up helpers then answer the paper's
 measurement questions from a finished trace:
 
 * :func:`span_rollup` — per-span-name self/inclusive totals (the
-  flamegraph aggregation behind ``python -m repro telemetry-report``);
+  flamegraph aggregation behind ``python -m repro run telemetry``);
 * :func:`phase_energy_mj` — "which protocol phase burned the battery",
   the live-run regeneration of the Fig. 4 breakdown;
 * :func:`reconcile_energy` — the acceptance check that everything the

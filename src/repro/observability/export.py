@@ -232,7 +232,7 @@ def fleet_flamegraph_folds(telemetry: Telemetry, store) -> str:
 
 
 def rollup_table(telemetry: Telemetry) -> str:
-    """The telemetry-report summary: per-span-name cost table."""
+    """The telemetry report's summary: per-span-name cost table."""
     rows = span_rollup(telemetry)
     header = (f"{'span':<24} {'count':>6} {'self mJ':>12} "
               f"{'incl mJ':>12} {'incl Mi':>12} {'dur s':>10}")

@@ -34,11 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from .scenario import ScenarioResult
 from .slo import BurnRatePolicy, SloEngine, SloSpec
 from .spans import Telemetry
 from .timeseries import QuantileSketch, WindowedSeries, register_series
+
+if TYPE_CHECKING:
+    from .tracecontext import FleetTraceStore
 
 _EPS = 1e-9
 
@@ -377,45 +381,39 @@ class FleetWatch:
 
 
 @dataclass
-class FleetwatchResult:
-    """Everything one watched failover run produced."""
+class FleetwatchResult(ScenarioResult):
+    """One watched failover run: the failover ledger plus the watcher
+    and the run's spans partitioned per shard."""
 
-    failover: object          # FailoverResult (fleet, telemetry, ...)
     watch: FleetWatch
-    store: object             # FleetTraceStore over the run's spans
-    config: FleetWatchConfig
+    store: FleetTraceStore
 
 
 def run_fleetwatch(sessions: int = 24, shards: int = 4,
                    requests_per_session: int = 6,
-                   interarrival_s: float = 0.35,
-                   seed: int = 2003,
-                   config: Optional[FleetWatchConfig] = None,
-                   **failover_kwargs) -> FleetwatchResult:
+                   seed: int = 2003) -> FleetwatchResult:
     """One seeded failover chaos run with the watchtower riding along.
 
     Reuses :func:`~repro.fleet.scenario.run_failover` verbatim through
     its ``instrument`` seam — same fleet, same crash plan, same
-    answers — and returns the watcher plus a
+    answers — and returns its ledger plus the watcher and a
     :class:`~repro.observability.tracecontext.FleetTraceStore`
     partitioned from the run's single telemetry stream.
     """
     from ..fleet.scenario import run_failover
     from .tracecontext import FleetTraceStore
 
-    watch_config = config or FleetWatchConfig()
     holder: Dict[str, FleetWatch] = {}
 
     def instrument(fleet, telemetry):
-        watch = FleetWatch(fleet, telemetry, config=watch_config)
+        watch = FleetWatch(fleet, telemetry)
         holder["watch"] = watch
         return watch.finish
 
     failover = run_failover(
         sessions=sessions, shards=shards,
-        requests_per_session=requests_per_session,
-        interarrival_s=interarrival_s, seed=seed,
-        instrument=instrument, **failover_kwargs)
-    store = FleetTraceStore.partition(failover.telemetry, key="shard")
-    return FleetwatchResult(failover=failover, watch=holder["watch"],
-                            store=store, config=watch_config)
+        requests_per_session=requests_per_session, seed=seed,
+        instrument=instrument)
+    return FleetwatchResult(
+        **vars(failover), watch=holder["watch"],
+        store=FleetTraceStore.partition(failover.telemetry, key="shard"))

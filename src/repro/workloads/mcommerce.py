@@ -34,22 +34,18 @@ paper's Table-1 style comparison, measured instead of asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..crypto.rng import DeterministicDRBG
-from ..fleet.runtime import (
-    ORIGIN_NAME,
-    FleetConfig,
-    FleetStats,
-    ShardedFleet,
-)
+from ..fleet.runtime import ORIGIN_NAME, FleetConfig, ShardedFleet
 from ..fleet.scenario import tally_replies
 from ..hardware.battery import Battery, BatteryEmpty
 from ..hardware.energy import EnergyModel
 from ..observability import probe
-from ..observability.attribution import EnergyReconciliation, reconcile_energy
+from ..observability.attribution import reconcile_energy
 from ..observability.metrics import export_fleet
+from ..observability.scenario import ScenarioResult
 from ..observability.spans import Telemetry
 from ..protocols.ciphersuites import (
     ALL_SUITES,
@@ -213,22 +209,22 @@ def plan_workload(sessions: int, seed: int, duration_s: float,
 
 
 @dataclass
-class MCommerceResult:
-    """Everything one seeded m-commerce run produced."""
+class MCommerceResult(ScenarioResult):
+    """One seeded m-commerce run: the scenario ledger plus the plans,
+    the payment audit and the compute-energy ledger."""
 
-    fleet: ShardedFleet
-    telemetry: Telemetry
-    stats: FleetStats
     plans: List[HandsetPlan]
-    counts: Dict[str, int]
-    per_session_replies: Dict[str, int]
-    batteries: Dict[str, Battery]
     payments: List[Dict[str, object]]
     compute_mj: Dict[str, float]        # bulk cipher+MAC, per suite name
     dual_signature_mj: float            # RSA purchase signatures, pooled
     brownouts: Dict[str, int]           # per battery class
-    reconciliation: EnergyReconciliation
-    params: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        """The scenario ledger holds and every payment's dual-signature
+        binding verifies."""
+        return super().ok and all(
+            payment["binding_holds"] for payment in self.payments)
 
 
 def _purchase_payload(plan: HandsetPlan, order_seq: int, size: int,
@@ -263,18 +259,13 @@ def _purchase_payload(plan: HandsetPlan, order_seq: int, size: int,
 
 
 def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
-                  duration_s: float = 1.2,
-                  config: Optional[FleetConfig] = None) -> MCommerceResult:
+                  duration_s: float = 1.2) -> MCommerceResult:
     """One seeded m-commerce run over a healthy fleet.
 
     No crash plan here — the failover scenario owns that axis; this
     run measures the *cost* axis: what each suite and battery class
     pays per transaction when everything works.
     """
-    if config is None:
-        config = FleetConfig(shards=shards)
-    if config.shards != shards:
-        raise ValueError("config.shards must match the shards argument")
     plans = plan_workload(sessions, seed, duration_s)
     clock = VirtualClock()
     telemetry = Telemetry(
@@ -292,7 +283,8 @@ def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
     dual_signature_mj = 0.0
     brownouts: Dict[str, int] = {}
     with probe.activate(telemetry):
-        fleet = ShardedFleet(config=config, seed=seed, clock=clock)
+        fleet = ShardedFleet(config=FleetConfig(shards=shards), seed=seed,
+                             clock=clock)
         export_fleet(telemetry.registry, fleet)
         merchant = Merchant(name=MERCHANT_NAME, ca=fleet.ca)
         pay_gateway = PaymentGateway(ca=fleet.ca)
@@ -355,18 +347,19 @@ def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
         counts, per_session, _ = tally_replies(
             fleet, [plan.session_id for plan in plans])
     return MCommerceResult(
-        fleet=fleet,
         telemetry=telemetry,
         stats=stats,
-        plans=plans,
         counts=counts,
-        per_session_replies=per_session,
+        submitted=fleet.submitted,
         batteries=batteries,
+        reconciliation=reconcile_energy(telemetry, batteries.values()),
+        fleet=fleet,
+        per_session_replies=per_session,
+        plans=plans,
         payments=payments,
         compute_mj=compute_mj,
         dual_signature_mj=dual_signature_mj,
         brownouts=brownouts,
-        reconciliation=reconcile_energy(telemetry, batteries.values()),
         params={
             "sessions": sessions,
             "shards": shards,

@@ -14,7 +14,6 @@ import pytest
 from repro.analysis.failover import build_report
 from repro.analysis.report import format_report
 from repro.fleet import run_failover
-from repro.fleet.scenario import answered_total
 
 SESSIONS = 24
 SHARDS = 4
@@ -38,7 +37,7 @@ class TestChaosAcceptance:
 
     def test_every_benign_request_answered(self, result):
         assert result.fleet.submitted == SESSIONS * REQUESTS
-        assert answered_total(result) == result.fleet.submitted
+        assert result.answered == result.fleet.submitted
         # Exactly one answer per request, per session.
         assert all(count == REQUESTS
                    for count in result.per_session_replies.values())
@@ -105,5 +104,5 @@ class TestDeterminism:
         assert format_report(build_report(other)) != \
             format_report(build_report(result))
         # But the invariants hold at any seed.
-        assert answered_total(other) == other.fleet.submitted
+        assert other.answered == other.fleet.submitted
         assert other.reconciliation.ok

@@ -44,7 +44,7 @@ class TestDeterminism:
             sessions=10, shards=2, requests_per_session=3, seed=9)))
         watched = format_report(build_failover_report(run_fleetwatch(
             sessions=10, shards=2, requests_per_session=3,
-            seed=9).failover))
+            seed=9)))
         assert plain == watched
 
     def test_probe_disabled_run_same_outcomes(self):
@@ -61,13 +61,13 @@ class TestDeterminism:
 class TestJourneys(object):
     def test_every_session_has_a_journey(self, result, report):
         journeys = report["traces"]["journeys"]
-        assert sorted(journeys) == sorted(result.failover.batteries)
+        assert sorted(journeys) == sorted(result.batteries)
 
     def test_every_migrated_session_stitched(self, result, report):
         journeys = report["traces"]["journeys"]
         migrated = {session: row for session, row in journeys.items()
                     if row["tiers"]}
-        assert len(migrated) >= result.failover.stats.crashes
+        assert len(migrated) >= result.stats.crashes
         for session, row in migrated.items():
             assert row["stitched"], session
             assert row["crash_milestones"] >= 1, session
@@ -78,7 +78,7 @@ class TestJourneys(object):
             "cold-full", "cold-resume", "warm"]
 
     def test_tier_counts_match_fleet_ledger(self, result, report):
-        stats = result.failover.stats
+        stats = result.stats
         tiers = [tier for row in report["traces"]["journeys"].values()
                  for tier in row["tiers"]]
         assert tiers.count("warm") == stats.migrations_warm
@@ -86,32 +86,32 @@ class TestJourneys(object):
         assert tiers.count("cold-full") == stats.migrations_cold_full
 
     def test_streams_are_the_shards_plus_supervisor(self, result, report):
-        names = {shard.name for shard in result.failover.fleet.shards}
+        names = {shard.name for shard in result.fleet.shards}
         assert set(report["traces"]["streams"]) == names | {"fleet"}
 
     def test_no_span_left_open(self, result):
         assert all(span.end_s is not None
-                   for span in result.failover.telemetry.spans)
+                   for span in result.telemetry.spans)
 
 
 class TestWindows:
     def test_window_sums_conserve_the_ledger(self, result, report):
-        totals = result.failover.fleet.runtime_totals()
+        totals = result.fleet.runtime_totals()
         rows = report["windows"]["fleet"]
         assert sum(row["served"] for row in rows) == (
             totals["served"] + totals["degraded"])
         assert sum(row["shed"] for row in rows) == totals["shed"]
         assert sum(row["shed_recovering"] for row in rows) == (
-            result.failover.stats.shed_recovering)
+            result.stats.shed_recovering)
         assert sum(row["energy_mj"]["serve"]
                    for row in rows) == pytest.approx(
             totals["energy_mj"], abs=1e-3)
         assert sum(row["energy_mj"]["recovery"]
                    for row in rows) == pytest.approx(
-            result.failover.stats.recovery_energy_mj, abs=1e-3)
+            result.stats.recovery_energy_mj, abs=1e-3)
 
     def test_tier_window_counts_match_migrations(self, result, report):
-        stats = result.failover.stats
+        stats = result.stats
         rows = report["windows"]["fleet"]
         for key, expected in (("warm", stats.migrations_warm),
                               ("cold_resume", stats.migrations_cold_resume),
@@ -128,7 +128,7 @@ class TestWindows:
     def test_shard_windows_and_merged_percentiles(self, result, report):
         shards = report["windows"]["shards"]
         assert sorted(shards) == sorted(
-            shard.name for shard in result.failover.fleet.shards)
+            shard.name for shard in result.fleet.shards)
         for entry in shards.values():
             assert entry["windows"]
             if "latency" in entry:
@@ -161,7 +161,7 @@ class TestSlo:
 
 class TestEnergy:
     def test_reconciliation_still_exact(self, result):
-        assert result.failover.reconciliation.ok
+        assert result.reconciliation.ok
 
     def test_report_energy_reconciled(self, report):
         assert report["failover"]["energy"]["reconciled"] is True

@@ -135,17 +135,15 @@ class TestHumanRenderings:
         for name in ("gateway.serve", "handshake", "(unattributed)"):
             assert name in table
 
-    def test_cli_telemetry_report_runs(self, capsys, tmp_path):
+    def test_cli_run_telemetry_runs(self, capsys, tmp_path):
         from repro.__main__ import main
-        jsonl = tmp_path / "cli.jsonl"
-        code = main(["telemetry-report", "--sessions", "2",
-                     "--requests", "2", "--seed", "5",
-                     "--max-spans", "10", "--metrics",
-                     "--jsonl", str(jsonl)])
+        code = main(["run", "telemetry", "--seed", "5",
+                     "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "telemetry report" in out
         assert "reconciled" in out
+        jsonl = tmp_path / "telemetry.jsonl"
         assert jsonl.exists()
         checker = _load_schema_checker()
         assert checker.check_file(str(jsonl)) == []

@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import SCENARIOS, main
+from repro.fleet.runtime import ShardedFleet
 
 
 class TestCLI:
@@ -54,31 +55,78 @@ class TestCLI:
             main([])
 
 
-#: sha256 of each seed-2003 report; a changed digest means a changed
-#: report, which every byte-stability gate downstream would reject.
-REPORT_SHA256 = {
-    "failover":
-        "800f42a0504e9181970500eb966b6ad16771dcb10454fa11af9fd57bab1c2ad4",
-    "survivability":
-        "1e2518f94b33f8c739f516eba3f0d627380fa9889115a4573f7f44f67190a00f",
-    "mcommerce":
-        "17647cf3a91c0a87b12f433124a006af146b0919c38eebe73642a20541929fbf",
-    "fleetwatch":
-        "0d6f171c9b47061b20573b3b5e3531ce7d6fa7e3cc8935f7c62165833f3cd9a0",
+#: sha256 of every file each scenario writes at seed 2003; a changed
+#: digest means a changed output, which every byte-stability gate
+#: downstream would reject.  The first file is the report.
+OUTPUT_SHA256 = {
+    "conformance": {
+        "conformance.txt":
+            "9be73d7356264812bd81237b77a2ca6d0ee7bda7a9ff9137376e63f68af83e58",
+    },
+    "failover": {
+        "failover.json":
+            "800f42a0504e9181970500eb966b6ad16771dcb10454fa11af9fd57bab1c2ad4",
+    },
+    "survivability": {
+        "survivability.json":
+            "1e2518f94b33f8c739f516eba3f0d627380fa9889115a4573f7f44f67190a00f",
+    },
+    "mcommerce": {
+        "mcommerce.json":
+            "17647cf3a91c0a87b12f433124a006af146b0919c38eebe73642a20541929fbf",
+    },
+    "fleetwatch": {
+        "fleetwatch.json":
+            "0d6f171c9b47061b20573b3b5e3531ce7d6fa7e3cc8935f7c62165833f3cd9a0",
+        "fleetwatch.jsonl":
+            "166267e588fe81aac548c4f1ebfc57155e1514294a787906fd3831ccac58490b",
+        "fleetwatch.prom":
+            "bfa76bcf1587e12bb979e7058155ff27f7bdb2fb8aba9d9d0029198021961523",
+        "fleetwatch.folded":
+            "9cf2a645a414bde0e3fad50662fdb7e07e29d7194a573631da37f406ca939ef6",
+    },
+    "telemetry": {
+        "telemetry.txt":
+            "842662f647480567505c1af65c0a8384998dde0548f48c634231dc8d715510a4",
+        "telemetry.jsonl":
+            "c0e4056fda0f98130827b989b0b5755d0605d6daca24c4ac343bdbc79ad7ee2d",
+        "telemetry.prom":
+            "dcce15ba0cb841713bf82b2e82b27eea5e7156b342effe74d32497ce434706f2",
+        "telemetry.folded":
+            "6d1e2a726ecf666deccb4a68037ee0b84a95cf4be4bbed7517b03fd43df4e914",
+    },
 }
 
 
 class TestRunScenario:
-    @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+    def test_every_scenario_is_pinned(self):
+        assert sorted(OUTPUT_SHA256) == sorted(SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
     def test_seed_2003_report(self, name, tmp_path, capsys):
         assert main(["run", name, "--seed", "2003",
                      "--out", str(tmp_path)]) == 0
-        report = (tmp_path / f"{name}.json").read_bytes()
+        expected = OUTPUT_SHA256[name]
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == sorted(expected)
+        report = (tmp_path / next(iter(expected))).read_bytes()
         assert capsys.readouterr().out.encode() == report
-        assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[name]
-        if name == "fleetwatch":
-            for suffix in ("jsonl", "prom", "folded"):
-                assert (tmp_path / f"fleetwatch.{suffix}").stat().st_size
+        digests = {filename: hashlib.sha256(
+            (tmp_path / filename).read_bytes()).hexdigest()
+            for filename in expected}
+        assert digests == expected
+
+    def test_lost_reply_fails_the_run(self, monkeypatch, capsys):
+        collect = ShardedFleet.collect_replies
+
+        def drop_last_of_handset_00(fleet, session_id):
+            replies = collect(fleet, session_id)
+            return replies[:-1] if session_id == "handset-00" else replies
+
+        monkeypatch.setattr(ShardedFleet, "collect_replies",
+                            drop_last_of_handset_00)
+        assert main(["run", "failover", "--seed", "2003"]) == 1
+        assert '"answered": 143' in capsys.readouterr().out
 
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -14,8 +14,8 @@ JSON with four record types:
 Exit status 0 when the file conforms, 1 with a per-line diagnosis when
 it does not.  Used by the CI telemetry smoke job:
 
-    PYTHONPATH=src python -m repro telemetry-report --jsonl trace.jsonl
-    python tools/check_telemetry_schema.py trace.jsonl
+    PYTHONPATH=src python -m repro run telemetry --out out
+    python tools/check_telemetry_schema.py out/telemetry.jsonl
 """
 
 from __future__ import annotations
