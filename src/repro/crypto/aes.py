@@ -143,8 +143,8 @@ class AES:
         self.recorder = recorder
         # Fast-path key schedules, derived lazily and cached so repeated
         # block calls under one mode/record-layer instance never re-expand.
-        self._fast_enc: Optional[List[int]] = None
-        self._fast_dec: Optional[List[int]] = None
+        self._fast_enc: Optional[tuple] = None
+        self._fast_dec: Optional[tuple] = None
 
     # -- encryption ---------------------------------------------------------
 
@@ -153,9 +153,7 @@ class AES:
         if len(block) != BLOCK_SIZE:
             raise InvalidBlockSize("AES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
-            if self._fast_enc is None:
-                self._fast_enc = [w for rk in self._round_keys for w in rk]
-            return fastpath.aes_encrypt_block(block, self._fast_enc, self._rounds)
+            return fastpath.aes_encrypt_block(block, self._schedule(False))
         state = _state_from_bytes(block)
         _add_round_key(state, self._round_keys[0])
         for rnd in range(1, self._rounds):
@@ -177,9 +175,7 @@ class AES:
         if len(block) != BLOCK_SIZE:
             raise InvalidBlockSize("AES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
-            if self._fast_dec is None:
-                self._fast_dec = fastpath.aes_decrypt_schedule(self._round_keys)
-            return fastpath.aes_decrypt_block(block, self._fast_dec, self._rounds)
+            return fastpath.aes_decrypt_block(block, self._schedule(True))
         state = _state_from_bytes(block)
         _add_round_key(state, self._round_keys[self._rounds])
         for rnd in range(self._rounds - 1, 0, -1):
@@ -191,6 +187,29 @@ class AES:
         _inv_sub_bytes(state)
         _add_round_key(state, self._round_keys[0])
         return _bytes_from_state(state)
+
+    def cbc_encrypt(self, data, iv: int) -> bytes:
+        """Fast-path CBC encryption of a block-aligned record.
+
+        The record kernel ignores :attr:`recorder`;
+        :class:`~repro.crypto.modes.CBC` calls it only when
+        :func:`~repro.crypto.fastpath.dispatch_path` says ``"fast"``."""
+        return fastpath.aes_cbc(data, iv, self._schedule(False))
+
+    def cbc_decrypt(self, data, iv: int) -> bytes:
+        """Fast-path CBC decryption of a block-aligned record (see
+        :meth:`cbc_encrypt`)."""
+        return fastpath.aes_cbc(data, iv, self._schedule(True), decrypt=True)
+
+    def _schedule(self, decrypt: bool) -> tuple:
+        """The fast kernel's schedule for one direction, built once."""
+        if decrypt:
+            if self._fast_dec is None:
+                self._fast_dec = fastpath.aes_decrypt_schedule(self._round_keys)
+            return self._fast_dec
+        if self._fast_enc is None:
+            self._fast_enc = fastpath.aes_encrypt_schedule(self._round_keys)
+        return self._fast_enc
 
     def _sub_bytes(self, state: List[List[int]], probe: bool) -> None:
         for row in range(4):

@@ -18,13 +18,15 @@ Three families of kernel live here:
   tables plus the equivalent-inverse-cipher key transform for
   decryption).  Every table is derived programmatically from
   :data:`repro.crypto.aes.SBOX` and GF(2^8) arithmetic, so nothing is
-  transcribed.
-* **DES table fusion** — every FIPS 46-3 bit permutation (IP, FP,
-  PC1, PC2) becomes a handful of per-byte lookups via
-  :func:`byte_permutation_tables`.  The block kernel keeps both
-  Feistel halves E-expanded, so a round is the round-key XOR plus four
-  lookups into S-box-pair tables that already emit E(P(S)), and one
-  call runs all three passes of 3DES (see :func:`_des_tables`).
+  transcribed.  :func:`aes_cbc` runs a whole CBC record in one call.
+* **DES table fusion** — every FIPS 46-3 bit permutation (IP, FP)
+  becomes a handful of per-byte lookups via
+  :func:`byte_permutation_tables`, and the whole key schedule (PC1,
+  rotations, PC2) eight.  The kernel keeps both Feistel halves
+  E-expanded, so a round is the round-key XOR plus four lookups into
+  S-box-pair tables that already emit E(P(S)); :func:`des_cbc` runs a
+  whole CBC record, all three passes of 3DES per block, in one call
+  (see :func:`_des_tables`).
 * **hash delegation** — SHA-1/MD5 whole-message hashing is handed to
   the platform's optimised primitive (:mod:`hashlib`, the software
   stand-in for the paper's crypto accelerator) when available; the
@@ -35,7 +37,8 @@ The switch
 ----------
 
 :func:`enabled` is consulted by the cipher/hash classes on every
-block.  The fast path is used only when **no**
+block, and by :class:`~repro.crypto.modes.CBC` on every record (through
+:func:`dispatch_path`).  The fast path is used only when **no**
 :class:`~repro.crypto.trace.TraceRecorder` is attached — a probed
 cipher always takes the reference loops so the DPA/timing simulators
 in :mod:`repro.attacks` keep observing true intermediate values.  Set
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import struct
 from typing import List, Optional, Sequence, Tuple
 
 from ..observability import probe
@@ -163,41 +167,24 @@ def _aes_dec_tables() -> Tuple[List[int], ...]:
     return _AES_DEC_TABLES
 
 
-def aes_encrypt_block(block: bytes, round_words: Sequence[int], rounds: int) -> bytes:
-    """T-table AES encryption of one 16-byte block.
+def _aes_quads(words: Sequence[int], decrypt: bool) -> tuple:
+    """Group a flat word schedule as ``(first, inner quads, last)``.
 
-    ``round_words`` is the flat list of 4·(rounds+1) big-endian round
-    key words exactly as produced by
-    :func:`repro.crypto.aes.key_expansion`.
-    """
-    t0, t1, t2, t3, sbox = _aes_enc_tables()
-    rk = round_words
-    s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-    s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-    s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-    s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-    i = 4
-    for _ in range(rounds - 1):
-        u0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ rk[i]
-        u1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ rk[i + 1]
-        u2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ rk[i + 2]
-        u3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ rk[i + 3]
-        s0, s1, s2, s3 = u0, u1, u2, u3
-        i += 4
-    # Final round: SubBytes + ShiftRows only (no MixColumns).
-    o0 = ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 255] << 16)
-          | (sbox[(s2 >> 8) & 255] << 8) | sbox[s3 & 255]) ^ rk[i]
-    o1 = ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 255] << 16)
-          | (sbox[(s3 >> 8) & 255] << 8) | sbox[s0 & 255]) ^ rk[i + 1]
-    o2 = ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 255] << 16)
-          | (sbox[(s0 >> 8) & 255] << 8) | sbox[s1 & 255]) ^ rk[i + 2]
-    o3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 255] << 16)
-          | (sbox[(s1 >> 8) & 255] << 8) | sbox[s2 & 255]) ^ rk[i + 3]
-    return ((o0 << 96) | (o1 << 64) | (o2 << 32) | o3).to_bytes(16, "big")
+    Decryption quads are relabelled ``(k0, k3, k2, k1)`` to match the
+    state relabelling :func:`aes_cbc` uses for the inverse cipher."""
+    quads = [(words[i], words[i + 3], words[i + 2], words[i + 1]) if decrypt
+             else tuple(words[i:i + 4]) for i in range(0, len(words), 4)]
+    return quads[0], tuple(quads[1:-1]), quads[-1]
 
 
-def aes_decrypt_schedule(round_keys: Sequence[Sequence[int]]) -> List[int]:
-    """Equivalent-inverse-cipher key schedule.
+def aes_encrypt_schedule(round_keys: Sequence[Sequence[int]]) -> tuple:
+    """The :func:`aes_cbc` schedule for encryption, from the round keys
+    of :func:`repro.crypto.aes.key_expansion`."""
+    return _aes_quads([w for rk in round_keys for w in rk], decrypt=False)
+
+
+def aes_decrypt_schedule(round_keys: Sequence[Sequence[int]]) -> tuple:
+    """Equivalent-inverse-cipher key schedule for :func:`aes_cbc`.
 
     Reverses the round key order and applies InvMixColumns to every
     inner round key, so decryption can run the same table-lookup shape
@@ -219,34 +206,73 @@ def aes_decrypt_schedule(round_keys: Sequence[Sequence[int]]) -> List[int]:
                 ^ td3[SBOX[w & 255]]
             )
     words.extend(round_keys[0])
-    return words
+    return _aes_quads(words, decrypt=True)
 
 
-def aes_decrypt_block(block: bytes, inv_words: Sequence[int], rounds: int) -> bytes:
-    """T-table AES decryption (equivalent inverse cipher)."""
-    td0, td1, td2, td3, inv_sbox = _aes_dec_tables()
-    rk = inv_words
-    s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-    s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-    s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-    s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-    i = 4
-    for _ in range(rounds - 1):
-        u0 = td0[s0 >> 24] ^ td1[(s3 >> 16) & 255] ^ td2[(s2 >> 8) & 255] ^ td3[s1 & 255] ^ rk[i]
-        u1 = td0[s1 >> 24] ^ td1[(s0 >> 16) & 255] ^ td2[(s3 >> 8) & 255] ^ td3[s2 & 255] ^ rk[i + 1]
-        u2 = td0[s2 >> 24] ^ td1[(s1 >> 16) & 255] ^ td2[(s0 >> 8) & 255] ^ td3[s3 & 255] ^ rk[i + 2]
-        u3 = td0[s3 >> 24] ^ td1[(s2 >> 16) & 255] ^ td2[(s1 >> 8) & 255] ^ td3[s0 & 255] ^ rk[i + 3]
-        s0, s1, s2, s3 = u0, u1, u2, u3
-        i += 4
-    o0 = ((inv_sbox[s0 >> 24] << 24) | (inv_sbox[(s3 >> 16) & 255] << 16)
-          | (inv_sbox[(s2 >> 8) & 255] << 8) | inv_sbox[s1 & 255]) ^ rk[i]
-    o1 = ((inv_sbox[s1 >> 24] << 24) | (inv_sbox[(s0 >> 16) & 255] << 16)
-          | (inv_sbox[(s3 >> 8) & 255] << 8) | inv_sbox[s2 & 255]) ^ rk[i + 1]
-    o2 = ((inv_sbox[s2 >> 24] << 24) | (inv_sbox[(s1 >> 16) & 255] << 16)
-          | (inv_sbox[(s0 >> 8) & 255] << 8) | inv_sbox[s3 & 255]) ^ rk[i + 2]
-    o3 = ((inv_sbox[s3 >> 24] << 24) | (inv_sbox[(s2 >> 16) & 255] << 16)
-          | (inv_sbox[(s1 >> 8) & 255] << 8) | inv_sbox[s0 & 255]) ^ rk[i + 3]
-    return ((o0 << 96) | (o1 << 64) | (o2 << 32) | o3).to_bytes(16, "big")
+def aes_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
+    """T-table AES-CBC over a whole block-aligned record in one frame.
+
+    ``data`` is ``bytes`` or a ``memoryview``; ``iv`` is the 128-bit IV
+    as an int and ``schedule`` comes from :func:`aes_encrypt_schedule`
+    or :func:`aes_decrypt_schedule`.  One ``struct.unpack`` reads every
+    word, the chain XOR runs on ints, and one ``struct.pack`` writes
+    the result.  With ``iv=0`` and one block this is plain AES.
+
+    The inverse cipher's ShiftRows runs the other way, so its round
+    reads the state words in the order (0, 3, 2, 1) where encryption
+    reads (0, 1, 2, 3).  Keeping the decryption state relabelled as
+    ``(s0, s3, s2, s1)`` (and its keys likewise, see
+    :func:`_aes_quads`) makes both directions the same round below.
+    """
+    if decrypt:
+        t0, t1, t2, t3, box = _aes_dec_tables()
+    else:
+        t0, t1, t2, t3, box = _aes_enc_tables()
+    (r0, r1, r2, r3), inner, (f0, f1, f2, f3) = schedule
+    count = len(data) >> 2
+    p0, p1, p2, p3 = iv >> 96, (iv >> 64) & MASK32, (iv >> 32) & MASK32, iv & MASK32
+    out: List[int] = []
+    words = iter(struct.unpack(f">{count}I", data))
+    for w0, w1, w2, w3 in zip(words, words, words, words):
+        if decrypt:
+            s0, s1, s2, s3 = w0 ^ r0, w3 ^ r1, w2 ^ r2, w1 ^ r3
+        else:
+            s0, s1, s2, s3 = w0 ^ p0 ^ r0, w1 ^ p1 ^ r1, w2 ^ p2 ^ r2, w3 ^ p3 ^ r3
+        for k0, k1, k2, k3 in inner:
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ k0,
+                t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ k1,
+                t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ k2,
+                t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ k3,
+            )
+        # Final round: (Inv)SubBytes + (Inv)ShiftRows only, no MixColumns.
+        o0 = ((box[s0 >> 24] << 24) | (box[(s1 >> 16) & 255] << 16)
+              | (box[(s2 >> 8) & 255] << 8) | box[s3 & 255]) ^ f0
+        o1 = ((box[s1 >> 24] << 24) | (box[(s2 >> 16) & 255] << 16)
+              | (box[(s3 >> 8) & 255] << 8) | box[s0 & 255]) ^ f1
+        o2 = ((box[s2 >> 24] << 24) | (box[(s3 >> 16) & 255] << 16)
+              | (box[(s0 >> 8) & 255] << 8) | box[s1 & 255]) ^ f2
+        o3 = ((box[s3 >> 24] << 24) | (box[(s0 >> 16) & 255] << 16)
+              | (box[(s1 >> 8) & 255] << 8) | box[s2 & 255]) ^ f3
+        if decrypt:
+            out += (o0 ^ p0, o3 ^ p1, o2 ^ p2, o1 ^ p3)
+            p0, p1, p2, p3 = w0, w1, w2, w3
+        else:
+            out += (o0, o1, o2, o3)
+            p0, p1, p2, p3 = o0, o1, o2, o3
+    return struct.pack(f">{count}I", *out)
+
+
+def aes_encrypt_block(block: bytes, schedule: tuple) -> bytes:
+    """T-table AES encryption of one 16-byte block (one-block
+    :func:`aes_cbc` call with a zero IV)."""
+    return aes_cbc(block, 0, schedule)
+
+
+def aes_decrypt_block(block: bytes, schedule: tuple) -> bytes:
+    """T-table AES decryption of one 16-byte block (equivalent inverse
+    cipher; one-block :func:`aes_cbc` call with a zero IV)."""
+    return aes_cbc(block, 0, schedule, decrypt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +311,9 @@ _DES_TABLES: Optional[dict] = None
 
 MASK48 = (1 << 48) - 1
 
+#: A packed key schedule: one 64-bit lane per round key, round 1 on top.
+_KEY_LANES = struct.Struct(">16Q")
+
 
 def _des_tables() -> dict:
     """The DES fast-path tables, built on first use.
@@ -299,7 +328,13 @@ def _des_tables() -> dict:
     * ``spe`` — four 4096-entry tables, one per S-box *pair*, each entry
       ``E(P(S₂ⱼ ‖ S₂ⱼ₊₁))`` for the pair's 12 input bits;
     * ``fp_e`` — FP read directly off the 96-bit ``E(R16) ‖ E(L16)``
-      word, taking each bit from its middle copy (twelve byte lookups).
+      word, taking each bit from its middle copy (twelve byte lookups,
+      six per half);
+    * ``key`` — the key schedule.  PC1, the rotations and PC2 only route
+      bits, so the packed schedule of a key (:data:`_KEY_LANES`) is the
+      OR of the schedules of its bytes: eight byte-indexed tables, each
+      filled by ``t[v] = t[v ^ low] | t[low]`` from the single-bit
+      schedules that the PC1/PC2 byte-table schedule below computes.
     """
     global _DES_TABLES
     if _DES_TABLES is None:
@@ -325,14 +360,41 @@ def _des_tables() -> dict:
         # E-form of a 64-bit word (high half's expansion on top).
         middle = [48 * half + 6 * ((b - 1) // 4) + (b - 1) % 4 + 2
                   for half in (0, 1) for b in range(1, 33)]
+        pc1 = byte_permutation_tables(_des._PC1, 64)
+        pc2 = byte_permutation_tables(_des._PC2, 56)
+
+        def packed_schedule(key64: int) -> int:
+            key56 = 0
+            for i, table in enumerate(pc1):
+                key56 |= table[(key64 >> (56 - 8 * i)) & 255]
+            c = (key56 >> 28) & 0x0FFFFFFF
+            d = key56 & 0x0FFFFFFF
+            packed = 0
+            for shift in _des._SHIFTS:
+                c = ((c << shift) | (c >> (28 - shift))) & 0x0FFFFFFF
+                d = ((d << shift) | (d >> (28 - shift))) & 0x0FFFFFFF
+                cd = (c << 28) | d
+                round_key = 0
+                for i, table in enumerate(pc2):
+                    round_key |= table[(cd >> (48 - 8 * i)) & 255]
+                packed = (packed << 64) | round_key
+            return packed
+
+        key_tables = []
+        for index in range(8):
+            table = [0] * 256
+            for value in range(1, 256):
+                low = value & -value
+                table[value] = (table[value ^ low] | table[low] if value != low
+                                else packed_schedule(low << (56 - 8 * index)))
+            key_tables.append(table)
         _DES_TABLES = {
             "ip_e": byte_permutation_tables(
                 [_des._IP[32 * half + src - 1] for half in (0, 1) for src in _des._E],
                 64,
             ),
             "fp_e": byte_permutation_tables([middle[src - 1] for src in _des._FP], 96),
-            "pc1": byte_permutation_tables(_des._PC1, 64),
-            "pc2": byte_permutation_tables(_des._PC2, 56),
+            "key": key_tables,
             # E is linear, so one pair entry is the XOR of two box entries.
             "spe": [[hi ^ lo for hi in spe[2 * j] for lo in spe[2 * j + 1]]
                     for j in range(4)],
@@ -340,80 +402,102 @@ def _des_tables() -> dict:
     return _DES_TABLES
 
 
-def des_crypt_block(block64: int, round_keys: Sequence[int]) -> int:
-    """Table-driven DES on ints: IP → 16·n E-form rounds → FP.
+def des_schedule(round_keys: Sequence[int]) -> tuple:
+    """Regroup 16·n FIPS round keys into the :func:`des_cbc` schedule:
+    n passes, each four 4-round key quads.  Ciphers cache the result."""
+    keys = iter(round_keys)
+    quads = tuple(zip(keys, keys, keys, keys))
+    return tuple(quads[i:i + 4] for i in range(0, len(quads), 4))
 
-    ``round_keys`` holds one or more 16-key FIPS schedules; each block
-    of 16 is a full DES pass, and the half-swap is undone between
-    passes.  A single call with the 48 keys of an EDE schedule is
-    therefore 3DES with one IP and one FP, because the inner FP∘IP
-    pairs of three chained DES passes cancel.
+
+def des_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
+    """Table-driven DES/3DES-CBC over a whole block-aligned record.
+
+    ``data`` is ``bytes`` or a ``memoryview``; ``iv`` is the 64-bit IV
+    as an int and ``schedule`` comes from :func:`des_schedule`.  One
+    ``struct.unpack`` reads every block and one ``struct.pack`` writes
+    the result; in between, each block runs IP → 16·n E-form rounds →
+    FP in this one frame, with the chain XOR on ints.  DES is its own
+    inverse under the reversed schedule, so ``decrypt`` only changes
+    where the chain XOR goes.  With ``iv=0`` and one block this is
+    plain (3)DES.
+
+    Each pass of 16 rounds is a full DES, and the half-swap is undone
+    between passes.  The 48 keys of an EDE schedule are therefore 3DES
+    with one IP and one FP per block, because the inner FP∘IP pairs of
+    three chained DES passes cancel.
     """
     t = _des_tables()
-    ip = t["ip_e"]
-    state = (
-        ip[0][block64 >> 56] | ip[1][(block64 >> 48) & 255]
-        | ip[2][(block64 >> 40) & 255] | ip[3][(block64 >> 32) & 255]
-        | ip[4][(block64 >> 24) & 255] | ip[5][(block64 >> 16) & 255]
-        | ip[6][(block64 >> 8) & 255] | ip[7][block64 & 255]
-    )
-    left = state >> 48
-    right = state & MASK48
+    ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = t["ip_e"]
+    fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7, fp8, fp9, fp10, fp11 = t["fp_e"]
     s0, s1, s2, s3 = t["spe"]
-    ks = round_keys
-    for start in range(0, len(ks), 16):
-        # Two rounds per step, so the halves trade roles without a swap.
-        for i in range(start, start + 16, 2):
-            x = right ^ ks[i]
-            left ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
-            x = left ^ ks[i + 1]
-            right ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
-        # Undo the last swap (the FIPS 46-3 pre-output is R16 ‖ L16);
-        # the next pass starts from it, since its IP cancels our FP.
-        left, right = right, left
-    pre = (left << 48) | right
-    fp = t["fp_e"]
-    return (
-        fp[0][pre >> 88] | fp[1][(pre >> 80) & 255] | fp[2][(pre >> 72) & 255]
-        | fp[3][(pre >> 64) & 255] | fp[4][(pre >> 56) & 255]
-        | fp[5][(pre >> 48) & 255] | fp[6][(pre >> 40) & 255]
-        | fp[7][(pre >> 32) & 255] | fp[8][(pre >> 24) & 255]
-        | fp[9][(pre >> 16) & 255] | fp[10][(pre >> 8) & 255] | fp[11][pre & 255]
-    )
+    count = len(data) >> 3
+    out: List[int] = []
+    append = out.append
+    previous = iv
+    for block in struct.unpack(f">{count}Q", data):
+        value = block if decrypt else block ^ previous
+        state = (
+            ip0[value >> 56] | ip1[(value >> 48) & 255]
+            | ip2[(value >> 40) & 255] | ip3[(value >> 32) & 255]
+            | ip4[(value >> 24) & 255] | ip5[(value >> 16) & 255]
+            | ip6[(value >> 8) & 255] | ip7[value & 255]
+        )
+        left = state >> 48
+        right = state & MASK48
+        for quads in schedule:
+            # Four rounds per step, so the halves trade roles without a swap.
+            for k0, k1, k2, k3 in quads:
+                x = right ^ k0
+                left ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
+                x = left ^ k1
+                right ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
+                x = right ^ k2
+                left ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
+                x = left ^ k3
+                right ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
+            # Undo the last swap (the FIPS 46-3 pre-output is R16 ‖ L16);
+            # the next pass starts from it, since its IP cancels our FP.
+            left, right = right, left
+        # FP over the 96-bit E(R16) ‖ E(L16), read six bytes per half.
+        result = (
+            fp0[left >> 40] | fp1[(left >> 32) & 255] | fp2[(left >> 24) & 255]
+            | fp3[(left >> 16) & 255] | fp4[(left >> 8) & 255] | fp5[left & 255]
+            | fp6[right >> 40] | fp7[(right >> 32) & 255] | fp8[(right >> 24) & 255]
+            | fp9[(right >> 16) & 255] | fp10[(right >> 8) & 255] | fp11[right & 255]
+        )
+        if decrypt:
+            append(result ^ previous)
+            previous = block
+        else:
+            append(result)
+            previous = result
+    return struct.pack(f">{count}Q", *out)
+
+
+def des_crypt_block(block64: int, round_keys: Sequence[int]) -> int:
+    """DES on one 64-bit int under 16·n FIPS round keys (one pass per
+    16; the 48 keys of an EDE schedule give 3DES).
+
+    The int-level entry point: regroups ``round_keys`` and makes one
+    one-block :func:`des_cbc` call.  Ciphers cache their
+    :func:`des_schedule` and call :func:`des_cbc` directly.
+    """
+    return int.from_bytes(
+        des_cbc(block64.to_bytes(8, "big"), 0, des_schedule(round_keys)), "big")
 
 
 def des_expand_key(key: bytes) -> List[int]:
-    """Table-driven FIPS 46-3 key schedule (PC1/PC2 as byte lookups).
+    """Table-driven FIPS 46-3 key schedule: eight byte lookups OR to
+    the packed schedule, and one ``struct.unpack`` splits its lanes.
 
     Bit-for-bit equivalent to :func:`repro.crypto.des.expand_key`;
     callers validate the key length.
     """
-    from . import des as _des
-
-    t = _des_tables()
-    pc1 = t["pc1"]
-    key64 = int.from_bytes(key, "big")
-    key56 = (
-        pc1[0][(key64 >> 56) & 255] | pc1[1][(key64 >> 48) & 255]
-        | pc1[2][(key64 >> 40) & 255] | pc1[3][(key64 >> 32) & 255]
-        | pc1[4][(key64 >> 24) & 255] | pc1[5][(key64 >> 16) & 255]
-        | pc1[6][(key64 >> 8) & 255] | pc1[7][key64 & 255]
-    )
-    c = (key56 >> 28) & 0x0FFFFFFF
-    d = key56 & 0x0FFFFFFF
-    pc2 = t["pc2"]
-    round_keys = []
-    for shift in _des._SHIFTS:
-        c = ((c << shift) | (c >> (28 - shift))) & 0x0FFFFFFF
-        d = ((d << shift) | (d >> (28 - shift))) & 0x0FFFFFFF
-        cd = (c << 28) | d
-        round_keys.append(
-            pc2[0][(cd >> 48) & 255] | pc2[1][(cd >> 40) & 255]
-            | pc2[2][(cd >> 32) & 255] | pc2[3][(cd >> 24) & 255]
-            | pc2[4][(cd >> 16) & 255] | pc2[5][(cd >> 8) & 255]
-            | pc2[6][cd & 255]
-        )
-    return round_keys
+    k0, k1, k2, k3, k4, k5, k6, k7 = _des_tables()["key"]
+    packed = (k0[key[0]] | k1[key[1]] | k2[key[2]] | k3[key[3]]
+              | k4[key[4]] | k5[key[5]] | k6[key[6]] | k7[key[7]])
+    return list(_KEY_LANES.unpack(packed.to_bytes(128, "big")))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from typing import Protocol
 
+from . import fastpath
 from .bitops import split_blocks, xor_bytes
 from .errors import InvalidBlockSize, PaddingError, ParameterError
 from .padding import pkcs7_pad, pkcs7_unpad
@@ -28,11 +29,31 @@ class BlockCipher(Protocol):
     def decrypt_block(self, block: bytes) -> bytes: ...  # noqa: E704
 
 
-def _blocks(cipher: BlockCipher, data: bytes):
-    """``data`` split into cipher blocks; ragged input is a crypto error."""
+def _check_aligned(cipher: BlockCipher, data: bytes) -> None:
+    """Ragged input is a crypto error, raised before any state changes."""
     if len(data) % cipher.block_size:
         raise InvalidBlockSize(cipher.name, len(data), cipher.block_size)
+
+
+def _blocks(cipher: BlockCipher, data: bytes):
+    """``data`` split into cipher blocks; ragged input is a crypto error."""
+    _check_aligned(cipher, data)
     return split_blocks(data, cipher.block_size)
+
+
+def _record_kernel(cipher: BlockCipher, name: str):
+    """The cipher's whole-record CBC kernel, if the dispatch seam picks
+    the fast path *right now*, else ``None``.
+
+    Decided per call rather than per instance, so
+    :func:`~repro.crypto.fastpath.force` and a recorder attached to a
+    live connection's cipher take effect on its next record.  Ciphers
+    without a kernel (RC2) and probed ciphers run the per-block loops,
+    which keep the reference path's side-channel probes."""
+    kernel = getattr(cipher, name, None)
+    if kernel is not None and fastpath.dispatch_path(cipher.recorder) == "fast":
+        return kernel
+    return None
 
 
 class ECB:
@@ -92,15 +113,11 @@ class CBC:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        self._iv_consumed = True
         if pad:
             plaintext = pkcs7_pad(plaintext, self.cipher.block_size)
-        previous = self.iv
-        out = []
-        for block in _blocks(self.cipher, plaintext):
-            previous = self.cipher.encrypt_block(xor_bytes(block, previous))
-            out.append(previous)
-        return b"".join(out)
+        ciphertext = self._encrypt_chain(plaintext)
+        self._iv_consumed = True
+        return ciphertext
 
     def decrypt(self, ciphertext: bytes, pad: bool = True) -> bytes:
         """Decrypt and strip padding (validating it)."""
@@ -113,13 +130,40 @@ class CBC:
                     "least one padding block"
                 )
             return b""
+        plaintext = self._decrypt_chain(ciphertext)
+        return pkcs7_unpad(plaintext, self.cipher.block_size) if pad else plaintext
+
+    def _encrypt_chain(self, plaintext: bytes) -> bytes:
+        """Chain block-aligned ``plaintext`` from :attr:`iv`; no state
+        changes, and ragged input raises :class:`InvalidBlockSize`."""
+        cipher = self.cipher
+        _check_aligned(cipher, plaintext)
+        kernel = _record_kernel(cipher, "cbc_encrypt")
+        if kernel is not None:
+            return kernel(plaintext, int.from_bytes(self.iv, "big"))
         previous = self.iv
         out = []
-        for block in _blocks(self.cipher, ciphertext):
-            out.append(xor_bytes(self.cipher.decrypt_block(block), previous))
+        encrypt_block = cipher.encrypt_block
+        for block in split_blocks(plaintext, cipher.block_size):
+            previous = encrypt_block(xor_bytes(block, previous))
+            out.append(previous)
+        return b"".join(out)
+
+    def _decrypt_chain(self, ciphertext: bytes) -> bytes:
+        """Unchain block-aligned ``ciphertext`` from :attr:`iv`; no state
+        changes.  ``ciphertext`` may be a ``memoryview``."""
+        cipher = self.cipher
+        _check_aligned(cipher, ciphertext)
+        kernel = _record_kernel(cipher, "cbc_decrypt")
+        if kernel is not None:
+            return kernel(ciphertext, int.from_bytes(self.iv, "big"))
+        previous = self.iv
+        out = []
+        decrypt_block = cipher.decrypt_block
+        for block in split_blocks(ciphertext, cipher.block_size):
+            out.append(xor_bytes(decrypt_block(block), previous))
             previous = block
-        plaintext = b"".join(out)
-        return pkcs7_unpad(plaintext, self.cipher.block_size) if pad else plaintext
+        return b"".join(out)
 
     # -- residue chaining (the record layers' batch seam) -------------------
 
@@ -133,15 +177,11 @@ class CBC:
         fail once input validation passed."""
         if pad:
             plaintext = pkcs7_pad(plaintext, self.cipher.block_size)
-        previous = self.iv
-        out = []
-        encrypt_block = self.cipher.encrypt_block
-        for block in _blocks(self.cipher, plaintext):
-            previous = encrypt_block(xor_bytes(block, previous))
-            out.append(previous)
-        self.iv = previous
+        ciphertext = self._encrypt_chain(plaintext)
+        if ciphertext:
+            self.iv = ciphertext[-self.cipher.block_size:]
         self._iv_consumed = True
-        return b"".join(out)
+        return ciphertext
 
     def decrypt_next(self, ciphertext: bytes, pad: bool = True,
                      commit: bool = True) -> bytes:

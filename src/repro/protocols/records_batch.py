@@ -458,7 +458,7 @@ def _wtls_crypt(codec, decrypt: bool):
         record_iv = ((iv_int ^ sequence).to_bytes(iv_len, "big")
                      if iv_len else b"")
         if decrypt:
-            return CBC(cipher, record_iv).decrypt(bytes(data))
+            return CBC(cipher, record_iv).decrypt(data)
         return CBC(cipher, record_iv).encrypt(data)
 
     return crypt

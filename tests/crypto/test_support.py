@@ -1,5 +1,6 @@
 """Bitops, CRC-32, padding, modes, RNG, registry, trace recorder."""
 
+import warnings
 import zlib
 
 import pytest
@@ -223,6 +224,16 @@ class TestModes:
         cbc.encrypt(b"first message...")
         with pytest.warns(RuntimeWarning, match="reusing the IV"):
             cbc.encrypt(b"second message..")
+
+    def test_cbc_rejected_encrypt_leaves_the_iv_unused(self):
+        # Regression: a ragged plaintext raised InvalidBlockSize but still
+        # marked the IV consumed, so the first real encryption warned.
+        cbc = CBC(AES(bytes(16)), bytes(16))
+        with pytest.raises(InvalidBlockSize):
+            cbc.encrypt(b"x" * 5, pad=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cbc.encrypt(b"y" * 16, pad=False)
 
     def test_ctr_stream_roundtrip(self):
         data = b"counter mode handles ragged lengths"
