@@ -18,6 +18,7 @@ DPA attack in :mod:`repro.attacks.power`.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Optional
 
 from . import fastpath
@@ -81,6 +82,13 @@ def key_expansion(key: bytes) -> List[List[int]]:
     """FIPS 197 key expansion; returns round keys as lists of 4 words."""
     if len(key) not in (16, 24, 32):
         raise InvalidKeyLength("AES", len(key), "16, 24 or 32")
+    if len(key) == 16:
+        return _key_expansion_128(key)
+    return _key_expansion_words(key)
+
+
+def _key_expansion_words(key: bytes) -> List[List[int]]:
+    """The FIPS 197 word-at-a-time loop, for any ``nk``."""
     nk = len(key) // 4
     rounds = {4: 10, 6: 12, 8: 14}[nk]
     words = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(nk)]
@@ -93,6 +101,24 @@ def key_expansion(key: bytes) -> List[List[int]]:
             temp = _sub_word(temp)
         words.append(words[i - nk] ^ temp)
     return [words[4 * r : 4 * r + 4] for r in range(rounds + 1)]
+
+
+def _key_expansion_128(key: bytes) -> List[List[int]]:
+    """AES-128 (``nk`` = 4, the cipher suites' key size): one round key
+    per step, with RotWord, SubWord and Rcon as one expression of four
+    S-box lookups on the previous key's last word read in rotated byte
+    order.  An AES-CBC session expands eight keys."""
+    sbox = SBOX
+    w0, w1, w2, w3 = struct.unpack(">4I", key)
+    round_keys = [[w0, w1, w2, w3]]
+    for rcon in _RCON[:10]:
+        w0 ^= ((sbox[(w3 >> 16) & 0xFF] << 24) | (sbox[(w3 >> 8) & 0xFF] << 16)
+               | (sbox[w3 & 0xFF] << 8) | sbox[w3 >> 24]) ^ (rcon << 24)
+        w1 ^= w0
+        w2 ^= w1
+        w3 ^= w2
+        round_keys.append([w0, w1, w2, w3])
+    return round_keys
 
 
 def _sub_word(word: int) -> int:

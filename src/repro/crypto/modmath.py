@@ -73,11 +73,16 @@ def egcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 def invmod(a: int, m: int) -> int:
-    """Modular inverse of ``a`` mod ``m``; raises if not invertible."""
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ParameterError(f"{a} is not invertible modulo {m}")
-    return x % m
+    """Modular inverse of ``a`` mod ``m``; raises :class:`ParameterError`
+    if not invertible.
+
+    CPython's ``pow(a, -1, m)`` runs the same extended Euclid in C;
+    :func:`egcd` stays for callers that need the Bezout coefficients.
+    """
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ParameterError(f"{a} is not invertible modulo {m}") from None
 
 
 def crt_combine(residues: List[int], moduli: List[int]) -> int:

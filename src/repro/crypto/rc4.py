@@ -29,11 +29,17 @@ class RC4:
     def __init__(self, key: bytes) -> None:
         if not 1 <= len(key) <= 256:
             raise InvalidKeyLength("RC4", len(key), "1..256")
+        # KSA over the key repeated out to 256 bytes: no per-step
+        # ``i % len(key)`` and a two-store swap instead of a tuple swap.
+        # WTLS stream suites re-key on every record, so this runs once
+        # per record.
         state = list(range(256))
         j = 0
-        for i in range(256):
-            j = (j + state[i] + key[i % len(key)]) & 0xFF
-            state[i], state[j] = state[j], state[i]
+        for i, k in enumerate((key * (256 // len(key) + 1))[:256]):
+            si = state[i]
+            j = (j + si + k) & 0xFF
+            state[i] = state[j]
+            state[j] = si
         self._state = state
         self._i = 0
         self._j = 0
@@ -41,19 +47,28 @@ class RC4:
     def keystream(self, length: int) -> bytes:
         """Produce the next ``length`` keystream bytes."""
         out = bytearray()
+        append = out.append
         state, i, j = self._state, self._i, self._j
         for _ in range(length):
             i = (i + 1) & 0xFF
-            j = (j + state[i]) & 0xFF
-            state[i], state[j] = state[j], state[i]
-            out.append(state[(state[i] + state[j]) & 0xFF])
+            si = state[i]
+            j = (j + si) & 0xFF
+            sj = state[j]
+            state[i] = sj
+            state[j] = si
+            append(state[(si + sj) & 0xFF])
         self._i, self._j = i, j
         return bytes(out)
 
-    def process(self, data: bytes) -> bytes:
-        """Encrypt or decrypt ``data`` (XOR with keystream)."""
-        stream = self.keystream(len(data))
-        return bytes(d ^ s for d, s in zip(data, stream))
+    def process(self, data) -> bytes:
+        """Encrypt or decrypt ``data`` (XOR with keystream): one int XOR
+        over the whole buffer (``bytes``, ``bytearray`` or
+        ``memoryview``)."""
+        length = len(data)
+        stream = self.keystream(length)
+        return (
+            int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+        ).to_bytes(length, "big")
 
     def save_state(self):
         """Snapshot the keystream position (state permutation, i, j).

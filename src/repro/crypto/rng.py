@@ -48,12 +48,17 @@ class DeterministicDRBG:
 
     def random_bytes(self, length: int) -> bytes:
         """Return ``length`` pseudo-random bytes."""
-        while len(self._buffer) < length:
-            block = self._mac.mac(self._counter.to_bytes(8, "big"))
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:length], self._buffer[length:]
-        return out
+        buffer = self._buffer
+        if len(buffer) < length:
+            # Every block the request needs, in one join.
+            mac = self._mac.mac
+            first = self._counter
+            self._counter = first + -(-(length - len(buffer))
+                                      // self._mac.digest_size)
+            buffer += b"".join(mac(counter.to_bytes(8, "big"))
+                               for counter in range(first, self._counter))
+        self._buffer = buffer[length:]
+        return buffer[:length]
 
     def getrandbits(self, bits: int) -> int:
         """Return an integer with ``bits`` random bits (may be shorter)."""
@@ -100,10 +105,10 @@ class DeterministicDRBG:
 
     def nonzero_bytes(self, length: int) -> bytes:
         """Random bytes with no zero octets (PKCS#1 v1.5 PS field)."""
-        out = bytearray()
+        out = b""
         while len(out) < length:
-            out.extend(b for b in self.random_bytes(length - len(out)) if b)
-        return bytes(out)
+            out += self.random_bytes(length - len(out)).replace(b"\x00", b"")
+        return out
 
 
 class HardwareTRNG:

@@ -22,7 +22,8 @@ The private-key operation is therefore deliberately configurable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Tuple
 
 from .bitops import bytes_to_int, int_to_bytes
 from .errors import DecryptionError, ParameterError, SignatureError
@@ -129,9 +130,10 @@ class RSAPrivateKey:
         """The RSA private operation c^d mod n, with implementation knobs.
 
         ``leaky`` selects square-and-multiply (timing-variant) vs.
-        Montgomery ladder; both are only engaged when a ``timer`` is
-        attached or a fault hook is present — otherwise the fast
-        builtin ``pow`` is used for simulation speed.
+        Montgomery ladder; either is engaged only when a ``timer`` is
+        attached.  Without one the fast builtin ``pow`` runs, also when
+        a fault hook is present: the hook corrupts a CRT half's result,
+        not the exponentiation itself.
         """
         if not 0 <= ciphertext < self.n:
             raise ParameterError("RSA ciphertext representative out of range")
@@ -146,16 +148,25 @@ class RSAPrivateKey:
             )
         return result
 
+    @cached_property
+    def _crt_constants(self) -> Tuple[int, int, int]:
+        """``(d mod (p-1), d mod (q-1), q^-1 mod p)``.
+
+        Fixed by the key, so computed on the first CRT operation and
+        kept in the instance ``__dict__`` (the frozen fields, ``==``
+        and ``hash`` are untouched; :func:`dataclasses.replace` builds
+        a fresh instance with no cache)."""
+        return (self.d % (self.p - 1), self.d % (self.q - 1),
+                invmod(self.q, self.p))
+
     def _decrypt_crt(self, c: int, fault_hook: Optional[FaultHook],
                      timer: Optional[OperationTimer], leaky: bool) -> int:
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
+        dp, dq, q_inv = self._crt_constants
         mp = self._modexp(c % self.p, dp, self.p, timer, leaky)
         mq = self._modexp(c % self.q, dq, self.q, timer, leaky)
         if fault_hook is not None:
             mp = fault_hook("p", mp) % self.p
             mq = fault_hook("q", mq) % self.q
-        q_inv = invmod(self.q, self.p)
         h = (q_inv * (mp - mq)) % self.p
         return (mq + h * self.q) % self.n
 

@@ -19,13 +19,14 @@ def p_hash(secret: bytes, seed: bytes, length: int) -> bytes:
 
     ``secret`` is keyed once; every step then reuses the cached pad
     states instead of re-keying HMAC."""
-    mac = HMAC(secret).mac
-    out = b""
+    keyed = HMAC(secret)
+    mac = keyed.mac
+    out = []
     a = seed
-    while len(out) < length:
+    for _ in range(-(-length // keyed.digest_size)):
         a = mac(a)
-        out += mac(a + seed)
-    return out[:length]
+        out.append(mac(a + seed))
+    return b"".join(out)[:length]
 
 
 def prf(secret: bytes, label: bytes, seed: bytes, length: int) -> bytes:

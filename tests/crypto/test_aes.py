@@ -1,10 +1,19 @@
 """AES: FIPS 197 known answers, S-box structure, instrumentation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, INV_SBOX, SBOX, _gf_mul, key_expansion
+from repro.crypto.aes import (
+    AES,
+    INV_SBOX,
+    SBOX,
+    _gf_mul,
+    _key_expansion_words,
+    key_expansion,
+)
 from repro.crypto.errors import InvalidBlockSize, InvalidKeyLength
 from repro.crypto.trace import TraceRecorder
 
@@ -99,6 +108,15 @@ class TestKeyExpansion:
     def test_invalid_key_length(self):
         with pytest.raises(InvalidKeyLength):
             key_expansion(bytes(15))
+
+    def test_aes128_step_matches_the_word_loop(self):
+        # The one-round-key-per-step AES-128 expansion against the FIPS
+        # 197 word-at-a-time loop it replaces for 16-byte keys.
+        rng = random.Random(197)
+        keys = [bytes(16), b"\xff" * 16] + [
+            rng.randbytes(16) for _ in range(200)]
+        for key in keys:
+            assert key_expansion(key) == _key_expansion_words(key)
 
 
 class TestErrors:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import fastpath
 from repro.crypto.hmac import HMAC, hmac, hmac_verify
 from repro.crypto.errors import IntegrityError
 from repro.crypto.md5 import MD5, md5
@@ -131,6 +132,52 @@ class TestHMACVectors:
     def test_verify_rejects_wrong_length(self):
         with pytest.raises(IntegrityError):
             hmac_verify(b"key", b"message", b"short")
+
+
+class TestHMACDispatchPaths:
+    """``HMAC.mac`` works on hashlib handles on the fast path and on the
+    from-scratch hash objects on the reference path: same bytes."""
+
+    KEYS = [b"", b"k", b"\x0b" * 20, b"\xaa" * 64, b"\xaa" * 65,
+            bytes(range(200))]
+    MESSAGES = [b"", b"Hi There", b"x" * 64, bytes(range(256)) * 3]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("factory,name", [(SHA1, "sha1"), (MD5, "md5")])
+    def test_mac_matches_copy_and_stdlib(self, fast, factory, name):
+        import hashlib
+        import hmac as stdlib_hmac
+
+        with fastpath.force(fast):
+            for key in self.KEYS:
+                keyed = HMAC(key, factory)
+                assert keyed.digest_size == factory.digest_size
+                for message in self.MESSAGES:
+                    tag = keyed.mac(message)
+                    assert tag == keyed.copy().update(message).digest()
+                    assert tag == stdlib_hmac.new(
+                        key, message, getattr(hashlib, name)).digest()
+                    assert tag == hmac(key, message, factory)
+                # mac() leaves the keyed state untouched.
+                assert keyed.digest() == stdlib_hmac.new(
+                    key, b"", getattr(hashlib, name)).digest()
+
+    @pytest.mark.parametrize("factory", [SHA1, MD5])
+    def test_backend_follows_the_switch_at_construction(self, factory):
+        with fastpath.force(True):
+            fast = HMAC(b"key", factory)
+        with fastpath.force(False):
+            reference = HMAC(b"key", factory)
+        assert fast._inner._impl is not None
+        assert reference._inner._impl is None
+        # Each keeps its backend whatever the switch says later.
+        with fastpath.force(False):
+            assert fast.mac(b"msg") == reference.mac(b"msg")
+            assert fast._inner._impl is not None
+
+    def test_mac_accepts_memoryview(self):
+        keyed = HMAC(b"key")
+        assert keyed.mac(memoryview(b"payload")) == keyed.mac(b"payload")
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,6 +34,25 @@ class TestEuclid:
         with pytest.raises(ParameterError):
             invmod(6, 9)
 
+    def test_invmod_non_invertible_raises_parameter_error_not_value_error(self):
+        # ``pow(a, -1, m)`` raises ValueError; invmod must translate it.
+        for a, m in ((6, 9), (0, 7), (14, 21)):
+            with pytest.raises(ParameterError) as info:
+                invmod(a, m)
+            assert not isinstance(info.value, ValueError)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(min_value=-(10**30), max_value=10**30),
+           m=st.integers(min_value=2, max_value=10**30))
+    def test_invmod_matches_egcd(self, a, m):
+        g, x, _ = egcd(a % m, m)
+        if g != 1:
+            with pytest.raises(ParameterError):
+                invmod(a, m)
+            return
+        assert invmod(a, m) == x % m
+        assert (a * invmod(a, m)) % m == 1
+
     def test_crt_combine(self):
         # x = 2 mod 3, 3 mod 5, 2 mod 7 -> 23 (Sunzi's classic).
         assert crt_combine([2, 3, 2], [3, 5, 7]) == 23

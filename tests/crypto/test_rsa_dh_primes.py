@@ -1,15 +1,20 @@
 """RSA, Diffie–Hellman, and primality."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.fault import bellcore_attack
 from repro.crypto.dh import DHGroup, DHParty
 from repro.crypto.errors import (
     DecryptionError,
     ParameterError,
     SignatureError,
 )
+from repro.crypto.modmath import OperationTimer
 from repro.crypto.primes import generate_prime, generate_safe_prime, is_prime
 from repro.crypto.rng import DeterministicDRBG
 from repro.crypto.rsa import RSAPublicKey, generate_keypair
@@ -125,6 +130,89 @@ class TestRSASignatures:
     def test_crt_and_plain_signatures_agree(self, rsa_512):
         assert rsa_512.sign(b"msg", use_crt=True) == \
             rsa_512.sign(b"msg", use_crt=False)
+
+
+class TestRSACRTConstants:
+    """``d mod (p-1)``, ``d mod (q-1)`` and ``q^-1 mod p`` are computed
+    once per key and kept on the instance."""
+
+    @staticmethod
+    def _fresh_key():
+        return generate_keypair(384, DeterministicDRBG("crt-constants"))
+
+    def test_cached_constants_equal_fresh_ones(self, rsa_512):
+        rsa_512.decrypt_raw(12345)
+        dp, dq, q_inv = rsa_512._crt_constants
+        assert dp == rsa_512.d % (rsa_512.p - 1)
+        assert dq == rsa_512.d % (rsa_512.q - 1)
+        assert q_inv == pow(rsa_512.q, -1, rsa_512.p)
+        assert (q_inv * rsa_512.q) % rsa_512.p == 1
+
+    def test_computed_once_per_key(self):
+        key = self._fresh_key()
+        assert "_crt_constants" not in vars(key)
+        key.decrypt_raw(7)
+        first = vars(key)["_crt_constants"]
+        key.decrypt_raw(8)
+        assert vars(key)["_crt_constants"] is first
+
+    def test_equality_hash_and_repr_unaffected(self):
+        used, unused = self._fresh_key(), self._fresh_key()
+        used.decrypt_raw(99)
+        assert used == unused
+        assert hash(used) == hash(unused)
+        assert repr(used) == repr(unused)
+        assert len({used, unused}) == 1
+
+    def test_replace_builds_fresh_constants(self):
+        key = self._fresh_key()
+        key.decrypt_raw(5)
+        swapped = dataclasses.replace(key, p=key.q, q=key.p)
+        assert "_crt_constants" not in vars(swapped)
+        for message in (0, 1, 2, 12345, key.n - 1):
+            assert swapped.decrypt_raw(message) == key.decrypt_raw(message)
+        assert swapped._crt_constants[2] == pow(key.p, -1, key.q)
+
+    def test_pickle_round_trip(self):
+        key = self._fresh_key()
+        before = pickle.loads(pickle.dumps(key))
+        key.decrypt_raw(31337)
+        after = pickle.loads(pickle.dumps(key))
+        assert before == after == key
+        for clone in (before, after):
+            assert clone.decrypt_raw(31337) == key.decrypt_raw(31337)
+            assert clone._crt_constants == key._crt_constants
+
+    @settings(max_examples=30, deadline=None)
+    @given(message=st.integers(min_value=0))
+    def test_crt_and_non_crt_agree(self, rsa_512, message):
+        message %= rsa_512.n
+        crt = rsa_512.decrypt_raw(message)
+        assert crt == rsa_512.decrypt_raw(message, use_crt=False)
+        assert crt == pow(message, rsa_512.d, rsa_512.n)
+
+    def test_timer_and_fault_paths_use_the_same_constants(self, rsa_512):
+        timer = OperationTimer()
+        expected = pow(4242, rsa_512.d, rsa_512.n)
+        assert rsa_512.decrypt_raw(4242, timer=timer) == expected
+        assert rsa_512.decrypt_raw(4242, timer=timer, leaky=False) == expected
+        assert timer.total > 0
+        assert rsa_512.decrypt_raw(
+            4242, fault_hook=lambda half, value: value) == expected
+
+    def test_bellcore_fault_still_recovers_a_factor(self, rsa_512):
+        rsa_512.sign(b"warm the cache")
+        message = b"pay 100 EUR"
+        faulty = rsa_512.sign(
+            message, fault_hook=lambda half, value: value ^ 1 if half == "q"
+            else value)
+        factors = bellcore_attack(rsa_512.public, message, faulty)
+        assert factors is not None
+        assert set(factors) == {rsa_512.p, rsa_512.q}
+        with pytest.raises(SignatureError):
+            rsa_512.sign(message, verify_result=True,
+                         fault_hook=lambda half, value: value ^ 1
+                         if half == "q" else value)
 
 
 class TestDH:

@@ -44,6 +44,54 @@ class TestRC4Vectors:
         assert first_two == list(RC4(b"Key").keystream(2))
 
 
+def _textbook_rc4(key: bytes, length: int):
+    """RC4 exactly as the original posting writes it: ``length``
+    keystream bytes, and the permutation right after the KSA."""
+    state = list(range(256))
+    j = 0
+    for i in range(256):
+        j = (j + state[i] + key[i % len(key)]) % 256
+        state[i], state[j] = state[j], state[i]
+    after_ksa = state.copy()
+    i = j = 0
+    out = []
+    for _ in range(length):
+        i = (i + 1) % 256
+        j = (j + state[i]) % 256
+        state[i], state[j] = state[j], state[i]
+        out.append(state[(state[i] + state[j]) % 256])
+    return bytes(out), after_ksa
+
+
+class TestRC4KeySchedule:
+    @pytest.mark.parametrize("length", [1, 5, 16, 255, 256])
+    def test_ksa_matches_textbook(self, length):
+        key = bytes((31 * i + 7) & 0xFF for i in range(length))
+        textbook_stream, textbook_state = _textbook_rc4(key, 300)
+        cipher = RC4(key)
+        assert cipher.save_state() == (textbook_state, 0, 0)
+        assert cipher.keystream(300) == textbook_stream
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_process_accepts_buffers(self, kind):
+        data = bytes(range(200)) * 3
+        expected = bytes(
+            d ^ s for d, s in zip(data, _textbook_rc4(b"buffer", len(data))[0]))
+        assert RC4(b"buffer").process(kind(data)) == expected
+
+    def test_process_empty_input(self):
+        cipher = RC4(b"Key")
+        for empty in (b"", bytearray(), memoryview(b"")):
+            assert cipher.process(empty) == b""
+        # Empty input consumes no keystream.
+        assert cipher.keystream(4) == RC4(b"Key").keystream(4)
+
+    def test_process_keeps_leading_zero_bytes(self):
+        # The int XOR must not drop leading zero bytes of the output.
+        keystream = RC4(b"Key").keystream(9)
+        assert RC4(b"Key").process(keystream) == bytes(9)
+
+
 class TestRC2Vectors:
     """RFC 2268 Section 5 test vectors (including effective-bits)."""
 

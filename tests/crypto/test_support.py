@@ -31,6 +31,7 @@ from repro.crypto.errors import (
     ParameterError,
     RandomnessError,
 )
+from repro.crypto.hmac import hmac
 from repro.crypto.modes import CBC, CTR, ECB
 from repro.crypto.padding import esp_pad, esp_unpad, pkcs7_pad, pkcs7_unpad
 from repro.crypto.registry import (
@@ -39,6 +40,7 @@ from repro.crypto.registry import (
     default_registry,
 )
 from repro.crypto.rng import DeterministicDRBG, HardwareTRNG
+from repro.crypto.sha1 import sha1
 from repro.crypto.trace import TraceRecorder
 
 
@@ -282,6 +284,24 @@ class TestDRBG:
         data = DeterministicDRBG(3).nonzero_bytes(500)
         assert len(data) == 500
         assert 0 not in data
+
+    def test_nonzero_bytes_is_the_stream_minus_zero_octets(self):
+        stream = DeterministicDRBG(3).random_bytes(2000)
+        assert DeterministicDRBG(3).nonzero_bytes(500) == \
+            stream.replace(b"\x00", b"")[:500]
+
+    def test_stream_is_hmac_of_the_counter_however_it_is_cut(self):
+        # block_i = HMAC-SHA1(SHA1("repro-drbg:" || seed), i as 8 bytes),
+        # whatever the request sizes that consume the blocks.
+        key = sha1(b"repro-drbg:" + b"cut")
+        stream = b"".join(hmac(key, i.to_bytes(8, "big")) for i in range(40))
+        rng = DeterministicDRBG(b"cut")
+        pieces = [rng.random_bytes(size)
+                  for size in (0, 1, 19, 20, 21, 0, 40, 7, 64, 3, 200)]
+        joined = b"".join(pieces)
+        assert joined == stream[:len(joined)]
+        assert [len(piece) for piece in pieces] == \
+            [0, 1, 19, 20, 21, 0, 40, 7, 64, 3, 200]
 
     def test_shuffle_permutes(self):
         rng = DeterministicDRBG(4)
