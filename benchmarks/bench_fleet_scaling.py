@@ -109,14 +109,32 @@ def test_fleet_scaling_smoke():
         assert row["reconciled"]
 
 
+#: The host-dependent fields; everything else is deterministic per seed.
+HOST_FIELDS = ("wall_s", "peak_rss_kb")
+
+
+def _deterministic(node):
+    """``node`` with every host-dependent field dropped."""
+    if isinstance(node, dict):
+        return {key: _deterministic(value) for key, value in node.items()
+                if key not in HOST_FIELDS}
+    return node
+
+
 def test_committed_bench_document():
-    """The committed JSON is the acceptance artifact: at every grid
-    point the crash sweep killed every shard, every benign request was
-    answered, and the energy reconciliation held exactly."""
+    """The committed JSON is the acceptance artifact and cannot go
+    stale: a fresh sweep reproduces every field of it except the
+    host-dependent ones.  At every grid point the crash sweep killed
+    every shard, every benign request was answered, and the energy
+    reconciliation held exactly."""
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "BENCH_fleet_scaling.json")
     with open(path, encoding="ascii") as handle:
         document = json.load(handle)
+    meta = document["_meta"]
+    fresh = measure(grid=[tuple(cell) for cell in meta["grid"]],
+                    requests=meta["requests_per_session"], seed=meta["seed"])
+    assert _deterministic(fresh) == _deterministic(document)
     sweep = document["sweep"]
     assert len(sweep) == len(document["_meta"]["grid"])
     for row in sweep.values():

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..observability.fleetwatch import SAMPLE_INTERVAL_S, SLIDE_S, WINDOW_S
 from ..observability.tracecontext import CTX_TRACE
 from .failover import build_report as build_failover_report
 
@@ -58,7 +59,6 @@ def build_report(result) -> Dict[str, object]:
     """The fleetwatch report as a plain, JSON-ready dict."""
     watch = result.watch
     store = result.store
-    config = watch.config
     journeys = _journey_rows(result)
     tiers_seen = sorted({tier for row in journeys.values()
                          for tier in row["tiers"]})
@@ -69,9 +69,9 @@ def build_report(result) -> Dict[str, object]:
     report: Dict[str, object] = {
         "params": {
             **dict(result.params),
-            "window_s": config.window_s,
-            "slide_s": config.slide_s,
-            "sample_interval_s": config.sample_interval_s,
+            "window_s": WINDOW_S,
+            "slide_s": SLIDE_S,
+            "sample_interval_s": SAMPLE_INTERVAL_S,
             "samples_taken": watch.samples_taken,
         },
         "failover": build_failover_report(result),
@@ -86,8 +86,8 @@ def build_report(result) -> Dict[str, object]:
                 1 for row in journeys.values() if row["tiers"]),
         },
         "windows": {
-            "width_s": config.window_s,
-            "slide_s": config.slide_s,
+            "width_s": WINDOW_S,
+            "slide_s": SLIDE_S,
             "fleet": watch.fleet_windows(),
             "shards": watch.shard_windows(),
             "overall_latency": watch.overall_latency(),

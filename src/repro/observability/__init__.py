@@ -21,9 +21,6 @@ __all__ = [
     "derive_trace_id",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "REGISTRY",
     "attach_ledger",
     "record_cycles",
     "handshake_cycles",
@@ -33,7 +30,6 @@ __all__ = [
     "reconcile_energy",
     "EnergyReconciliation",
     "to_jsonl",
-    "write_jsonl",
     "prometheus_text",
     "span_tree",
     "flamegraph_folds",
@@ -53,7 +49,6 @@ __all__ = [
     "BurnRatePolicy",
     "Alert",
     "FleetWatch",
-    "FleetWatchConfig",
     "FleetwatchResult",
     "run_fleetwatch",
 ]
@@ -61,13 +56,11 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".attribution": "record_cycles handshake_cycles modexp_cycles span_rollup "
                     "phase_energy_mj reconcile_energy EnergyReconciliation",
-    ".export": "to_jsonl write_jsonl prometheus_text span_tree "
+    ".export": "to_jsonl prometheus_text span_tree "
                "flamegraph_folds fleet_jsonl fleet_flamegraph_folds "
                "rollup_table",
-    ".fleetwatch": "FleetWatch FleetWatchConfig FleetwatchResult "
-                   "run_fleetwatch",
-    ".metrics": "MetricsRegistry Counter Gauge Histogram REGISTRY "
-                "attach_ledger",
+    ".fleetwatch": "FleetWatch FleetwatchResult run_fleetwatch",
+    ".metrics": "MetricsRegistry Counter attach_ledger",
     ".scenario": "run_gateway_chaos ScenarioResult",
     ".slo": "SloSpec SloEngine BurnRatePolicy Alert",
     ".spans": "Telemetry Span SpanEvent derive_trace_id",

@@ -25,7 +25,7 @@ JSONL schema (one object per line):
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from .attribution import span_rollup
 from .spans import Span, SpanEvent, Telemetry
@@ -47,33 +47,26 @@ def _scalar(value):
     return str(value)
 
 
-def to_jsonl(telemetry: Telemetry) -> str:
-    """The whole trace + final metrics scrape as deterministic JSONL."""
+def _span_line(span: Span, **extra) -> str:
+    """One ``type: "span"`` line (``extra`` adds fleet-only keys)."""
+    return _dumps({
+        "type": "span",
+        "id": span.span_id,
+        "parent": span.parent_id,
+        "name": span.name,
+        "start_s": span.start_s,
+        "end_s": span.end_s,
+        "attrs": {str(k): _scalar(v) for k, v in span.attrs.items()},
+        "events": [_event_dict(e) for e in span.events],
+        "energy_mj": span.energy_mj,
+        "cycles": span.cycles,
+        **extra,
+    })
+
+
+def _tail_lines(telemetry: Telemetry) -> List[str]:
+    """Trace-level event lines, then the final metrics scrape."""
     lines: List[str] = []
-    lines.append(_dumps({
-        "type": "trace",
-        "trace_id": telemetry.trace_id,
-        "label": telemetry.label,
-        "spans": len(telemetry.spans),
-        "events": len(telemetry.events),
-        "energy_mj": telemetry.total_energy_mj(),
-        "cycles": telemetry.total_cycles(),
-        "unattributed_mj": telemetry.unattributed_mj,
-        "unattributed_cycles": telemetry.unattributed_cycles,
-    }))
-    for span in telemetry.spans:
-        lines.append(_dumps({
-            "type": "span",
-            "id": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "start_s": span.start_s,
-            "end_s": span.end_s,
-            "attrs": {str(k): _scalar(v) for k, v in span.attrs.items()},
-            "events": [_event_dict(e) for e in span.events],
-            "energy_mj": span.energy_mj,
-            "cycles": span.cycles,
-        }))
     for event in telemetry.events:
         payload = _event_dict(event)
         payload["type"] = "event"
@@ -85,13 +78,25 @@ def to_jsonl(telemetry: Telemetry) -> str:
             "labels": {k: v for k, v in key},
             "value": value,
         }))
+    return lines
+
+
+def to_jsonl(telemetry: Telemetry) -> str:
+    """The whole trace + final metrics scrape as deterministic JSONL."""
+    lines: List[str] = [_dumps({
+        "type": "trace",
+        "trace_id": telemetry.trace_id,
+        "label": telemetry.label,
+        "spans": len(telemetry.spans),
+        "events": len(telemetry.events),
+        "energy_mj": telemetry.total_energy_mj(),
+        "cycles": telemetry.total_cycles(),
+        "unattributed_mj": telemetry.unattributed_mj,
+        "unattributed_cycles": telemetry.unattributed_cycles,
+    })]
+    lines.extend(_span_line(span) for span in telemetry.spans)
+    lines.extend(_tail_lines(telemetry))
     return "\n".join(lines) + "\n"
-
-
-def write_jsonl(telemetry: Telemetry, path) -> None:
-    """Write :func:`to_jsonl` output, byte-stable (``\\n`` newlines)."""
-    with open(path, "w", newline="\n", encoding="utf-8") as handle:
-        handle.write(to_jsonl(telemetry))
 
 
 def fleet_jsonl(telemetry: Telemetry, store) -> str:
@@ -105,8 +110,7 @@ def fleet_jsonl(telemetry: Telemetry, store) -> str:
     so the log reads as one interleaved fleet timeline.
     """
     merged = store.merged()
-    lines: List[str] = []
-    lines.append(_dumps({
+    lines: List[str] = [_dumps({
         "type": "fleet",
         "trace_id": telemetry.trace_id,
         "label": telemetry.label,
@@ -115,32 +119,10 @@ def fleet_jsonl(telemetry: Telemetry, store) -> str:
         "events": len(telemetry.events),
         "energy_mj": telemetry.total_energy_mj(),
         "unattributed_mj": telemetry.unattributed_mj,
-    }))
-    for start_s, stream, span_id, span in merged:
-        lines.append(_dumps({
-            "type": "span",
-            "id": span_id,
-            "stream": stream,
-            "parent": span.parent_id,
-            "name": span.name,
-            "start_s": start_s,
-            "end_s": span.end_s,
-            "attrs": {str(k): _scalar(v) for k, v in span.attrs.items()},
-            "events": [_event_dict(e) for e in span.events],
-            "energy_mj": span.energy_mj,
-            "cycles": span.cycles,
-        }))
-    for event in telemetry.events:
-        payload = _event_dict(event)
-        payload["type"] = "event"
-        lines.append(_dumps(payload))
-    for name, key, value in telemetry.registry.samples():
-        lines.append(_dumps({
-            "type": "metric",
-            "name": name,
-            "labels": {k: v for k, v in key},
-            "value": value,
-        }))
+    })]
+    lines.extend(_span_line(span, stream=stream)
+                 for _start, stream, _span_id, span in merged)
+    lines.extend(_tail_lines(telemetry))
     return "\n".join(lines) + "\n"
 
 
@@ -187,9 +169,10 @@ def span_tree(telemetry: Telemetry, max_spans: int = 200) -> str:
     return "\n".join(lines)
 
 
-def flamegraph_folds(telemetry: Telemetry) -> str:
-    """Brendan-Gregg-style folded stacks weighted by inclusive mJ
-    (micro-joule resolution), suitable for any flamegraph renderer."""
+def _folds(telemetry: Telemetry,
+           root_of: Optional[Callable[[Span], str]] = None) -> str:
+    """Folded stacks weighted by inclusive mJ (micro-joule resolution),
+    each stack prefixed with ``root_of(span)`` when given."""
     by_id = {span.span_id: span for span in telemetry.spans}
     weights: Dict[str, float] = {}
     for span in telemetry.spans:
@@ -198,11 +181,19 @@ def flamegraph_folds(telemetry: Telemetry) -> str:
         while node.parent_id is not None:
             node = by_id[node.parent_id]
             frames.append(node.name)
+        if root_of is not None:
+            frames.append(root_of(span))
         stack = ";".join(reversed(frames))
         weights[stack] = weights.get(stack, 0.0) + span.energy_mj
     lines = [f"{stack} {int(round(weights[stack] * 1000.0))}"
              for stack in sorted(weights) if weights[stack] > 0.0]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def flamegraph_folds(telemetry: Telemetry) -> str:
+    """Brendan-Gregg-style folded stacks weighted by inclusive mJ
+    (micro-joule resolution), suitable for any flamegraph renderer."""
+    return _folds(telemetry)
 
 
 def fleet_flamegraph_folds(telemetry: Telemetry, store) -> str:
@@ -213,22 +204,10 @@ def fleet_flamegraph_folds(telemetry: Telemetry, store) -> str:
     store — the flamegraph reads per-shard first, then per-path, so
     recovery energy shows up under the shard that paid for it.
     """
-    by_id = {span.span_id: span for span in telemetry.spans}
     stream_of = {span_id: stream
                  for _start, stream, span_id, _span in store.merged()}
-    weights: Dict[str, float] = {}
-    for span in telemetry.spans:
-        frames = [span.name]
-        node = span
-        while node.parent_id is not None:
-            node = by_id[node.parent_id]
-            frames.append(node.name)
-        frames.append(stream_of.get(span.span_id, "fleet"))
-        stack = ";".join(reversed(frames))
-        weights[stack] = weights.get(stack, 0.0) + span.energy_mj
-    lines = [f"{stack} {int(round(weights[stack] * 1000.0))}"
-             for stack in sorted(weights) if weights[stack] > 0.0]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _folds(telemetry,
+                  lambda span: stream_of.get(span.span_id, "fleet"))
 
 
 def rollup_table(telemetry: Telemetry) -> str:

@@ -17,7 +17,8 @@ This is the tentpole assembly of the fleet observability plane.  A
 * every closed tumbling window is fed to an
   :class:`~repro.observability.slo.SloEngine` evaluating the default
   availability / latency-quantile / energy-budget objectives with
-  fast+slow burn-rate policies, latching alerts into the ledger.
+  fast+slow burn-rate policies (the fixed :data:`SLOS` and
+  :data:`POLICIES`), latching alerts into the ledger.
 
 Scheduling the sampler is **behaviour-neutral**: a recurring control
 event only advances the virtual clock to times the run would cross
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .scenario import ScenarioResult
 from .slo import BurnRatePolicy, SloEngine, SloSpec
@@ -57,51 +58,52 @@ _FLEET_COUNTERS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FleetWatchConfig:
-    """Window geometry, sampling cadence, and SLO thresholds.
+#: Window geometry and sampling cadence, sized for the canonical
+#: seed-2003 failover run (~18.5 virtual seconds): one-second tumbling
+#: windows sliding by half, sampled four times per window.
+WINDOW_S = 1.0
+SLIDE_S = 0.5
+SAMPLE_INTERVAL_S = 0.25
+#: The served-latency bound of the latency objective (seconds).
+LATENCY_THRESHOLD_S = 0.25
 
-    Defaults are sized for the canonical seed-2003 failover run
-    (~18.5 virtual seconds): one-second tumbling windows sliding by
-    half, sampled four times per window.
-    """
+#: The objective set of a watched failover run.  The energy budget is
+#: the sustainable airlink spend (serve + recovery) per served request,
+#: in mJ: the healthy fleet runs well under 2 mJ; crash windows blow
+#: through it — which is the point.
+SLOS = (
+    SloSpec(name="availability", kind="availability", objective=0.95,
+            description="answered requests actually served"),
+    SloSpec(name="latency", kind="latency_quantile", objective=0.95,
+            threshold=LATENCY_THRESHOLD_S,
+            description="served latency under the bound"),
+    SloSpec(name="energy", kind="energy_budget", threshold=2.0,
+            description="airlink mJ per served request"),
+)
 
-    window_s: float = 1.0
-    slide_s: float = 0.5
-    sample_interval_s: float = 0.25
-    availability_objective: float = 0.95
-    latency_objective: float = 0.95
-    latency_threshold_s: float = 0.25
-    #: Sustainable airlink spend (serve + recovery) per served
-    #: request, in mJ.  The healthy fleet runs well under 2 mJ; crash
-    #: windows blow through it — which is the point.
-    energy_budget_mj: float = 2.0
-
-
-def default_slos(config: FleetWatchConfig) -> List[SloSpec]:
-    """The stock objective set for a watched failover run."""
-    return [
-        SloSpec(name="availability", kind="availability",
-                objective=config.availability_objective,
-                description="answered requests actually served"),
-        SloSpec(name="latency", kind="latency_quantile",
-                objective=config.latency_objective,
-                threshold=config.latency_threshold_s,
-                description="served latency under the bound"),
-        SloSpec(name="energy", kind="energy_budget",
-                threshold=config.energy_budget_mj,
-                description="airlink mJ per served request"),
-    ]
+#: Fast-page plus slow-ticket, the two-policy SRE shape.
+POLICIES = (
+    BurnRatePolicy(name="page", fast_windows=1, slow_windows=4,
+                   fast_burn=10.0, slow_burn=2.0, severity="page"),
+    BurnRatePolicy(name="ticket", fast_windows=2, slow_windows=6,
+                   fast_burn=3.0, slow_burn=1.0, severity="ticket"),
+)
 
 
-def default_policies() -> List[BurnRatePolicy]:
-    """Fast-page plus slow-ticket, the two-policy SRE shape."""
-    return [
-        BurnRatePolicy(name="page", fast_windows=1, slow_windows=4,
-                       fast_burn=10.0, slow_burn=2.0, severity="page"),
-        BurnRatePolicy(name="ticket", fast_windows=2, slow_windows=6,
-                       fast_burn=3.0, slow_burn=1.0, severity="ticket"),
-    ]
+def _percentiles(sketch: QuantileSketch) -> Dict[str, float]:
+    """The rounded p50/p95/p99 of one sketch."""
+    return {"p50": round(sketch.quantile(0.50), 6),
+            "p95": round(sketch.quantile(0.95), 6),
+            "p99": round(sketch.quantile(0.99), 6)}
+
+
+def _merged(series: WindowedSeries) -> QuantileSketch:
+    """Every tumbling window's sketch of ``series`` folded into one."""
+    merged = QuantileSketch(series.bounds)
+    for window in series.tumbling():
+        if window.sketch is not None:
+            merged.merge(window.sketch)
+    return merged
 
 
 class FleetWatch:
@@ -112,20 +114,15 @@ class FleetWatch:
     yet); its :meth:`finish` is the finisher the hook returns.
     """
 
-    def __init__(self, fleet, telemetry: Telemetry,
-                 config: Optional[FleetWatchConfig] = None,
-                 specs: Optional[List[SloSpec]] = None,
-                 policies: Optional[List[BurnRatePolicy]] = None) -> None:
+    def __init__(self, fleet, telemetry: Telemetry) -> None:
         self.fleet = fleet
         self.telemetry = telemetry
-        self.config = config or FleetWatchConfig()
-        cfg = self.config
 
         def counter(name: str) -> WindowedSeries:
-            return WindowedSeries(name, cfg.window_s, cfg.slide_s)
+            return WindowedSeries(name, WINDOW_S, SLIDE_S)
 
         def quantiled(name: str) -> WindowedSeries:
-            return WindowedSeries(name, cfg.window_s, cfg.slide_s,
+            return WindowedSeries(name, WINDOW_S, SLIDE_S,
                                   track_quantiles=True)
 
         self.fleet_series: Dict[str, WindowedSeries] = {
@@ -148,9 +145,7 @@ class FleetWatch:
                 "energy_mj": counter(f"{shard.name}.energy_mj"),
                 "latency": quantiled(f"{shard.name}.latency_s"),
             }
-        self.engine = SloEngine(
-            specs if specs is not None else default_slos(cfg),
-            policies if policies is not None else default_policies())
+        self.engine = SloEngine(list(SLOS), list(POLICIES))
         #: Scrape cursor: last seen cumulative value per (name, key).
         self._cursor: Dict[Tuple[str, Tuple], float] = {}
         #: Per-shard read position into the incarnation ledger list
@@ -163,7 +158,7 @@ class FleetWatch:
         register_series(telemetry.registry,
                         list(self.fleet_series.values()))
         self._ticker = fleet.scheduler.every(
-            cfg.sample_interval_s, self.sample, label="fleetwatch")
+            SAMPLE_INTERVAL_S, self.sample, label="fleetwatch")
 
     # -- sampling ------------------------------------------------------------
 
@@ -234,18 +229,17 @@ class FleetWatch:
     # -- SLO feeding ---------------------------------------------------------
 
     def _feed_closed_windows(self, now: float, final: bool = False) -> None:
-        width = self.config.window_s
         limit = now if final \
-            else math.floor((now + _EPS) / width) * width
+            else math.floor((now + _EPS) / WINDOW_S) * WINDOW_S
         start = self._fed_until
-        while start + width <= limit + _EPS:
-            self._feed_window(start, start + width)
-            start += width
+        while start + WINDOW_S <= limit + _EPS:
+            self._feed_window(start, start + WINDOW_S)
+            start += WINDOW_S
         self._fed_until = start
         if final and now > start + _EPS:
             # The trailing partial window still counts for the ledger.
-            self._feed_window(start, start + width)
-            self._fed_until = start + width
+            self._feed_window(start, start + WINDOW_S)
+            self._fed_until = start + WINDOW_S
 
     def _feed_window(self, start: float, end: float) -> None:
         engine = self.engine
@@ -253,31 +247,25 @@ class FleetWatch:
         served = fs["served"].window(start).sum
         shed = (fs["shed"].window(start).sum
                 + fs["shed_recovering"].window(start).sum)
-        if "availability" in engine.specs:
-            engine.record_window("availability", start, end,
-                                 good=served, total=served + shed)
-        if "latency" in engine.specs:
-            sketch = fs["latency"].window(start).sketch
-            total = sketch.total if sketch is not None else 0
-            good = (sketch.count_le(self.config.latency_threshold_s)
-                    if sketch is not None else 0)
-            engine.record_window("latency", start, end,
-                                 good=good, total=total)
-        if "energy" in engine.specs:
-            consumed = (fs["serve_mj"].window(start).sum
-                        + fs["recovery_mj"].window(start).sum)
-            engine.record_budget_window("energy", start, end,
-                                        consumed=consumed, served=served)
+        engine.record_window("availability", start, end,
+                             good=served, total=served + shed)
+        sketch = fs["latency"].window(start).sketch
+        engine.record_window("latency", start, end,
+                             good=sketch.count_le(LATENCY_THRESHOLD_S),
+                             total=sketch.total)
+        consumed = (fs["serve_mj"].window(start).sum
+                    + fs["recovery_mj"].window(start).sum)
+        engine.record_budget_window("energy", start, end,
+                                    consumed=consumed, served=served)
 
     # -- reading -------------------------------------------------------------
 
     def _window_starts(self) -> List[float]:
-        width = self.config.window_s
         out = []
         start = 0.0
         while start + _EPS < self._fed_until:
             out.append(start)
-            start += width
+            start += WINDOW_S
         return out
 
     def fleet_windows(self) -> List[Dict[str, object]]:
@@ -291,7 +279,7 @@ class FleetWatch:
             answered = served + shed + recovering
             row: Dict[str, object] = {
                 "start_s": round(start, 6),
-                "end_s": round(start + self.config.window_s, 6),
+                "end_s": round(start + WINDOW_S, 6),
                 "served": round(served, 6),
                 "shed": round(shed, 6),
                 "shed_recovering": round(recovering, 6),
@@ -315,11 +303,7 @@ class FleetWatch:
                                    fs["recovery_latency"])):
                 sketch = series.window(start).sketch
                 if sketch is not None and sketch.total:
-                    row[label] = {
-                        "p50": round(sketch.quantile(0.50), 6),
-                        "p95": round(sketch.quantile(0.95), 6),
-                        "p99": round(sketch.quantile(0.99), 6),
-                    }
+                    row[label] = _percentiles(sketch)
             rows.append(row)
         return rows
 
@@ -343,36 +327,21 @@ class FleetWatch:
                 if sketch is not None and sketch.total:
                     row["p95"] = round(sketch.quantile(0.95), 6)
                 rows.append(row)
-            merged = QuantileSketch(series["latency"].bounds)
-            for window in series["latency"].tumbling():
-                if window.sketch is not None:
-                    merged.merge(window.sketch)
+            merged = _merged(series["latency"])
             entry: Dict[str, object] = {"windows": rows}
             if merged.total:
-                entry["latency"] = {
-                    "count": merged.total,
-                    "p50": round(merged.quantile(0.50), 6),
-                    "p95": round(merged.quantile(0.95), 6),
-                    "p99": round(merged.quantile(0.99), 6),
-                }
+                entry["latency"] = {"count": merged.total,
+                                    **_percentiles(merged)}
             out[name] = entry
         return out
 
     def overall_latency(self) -> Dict[str, object]:
         """Whole-run fleet latency percentiles from merged window
         sketches (empty dict when nothing was served)."""
-        merged = QuantileSketch(self.fleet_series["latency"].bounds)
-        for window in self.fleet_series["latency"].tumbling():
-            if window.sketch is not None:
-                merged.merge(window.sketch)
+        merged = _merged(self.fleet_series["latency"])
         if not merged.total:
             return {}
-        return {
-            "count": merged.total,
-            "p50": round(merged.quantile(0.50), 6),
-            "p95": round(merged.quantile(0.95), 6),
-            "p99": round(merged.quantile(0.99), 6),
-        }
+        return {"count": merged.total, **_percentiles(merged)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms, adapters.
+"""Metrics registry: labelled counters, live ledger read-throughs.
 
 The stack grew one ad-hoc ledger per subsystem —
 :class:`~repro.protocols.faults.FaultStats`,
@@ -7,15 +7,15 @@ The stack grew one ad-hoc ledger per subsystem —
 attributes on :class:`~repro.protocols.wap.WAPGateway` — none of which
 could be correlated in one place.  This module is the unification:
 
-* first-class :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-  metrics with label sets, owned by a :class:`MetricsRegistry`;
+* first-class :class:`Counter` metrics with label sets, owned by a
+  :class:`MetricsRegistry`;
 * **ledger adapters** (:func:`attach_ledger` and the ``export_*``
   helpers) that re-export the existing ledgers *live*: the ledger
   attributes stay the authoritative store the old code keeps mutating,
   and every scrape reads through them at collection time — so one
-  :meth:`MetricsRegistry.render` sees gateway traffic, channel faults,
-  supervisor degradations and battery state together without changing
-  a single existing call site.
+  :meth:`MetricsRegistry.render` sees gateway traffic, fleet recovery,
+  cookie-gate accounting and battery state together without changing
+  a single existing call site.  Collector families render as gauges.
 
 Everything renders deterministically (families sorted by name, series
 by label tuple), because telemetry exports must be byte-identical
@@ -29,11 +29,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
-#: Default histogram buckets (virtual seconds / generic magnitudes).
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, float("inf"))
-
-#: Finer-grained buckets for request/recovery latencies: the quantile
-#: interpolation below is only as sharp as the bucket grid, and the
+#: Buckets for request/recovery latencies: the quantile interpolation
+#: below is only as sharp as the bucket grid, and the
 #: gateway's virtual-time latencies cluster between 5 ms and a few
 #: seconds of failover delay.
 LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75,
@@ -97,142 +94,29 @@ def _format_labels(key: LabelKey) -> str:
     return "{" + inner + "}"
 
 
-class _Series:
-    """One labelled series of a counter or gauge."""
-
-    __slots__ = ("_store", "_key")
-
-    def __init__(self, store: Dict[LabelKey, float], key: LabelKey) -> None:
-        self._store = store
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (counters must only ever go up)."""
-        self._store[self._key] = self._store.get(self._key, 0.0) + amount
-
-    def set(self, value: float) -> None:
-        """Set the series to an absolute value (gauges)."""
-        self._store[self._key] = float(value)
-
-    @property
-    def value(self) -> float:
-        """Current value of this series."""
-        return self._store.get(self._key, 0.0)
-
-
 class Counter:
     """A monotonically increasing metric with optional labels."""
-
-    kind = "counter"
 
     def __init__(self, name: str, help_text: str = "") -> None:
         self.name = name
         self.help_text = help_text
         self._values: Dict[LabelKey, float] = {}
 
-    def labels(self, **labels) -> _Series:
-        """The series for one label set (created on first touch)."""
-        return _Series(self._values, _label_key(labels))
-
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Increment (the unlabelled series unless labels are given)."""
         if amount < 0:
             raise ValueError("counters can only increase")
-        self.labels(**labels).inc(amount)
+        key = _label_key(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels) -> float:
         """Read one series' current value."""
-        return self.labels(**labels).value
+        return self._values.get(_label_key(labels), 0.0)
 
     def samples(self) -> List[Tuple[str, LabelKey, float]]:
         """All series, deterministically ordered."""
         return [(self.name, key, self._values[key])
                 for key in sorted(self._values)]
-
-
-class Gauge(Counter):
-    """A metric that can go up and down (or be set outright)."""
-
-    kind = "gauge"
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        """Add ``amount`` (may be negative for gauges)."""
-        self.labels(**labels).inc(amount)
-
-    def set(self, value: float, **labels) -> None:
-        """Set the (labelled) gauge to an absolute value."""
-        self.labels(**labels).set(value)
-
-
-class Histogram:
-    """A bucketed distribution with Prometheus-style exposition.
-
-    Exports ``name_bucket{le=...}`` (cumulative), ``name_sum`` and
-    ``name_count`` per label set.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help_text: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.name = name
-        self.help_text = help_text
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds or bounds[-1] != float("inf"):
-            bounds.append(float("inf"))
-        self.buckets: Tuple[float, ...] = tuple(bounds)
-        self._counts: Dict[LabelKey, List[int]] = {}
-        self._sums: Dict[LabelKey, float] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        """Record one observation."""
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0] * len(self.buckets))
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[index] += 1
-                break
-        self._sums[key] = self._sums.get(key, 0.0) + value
-
-    def count(self, **labels) -> int:
-        """Total observations for one label set."""
-        return sum(self._counts.get(_label_key(labels), ()))
-
-    def sum(self, **labels) -> float:
-        """Sum of observations for one label set."""
-        return self._sums.get(_label_key(labels), 0.0)
-
-    def quantile(self, q: float, **labels) -> float:
-        """Deterministic quantile estimate for one label set: linear
-        interpolation within the fixed buckets (see
-        :func:`interpolate_quantile` for the clamping rules)."""
-        counts = self._counts.get(_label_key(labels))
-        if counts is None:
-            return 0.0
-        return interpolate_quantile(self.buckets, counts, q)
-
-    def percentiles(self, qs: Sequence[float] = (0.5, 0.95, 0.99),
-                    **labels) -> Dict[str, float]:
-        """A ``{"p50": ..., "p95": ...}`` map for one label set."""
-        out: Dict[str, float] = {}
-        for q in qs:
-            label = f"p{q * 100:g}".replace(".", "_")
-            out[label] = self.quantile(q, **labels)
-        return out
-
-    def samples(self) -> List[Tuple[str, LabelKey, float]]:
-        """Bucket/sum/count series, deterministically ordered."""
-        out: List[Tuple[str, LabelKey, float]] = []
-        for key in sorted(self._counts):
-            cumulative = 0
-            for bound, count in zip(self.buckets, self._counts[key]):
-                cumulative += count
-                le = "+Inf" if bound == float("inf") else repr(bound)
-                out.append((f"{self.name}_bucket",
-                            key + (("le", le),), float(cumulative)))
-            out.append((f"{self.name}_sum", key, self._sums[key]))
-            out.append((f"{self.name}_count", key, float(cumulative)))
-        return out
 
 
 #: A collector returns live samples: (name, help, labels, value).
@@ -243,34 +127,15 @@ class MetricsRegistry:
     """Owns a namespace of metrics plus live read-through collectors."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._metrics: Dict[str, Counter] = {}
         self._collectors: List[Collector] = []
-
-    def _get_or_create(self, cls, name: str, help_text: str, **kwargs):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if type(existing) is not cls:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}, not {cls.__name__}")
-            return existing
-        metric = cls(name, help_text, **kwargs)
-        self._metrics[name] = metric
-        return metric
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         """Get-or-create a counter."""
-        return self._get_or_create(Counter, name, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        """Get-or-create a gauge."""
-        return self._get_or_create(Gauge, name, help_text)
-
-    def histogram(self, name: str, help_text: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        """Get-or-create a histogram."""
-        return self._get_or_create(Histogram, name, help_text,
-                                   buckets=buckets)
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = Counter(name, help_text)
+        return metric
 
     def register_collector(self, collector: Collector) -> None:
         """Add a live collector consulted at every scrape."""
@@ -300,36 +165,22 @@ class MetricsRegistry:
         raise KeyError(f"no series {name!r} with labels {labels!r}")
 
     def render(self) -> str:
-        """Prometheus-style text exposition, byte-deterministic."""
+        """Prometheus-style text exposition, byte-deterministic: stored
+        families are counters, collector families gauges."""
         lines: List[str] = []
-        helps: Dict[str, Tuple[str, str]] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            helps[name] = (metric.kind, metric.help_text)
         families: Dict[str, List[Tuple[LabelKey, float]]] = {}
         for name, key, value in self.samples():
-            family = name
-            for suffix in ("_bucket", "_sum", "_count"):
-                if name.endswith(suffix) and name[: -len(suffix)] in helps:
-                    family = name[: -len(suffix)]
-                    break
-            families.setdefault(family, []).append((key, value))
-            families[family].sort()
+            families.setdefault(name, []).append((key, value))
         for family in sorted(families):
-            kind, help_text = helps.get(family, ("gauge", ""))
-            if help_text:
-                lines.append(f"# HELP {family} {help_text}")
+            metric = self._metrics.get(family)
+            if metric is not None and metric.help_text:
+                lines.append(f"# HELP {family} {metric.help_text}")
+            kind = "counter" if metric is not None else "gauge"
             lines.append(f"# TYPE {family} {kind}")
-            for key, value in families[family]:
+            for key, value in sorted(families[family]):
                 rendered = repr(value) if value != int(value) else str(int(value))
                 lines.append(f"{family}{_format_labels(key)} {rendered}")
         return "\n".join(lines) + "\n"
-
-
-#: The default process-wide registry (a fresh one per run is usually
-#: better for determinism — :class:`~repro.observability.spans.Telemetry`
-#: creates its own unless told otherwise).
-REGISTRY = MetricsRegistry()
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +229,6 @@ def attach_ledger(registry: MetricsRegistry, prefix: str, obj,
     registry.register_collector(collect)
 
 
-def export_fault_stats(registry: MetricsRegistry, stats,
-                       channel: str = "radio") -> None:
-    """Adapter for :class:`~repro.protocols.faults.FaultStats`."""
-    attach_ledger(registry, "repro_channel_faults", stats,
-                  fields=["drops", "burst_drops", "duplicates", "corruptions",
-                          "reorders", "delivered", "bad_state_frames",
-                          "total_drops"],
-                  labels={"channel": channel},
-                  help_text="channel fault-injection ledger")
-
-
 def export_dos_responder(registry: MetricsRegistry, responder,
                          role: str = "gateway") -> None:
     """Adapter for :class:`~repro.protocols.dos.CookieProtectedResponder`:
@@ -426,34 +266,6 @@ def export_adversary_population(registry: MetricsRegistry,
         return out
 
     registry.register_collector(collect)
-
-
-def export_degradation_report(registry: MetricsRegistry, report,
-                              device: str = "appliance") -> None:
-    """Adapter for :class:`~repro.core.supervisor.DegradationReport`."""
-    attach_ledger(registry, "repro_supervisor", report,
-                  fields=["engine_fallbacks", "engine_restorations",
-                          "suite_downgrades", "suite_restorations",
-                          "brownout_refusals", "tamper_zeroizations",
-                          "reprovisions"],
-                  labels={"device": device},
-                  help_text="appliance supervisor degradation ledger")
-
-
-def export_reliable_stats(registry: MetricsRegistry, stats,
-                          endpoint: str) -> None:
-    """Adapter for :class:`~repro.protocols.reliable.ReliableStats`."""
-    attach_ledger(registry, "repro_arq", stats,
-                  labels={"endpoint": endpoint},
-                  help_text="go-back-N ARQ endpoint ledger")
-
-
-def export_recovery_report(registry: MetricsRegistry, report,
-                           session: str = "session") -> None:
-    """Adapter for :class:`~repro.protocols.recovery.RecoveryReport`."""
-    attach_ledger(registry, "repro_recovery", report,
-                  labels={"session": session},
-                  help_text="session recovery ledger")
 
 
 def export_battery(registry: MetricsRegistry, battery,

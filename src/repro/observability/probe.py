@@ -30,19 +30,6 @@ active: Optional["Telemetry"] = None
 _NULL = contextlib.nullcontext()
 
 
-def install(telemetry: "Telemetry") -> "Telemetry":
-    """Install a telemetry context globally; returns it for chaining."""
-    global active
-    active = telemetry
-    return telemetry
-
-
-def uninstall() -> None:
-    """Remove the installed telemetry context (probes go dead again)."""
-    global active
-    active = None
-
-
 @contextlib.contextmanager
 def activate(telemetry: "Telemetry") -> Iterator["Telemetry"]:
     """Install ``telemetry`` for the duration of a ``with`` block.

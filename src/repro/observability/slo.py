@@ -26,7 +26,7 @@ wall clock, no sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: Cap on a single window's burn rate: a window with served == 0 but

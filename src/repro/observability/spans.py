@@ -21,9 +21,8 @@ roll-up over the finished tree answers the paper's Fig. 3/4 question:
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .metrics import MetricsRegistry
 
@@ -70,13 +69,16 @@ class SpanEvent:
     attrs: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class Span:
     """One node of the trace tree.
 
     ``energy_mj`` / ``cycles`` are the amounts charged while this span
     was the *innermost* open span (self cost); roll-ups add descendants
-    back in for inclusive totals.
+    back in for inclusive totals.  Spans compare by identity, so a span
+    of one trace never matches an open span of another.  A span is its
+    own context manager: ``with telemetry.span(...)`` closes it through
+    its owning :class:`Telemetry`.
     """
 
     span_id: int
@@ -88,6 +90,13 @@ class Span:
     events: List[SpanEvent] = field(default_factory=list)
     energy_mj: float = 0.0
     cycles: float = 0.0
+    telemetry: Optional["Telemetry"] = field(default=None, repr=False)
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.telemetry.end_span(self)
 
     def set(self, **attrs) -> "Span":
         """Attach or overwrite attributes; returns self for chaining."""
@@ -111,11 +120,15 @@ class Telemetry:
     the run's seed material.
     """
 
-    def __init__(self, seed=0, clock=None,
-                 registry: Optional[MetricsRegistry] = None,
-                 label: str = "repro") -> None:
+    def __init__(self, seed=0, clock=None, label: str = "repro") -> None:
         self.clock = clock if clock is not None else _WallbackClock()
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
+        self._energy_mj = self.registry.counter(
+            "repro_telemetry_energy_mj_total",
+            "energy attributed through the telemetry plane")
+        self._cycles = self.registry.counter(
+            "repro_telemetry_cycles_total",
+            "cycles attributed through the telemetry plane")
         self.label = label
         self.trace_id = derive_trace_id(label, seed)
         self.spans: List[Span] = []
@@ -137,7 +150,8 @@ class Telemetry:
         """Open a span as a child of the current one (explicit form)."""
         parent = self._stack[-1].span_id if self._stack else None
         span = Span(span_id=self._next_id, parent_id=parent, name=name,
-                    start_s=float(self.clock.now), attrs=dict(attrs))
+                    start_s=float(self.clock.now), attrs=dict(attrs),
+                    telemetry=self)
         self._next_id += 1
         self.spans.append(span)
         self._stack.append(span)
@@ -189,14 +203,9 @@ class Telemetry:
                 return self.abort_span(span, **attrs)
         return []
 
-    @contextlib.contextmanager
-    def span(self, name: str, **attrs) -> Iterator[Span]:
+    def span(self, name: str, **attrs) -> Span:
         """The usual form: ``with telemetry.span("handshake") as sp:``."""
-        span = self.start_span(name, **attrs)
-        try:
-            yield span
-        finally:
-            self.end_span(span)
+        return self.start_span(name, **attrs)
 
     def event(self, name: str, **attrs) -> SpanEvent:
         """A point event, attached to the current span (or the trace)."""
@@ -217,11 +226,9 @@ class Telemetry:
             current.energy_mj += millijoules
         else:
             self.unattributed_mj += millijoules
-        self.registry.counter(
-            "repro_telemetry_energy_mj_total",
-            "energy attributed through the telemetry plane",
-        ).inc(millijoules, kind=kind,
-              span=current.name if current is not None else "<none>")
+        self._energy_mj.inc(millijoules, kind=kind,
+                            span=current.name if current is not None
+                            else "<none>")
 
     def add_cycles(self, cycles: float, kind: str = "model") -> None:
         """Charge modelled instruction cycles to the innermost span."""
@@ -230,11 +237,9 @@ class Telemetry:
             current.cycles += cycles
         else:
             self.unattributed_cycles += cycles
-        self.registry.counter(
-            "repro_telemetry_cycles_total",
-            "cycles attributed through the telemetry plane",
-        ).inc(cycles, kind=kind,
-              span=current.name if current is not None else "<none>")
+        self._cycles.inc(cycles, kind=kind,
+                         span=current.name if current is not None
+                         else "<none>")
 
     # -- whole-trace queries -------------------------------------------------
 

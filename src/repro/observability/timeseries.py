@@ -5,9 +5,9 @@ asks "what happened *per window* — goodput this second, p95 latency
 during the failover storm, energy split while the attacker fired".
 This module adds the windowed layer, deterministic by construction:
 
-* :class:`QuantileSketch` — a mergeable fixed-bucket sketch sharing
-  the :func:`~repro.observability.metrics.interpolate_quantile`
-  estimator with :class:`~repro.observability.metrics.Histogram`.
+* :class:`QuantileSketch` — a mergeable fixed-bucket sketch on the
+  :func:`~repro.observability.metrics.interpolate_quantile` estimator
+  that :func:`~repro.observability.metrics.quantile_of` also uses.
   Merging is element-wise count addition, so per-shard window sketches
   combine into fleet-wide ones without re-observing anything;
 * :class:`WindowedSeries` — fixed-width tumbling sub-buckets in a
@@ -27,7 +27,7 @@ metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import LATENCY_BUCKETS, MetricsRegistry, interpolate_quantile
@@ -36,9 +36,9 @@ from .metrics import LATENCY_BUCKETS, MetricsRegistry, interpolate_quantile
 class QuantileSketch:
     """A mergeable fixed-bucket quantile sketch.
 
-    Same estimator as :meth:`Histogram.quantile`, but a free-standing
-    value (one per window) that supports :meth:`merge` — the property
-    windowed aggregation needs and a labelled histogram cannot give.
+    The :func:`~repro.observability.metrics.interpolate_quantile`
+    estimator over a free-standing value (one per window) that supports
+    :meth:`merge` — the property windowed aggregation needs.
     """
 
     __slots__ = ("bounds", "counts", "total", "sum")
@@ -71,13 +71,6 @@ class QuantileSketch:
         self.sum += other.sum
         return self
 
-    def copy(self) -> "QuantileSketch":
-        clone = QuantileSketch(self.bounds)
-        clone.counts = list(self.counts)
-        clone.total = self.total
-        clone.sum = self.sum
-        return clone
-
     def quantile(self, q: float) -> float:
         """Deterministic interpolated quantile (0.0 when empty)."""
         return interpolate_quantile(self.bounds, self.counts, q)
@@ -104,10 +97,6 @@ class Window:
     min: float = math.inf
     max: float = -math.inf
     sketch: Optional[QuantileSketch] = None
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
     def as_dict(self, digits: int = 6) -> Dict[str, object]:
         """JSON-ready form (floats rounded for byte stability)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .spans import Span, Telemetry, derive_trace_id
 
@@ -73,10 +73,6 @@ class TraceContext:
         merged.update({str(k): str(v) for k, v in updates.items()})
         return TraceContext(self.trace_id, self.parent_span,
                             tuple(sorted(merged.items())))
-
-    def child_of(self, span: Span) -> "TraceContext":
-        """The context as seen below ``span`` (parent re-pointed)."""
-        return TraceContext(self.trace_id, span.span_id, self.baggage)
 
     # -- wire form (rides inside SessionSnapshot) ---------------------------
 
@@ -205,10 +201,6 @@ class FleetTraceStore:
         """Add (or extend) one shard's span stream."""
         self._streams.setdefault(stream_id, []).extend(spans)
 
-    def add_telemetry(self, stream_id: str, telemetry: Telemetry) -> None:
-        """Add a whole telemetry object as one stream."""
-        self.add_stream(stream_id, telemetry.spans)
-
     @classmethod
     def partition(cls, telemetry: Telemetry, key: str = "shard",
                   default: str = "fleet") -> "FleetTraceStore":
@@ -289,19 +281,3 @@ class FleetTraceStore:
     def journey(self, trace_id: str) -> Optional[Journey]:
         """One stitched journey (or ``None``)."""
         return self.journeys().get(trace_id)
-
-    def render_journey(self, journey: Journey,
-                       children: Optional[Callable[[Span], List[Span]]]
-                       = None) -> str:
-        """A deterministic indented rendering of one journey tree."""
-        lines = [f"journey {journey.trace_id} session={journey.session} "
-                 f"shards={'>'.join(journey.shards)}"]
-        for stream_id, span in journey.roots:
-            tier = span.attrs.get("tier")
-            extra = f" tier={tier}" if tier is not None else ""
-            lines.append(f"  [{span.start_s:.3f}s] {stream_id}: "
-                         f"{span.name}{extra}")
-            if children is not None:
-                for kid in children(span):
-                    lines.append(f"    [{kid.start_s:.3f}s] {kid.name}")
-        return "\n".join(lines)

@@ -13,7 +13,6 @@ from repro.observability.export import (
     rollup_table,
     span_tree,
     to_jsonl,
-    write_jsonl,
 )
 from repro.observability.scenario import run_gateway_chaos
 from repro.observability.spans import Telemetry
@@ -51,13 +50,6 @@ class TestByteDeterminism:
         assert (json.loads(first.splitlines()[0])["trace_id"]
                 != json.loads(second.splitlines()[0])["trace_id"])
 
-    def test_write_jsonl_is_byte_stable_on_disk(self, tmp_path):
-        path_a = tmp_path / "a.jsonl"
-        path_b = tmp_path / "b.jsonl"
-        write_jsonl(_small_chaos(seed=3).telemetry, path_a)
-        write_jsonl(_small_chaos(seed=3).telemetry, path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()
-
     def test_prometheus_text_deterministic(self):
         assert (prometheus_text(_small_chaos(seed=3).telemetry)
                 == prometheus_text(_small_chaos(seed=3).telemetry))
@@ -67,7 +59,7 @@ class TestSchema:
     def test_chaos_export_passes_schema_checker(self, tmp_path):
         checker = _load_schema_checker()
         path = tmp_path / "trace.jsonl"
-        write_jsonl(_small_chaos().telemetry, path)
+        path.write_text(to_jsonl(_small_chaos().telemetry), encoding="utf-8")
         assert checker.check_file(str(path)) == []
 
     def test_schema_checker_rejects_garbage(self, tmp_path):

@@ -3,14 +3,11 @@ unifies every pre-existing ad-hoc counter, old attributes untouched)."""
 
 import pytest
 
-from repro.core.supervisor import DegradationReport
 from repro.hardware.battery import Battery
 from repro.observability.metrics import (
     MetricsRegistry,
     attach_ledger,
     export_battery,
-    export_degradation_report,
-    export_fault_stats,
     export_gateway,
 )
 from repro.protocols.faults import FaultStats
@@ -39,32 +36,10 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             registry.counter("ups_total").inc(-1.0)
 
-    def test_gauge_goes_both_ways(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("queue_depth")
-        gauge.set(5.0)
-        gauge.inc(-2.0)
-        assert gauge.value() == 3.0
-
-    def test_histogram_buckets_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency_s", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            histogram.observe(value)
-        assert histogram.count() == 4
-        assert histogram.sum() == pytest.approx(6.05)
-        samples = dict(((name, key), v)
-                       for name, key, v in histogram.samples())
-        assert samples[("latency_s_bucket", (("le", "0.1"),))] == 1.0
-        assert samples[("latency_s_bucket", (("le", "1.0"),))] == 3.0
-        assert samples[("latency_s_bucket", (("le", "+Inf"),))] == 4.0
-
-    def test_get_or_create_is_idempotent_but_typed(self):
+    def test_get_or_create_is_idempotent(self):
         registry = MetricsRegistry()
         counter = registry.counter("thing_total")
         assert registry.counter("thing_total") is counter
-        with pytest.raises(ValueError):
-            registry.gauge("thing_total")
 
     def test_registry_value_raises_on_unknown_series(self):
         registry = MetricsRegistry()
@@ -77,36 +52,40 @@ class TestPrimitives:
             registry = MetricsRegistry()
             registry.counter("b_total", "second").inc(2.0, kind="x")
             registry.counter("a_total", "first").inc()
-            registry.gauge("c").set(1.5)
+            registry.register_collector(
+                lambda: [("c", "ignored", {"shard": "s1"}, 1.5)])
             return registry.render()
 
         first, second = build(), build()
         assert first == second
-        assert first.index("a_total") < first.index("b_total")
-        assert "# TYPE a_total counter" in first
+        assert first == (
+            "# HELP a_total first\n"
+            "# TYPE a_total counter\n"
+            "a_total 1\n"
+            "# HELP b_total second\n"
+            "# TYPE b_total counter\n"
+            'b_total{kind="x"} 2\n'
+            "# TYPE c gauge\n"
+            'c{shard="s1"} 1.5\n')
 
 
 class TestLedgerAdapters:
     def test_attach_ledger_reads_through_live(self):
         registry = MetricsRegistry()
         stats = FaultStats()
-        export_fault_stats(registry, stats, channel="radio")
+        attach_ledger(registry, "repro_channel_faults", stats,
+                      fields=["drops", "burst_drops", "total_drops"],
+                      labels={"channel": "radio"})
         assert registry.value("repro_channel_faults_drops",
                               channel="radio") == 0.0
         stats.drops += 3          # the old idiom keeps working
+        stats.burst_drops += 2
         assert registry.value("repro_channel_faults_drops",
                               channel="radio") == 3.0
         # Property fields ride along too.
+        assert stats.total_drops == 5
         assert registry.value("repro_channel_faults_total_drops",
-                              channel="radio") == stats.total_drops
-
-    def test_degradation_report_adapter(self):
-        registry = MetricsRegistry()
-        report = DegradationReport()
-        export_degradation_report(registry, report, device="unit")
-        report.engine_fallbacks += 2
-        assert registry.value("repro_supervisor_engine_fallbacks",
-                              device="unit") == 2.0
+                              channel="radio") == 5.0
 
     def test_battery_adapter_tracks_drain(self):
         registry = MetricsRegistry()

@@ -7,6 +7,8 @@ then tolerate the owning ``with`` block unwinding over the corpse —
 without loosening the strict-discipline error for genuine misuse.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.observability.spans import Telemetry
@@ -41,6 +43,37 @@ class TestAbortSpan:
             pass
         with pytest.raises(RuntimeError):
             telemetry.abort_span(span)
+
+    def test_abort_rejects_an_equal_span_of_another_trace(self):
+        # Two same-seed traces mint field-for-field equal spans; only
+        # identity may decide whether a span is open in this trace.
+        a, b = Telemetry(seed=1), Telemetry(seed=1)
+        x = b.start_span("x")
+        y = b.start_span("y")
+        stranger = a.start_span("x")
+        with pytest.raises(RuntimeError):
+            b.abort_span(stranger)
+        assert b.open_spans() == [x, y]
+        assert "aborted" not in x.attrs and "aborted" not in y.attrs
+        with pytest.raises(RuntimeError):
+            b.end_span(stranger)
+
+    def test_spans_compare_by_identity(self):
+        a, b = Telemetry(seed=1), Telemetry(seed=1)
+        with a.span("x") as first, b.span("x") as second:
+            assert first != second
+            assert first == first
+            clone = dataclasses.replace(first)
+            assert clone != first
+            assert len({first, clone}) == 2
+
+    def test_abort_rejects_a_field_for_field_copy(self):
+        telemetry = Telemetry()
+        with telemetry.span("outer") as outer:
+            with telemetry.span("inner") as inner:
+                with pytest.raises(RuntimeError):
+                    telemetry.abort_span(dataclasses.replace(outer))
+                assert telemetry.open_spans() == [outer, inner]
 
     def test_strict_discipline_still_enforced(self):
         telemetry = Telemetry()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.observability import probe
 from repro.observability.spans import (
+    Span,
     Telemetry,
     derive_trace_id,
     fnv1a_64,
@@ -168,13 +169,60 @@ class TestProbeSeam:
                 raise RuntimeError("boom")
         assert probe.active is None
 
-    def test_install_uninstall(self):
+    def test_active_probe_span_binds_the_live_span(self):
         telemetry = Telemetry()
-        try:
-            assert probe.install(telemetry) is telemetry
-            assert probe.active is telemetry
+        with probe.activate(telemetry):
             with probe.span("live") as span:
                 assert span is telemetry.spans[0]
-        finally:
-            probe.uninstall()
-        assert probe.active is None
+        assert span.end_s is not None
+
+
+class TestSpanContextManager:
+    def test_with_binds_the_returned_span(self):
+        telemetry = Telemetry()
+        with telemetry.span("handshake", suite="aes") as span:
+            assert isinstance(span, Span)
+            assert span is telemetry.spans[0]
+            assert telemetry.current is span
+            assert span.attrs == {"suite": "aes"}
+        assert span.end_s is not None
+        assert telemetry.open_spans() == []
+
+    def test_span_goes_through_start_span_once(self):
+        class Counting(Telemetry):
+            starts = 0
+
+            def start_span(self, name, **attrs):
+                self.starts += 1
+                return super().start_span(name, **attrs)
+
+        telemetry = Counting()
+        with telemetry.span("outer"):
+            with telemetry.span("inner"):
+                pass
+        assert telemetry.starts == 2
+        assert len(telemetry.spans) == 2
+
+    def test_exit_goes_through_end_span(self):
+        class Counting(Telemetry):
+            ends = 0
+
+            def end_span(self, span):
+                self.ends += 1
+                super().end_span(span)
+
+        telemetry = Counting()
+        with telemetry.span("one"):
+            pass
+        assert telemetry.ends == 1
+
+    def test_repr_leaves_out_the_telemetry(self):
+        telemetry = Telemetry(label="marker-label")
+        with telemetry.span("handshake") as span:
+            pass
+        assert span.telemetry is telemetry
+        text = repr(span)
+        assert "handshake" in text
+        assert "telemetry" not in text
+        assert "Telemetry" not in text
+        assert "marker-label" not in text
