@@ -3,58 +3,47 @@
 The crash-fault-tolerance plane (DESIGN.md §11) runs N gateway shards
 on one batched virtual-clock scheduler and kills every shard at least
 once per run.  This bench sweeps the fleet size and records what the
-failover machinery costs: wall-clock per run, peak RSS, the recovery-
-latency distribution (virtual seconds from crash to each session's
-migration), the warm / cold-resume / cold-full split, and the benign
-answer ledger — the scaling artifact for the sharded runtime.
+failover machinery does: the recovery-latency distribution (virtual
+seconds from crash to each session's migration), the warm /
+cold-resume / cold-full split, checkpoint traffic, and the benign
+answer ledger — the scaling artifact for the sharded runtime.  Every
+field is deterministic per seed; host time is ``benchmarks.e2e``'s.
 
-Wall-clock and RSS are environment-dependent and recorded for trend
-reading only; every other field is deterministic per seed, and the
-structural assertions below pin those.
-
-Runs two ways:
-
-* ``PYTHONPATH=src python benchmarks/bench_fleet_scaling.py`` — full
-  sweep; writes ``BENCH_fleet_scaling.json`` next to the repo root and
-  prints it;
-* ``PYTHONPATH=src python -m pytest benchmarks/bench_fleet_scaling.py``
-  — smoke mode: smaller grid, asserts the structural floors (every
-  shard killed, every request answered, energy reconciles, recovery
-  latencies populated).
+``PYTHONPATH=src python benchmarks/bench_fleet_scaling.py`` writes
+``BENCH_fleet_scaling.json`` at the repo root and prints it.
+``PYTHONPATH=src python -m pytest benchmarks/bench_fleet_scaling.py``
+regenerates the sweep, requires it to match the committed file byte
+for byte, and asserts the structural floors on it (every shard killed,
+every request answered, energy reconciles, recovery latencies
+populated).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import resource
 import sys
-import time
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.fleet import run_failover
 
+if __name__ == "__main__":
+    # Script form: import ``benchmarks`` from the repository root.
+    sys.path[0] = str(Path(__file__).resolve().parents[1])
+
+from benchmarks.committed import check_document, write_document  # noqa: E402
+
+DOCUMENT = "BENCH_fleet_scaling.json"
 GRID: List[Tuple[int, int]] = [(12, 2), (24, 4), (48, 4), (48, 8)]
 REQUESTS = 4
 SEED = 2003
 
 
-def _peak_rss_kb() -> int:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is bytes on macOS, kilobytes on Linux.
-    return peak // 1024 if sys.platform == "darwin" else peak
-
-
-def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
-            seed: int = SEED) -> Dict[str, object]:
-    """The sessions-x-shards sweep; deterministic per seed except the
-    wall-clock / RSS observations."""
+def measure() -> Dict[str, object]:
+    """The sessions-x-shards sweep, deterministic per seed."""
     sweep: Dict[str, object] = {}
-    for sessions, shards in grid:
-        start = time.perf_counter()
+    for sessions, shards in GRID:
         result = run_failover(sessions=sessions, shards=shards,
-                              requests_per_session=requests, seed=seed)
-        elapsed = time.perf_counter() - start
+                              requests_per_session=REQUESTS, seed=SEED)
         stats = result.stats
         latencies = sorted(stats.recovery_latencies)
         sweep[f"{sessions}x{shards}"] = {
@@ -78,27 +67,29 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
                 "max": round(latencies[-1], 6) if latencies else 0.0,
             },
             "reconciled": result.reconciliation.ok,
-            "wall_s": round(elapsed, 4),
-            "peak_rss_kb": _peak_rss_kb(),
         }
     return {
         "_meta": {
-            "grid": [list(cell) for cell in grid],
-            "requests_per_session": requests,
-            "seed": seed,
-            "unit": ("recovery_s = virtual crash-to-migration latency; "
-                     "wall_s / peak_rss_kb are host-dependent"),
+            "grid": [list(cell) for cell in GRID],
+            "requests_per_session": REQUESTS,
+            "seed": SEED,
+            "unit": "recovery_s = virtual crash-to-migration latency",
         },
         "sweep": sweep,
     }
 
 
-# -- smoke-mode assertions (pytest entry point) -----------------------------
-
-
-def test_fleet_scaling_smoke():
-    results = measure(grid=[(8, 2), (12, 3)], requests=3)
-    for row in results["sweep"].values():
+def test_committed_document():
+    """The committed JSON is the acceptance artifact: a fresh sweep
+    reproduces it byte for byte.  At every grid point the crash sweep
+    killed every shard, every benign request was answered, every
+    migration has a recovery latency, and the energy reconciliation
+    held exactly."""
+    document = measure()
+    check_document(DOCUMENT, document)
+    sweep = document["sweep"]
+    assert len(sweep) == len(document["_meta"]["grid"])
+    for row in sweep.values():
         # Every benign request answered: served, degraded, or shed.
         assert row["answered"] == row["submitted"]
         # Every shard killed at least once.
@@ -106,41 +97,6 @@ def test_fleet_scaling_smoke():
         assert row["sessions_migrated"] > 0
         assert row["recovery_s"]["count"] == row["sessions_migrated"]
         assert row["recovery_s"]["p95"] >= row["recovery_s"]["p50"] > 0.0
-        assert row["reconciled"]
-
-
-#: The host-dependent fields; everything else is deterministic per seed.
-HOST_FIELDS = ("wall_s", "peak_rss_kb")
-
-
-def _deterministic(node):
-    """``node`` with every host-dependent field dropped."""
-    if isinstance(node, dict):
-        return {key: _deterministic(value) for key, value in node.items()
-                if key not in HOST_FIELDS}
-    return node
-
-
-def test_committed_bench_document():
-    """The committed JSON is the acceptance artifact and cannot go
-    stale: a fresh sweep reproduces every field of it except the
-    host-dependent ones.  At every grid point the crash sweep killed
-    every shard, every benign request was answered, and the energy
-    reconciliation held exactly."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_fleet_scaling.json")
-    with open(path, encoding="ascii") as handle:
-        document = json.load(handle)
-    meta = document["_meta"]
-    fresh = measure(grid=[tuple(cell) for cell in meta["grid"]],
-                    requests=meta["requests_per_session"], seed=meta["seed"])
-    assert _deterministic(fresh) == _deterministic(document)
-    sweep = document["sweep"]
-    assert len(sweep) == len(document["_meta"]["grid"])
-    for row in sweep.values():
-        assert row["answered"] == row["submitted"]
-        assert row["crashes"] >= row["shards"]
-        assert row["sessions_migrated"] > 0
         assert row["reconciled"] is True
     # More sessions on the same shard count means more checkpoint
     # traffic: the journal story scales with the fleet.
@@ -149,14 +105,7 @@ def test_committed_bench_document():
 
 
 def main() -> None:
-    results = measure()
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_fleet_scaling.json")
-    document = json.dumps(results, indent=2, sort_keys=True)
-    with open(out, "w", encoding="ascii") as handle:
-        handle.write(document + "\n")
-    print(document)
-    print(f"\nwrote {out}")
+    write_document(DOCUMENT, measure())
 
 
 if __name__ == "__main__":

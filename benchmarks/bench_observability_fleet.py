@@ -1,12 +1,13 @@
-"""Fleet observability overhead: dark probes vs tracing vs watchtower.
+"""Observability never changes the run: dark probes vs tracing vs
+watchtower on the same seeded chaos run.
 
-The fleet observability plane (DESIGN.md §12) promises a zero-cost
-seam: with the probe dark a failover run pays a single ``if`` per
-probe point, with it lit every span/event/counter lands in one
-telemetry stream, and with the full watchtower riding along a
-recurring sampler adds windowed series and SLO evaluation on top.
-This bench sweeps sessions x shards and measures all three layers on
-the *same* seeded chaos run:
+The fleet observability plane (DESIGN.md §12) promises a seam that
+only watches: with the probe dark a failover run records nothing, with
+it lit every span/event/counter lands in one telemetry stream, and
+with the full watchtower riding along a recurring sampler adds
+windowed series and SLO evaluation on top.  This bench sweeps
+sessions x shards and runs all three layers on the *same* seeded chaos
+run:
 
 * ``off`` — ``run_failover(..., probe_enabled=False)``: the dark
   baseline, zero spans;
@@ -14,36 +15,38 @@ the *same* seeded chaos run:
 * ``watched`` — ``run_fleetwatch(...)``: tracing plus the windowed
   time-series sampler and burn-rate SLO engine.
 
-Wall-clock and RSS are environment-dependent and recorded for trend
-reading only; every other field is deterministic per seed, and the
-structural assertions below pin those — including that all three
-layers answer the identical ledger (observability never changes the
-run).
+It records what each layer captured and whether all three answered the
+identical ledger.  Every field is deterministic per seed.  What the lit
+probe costs in host time is measured by
+``tests/observability/test_overhead.py`` and
+``benchmarks/bench_telemetry_overhead.py``.
 
-Runs two ways:
-
-* ``PYTHONPATH=src python benchmarks/bench_observability_fleet.py`` —
-  full sweep; writes ``BENCH_observability_fleet.json`` next to the
-  repo root and prints it;
-* ``PYTHONPATH=src python -m pytest
-  benchmarks/bench_observability_fleet.py`` — smoke mode: smaller
-  grid, asserts the structural floors (dark layer records nothing,
-  the watched layer's ledger matches the dark layer's, windows and
-  alerts populated, energy reconciles).
+``PYTHONPATH=src python benchmarks/bench_observability_fleet.py``
+writes ``BENCH_observability_fleet.json`` at the repo root and prints
+it.  ``PYTHONPATH=src python -m pytest
+benchmarks/bench_observability_fleet.py`` regenerates the sweep,
+requires it to match the committed file byte for byte, and asserts the
+structural floors on it (dark layer records nothing, every layer
+answers the dark layer's ledger, windows and samples populated, energy
+reconciles).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import resource
 import sys
-import time
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.fleet import run_failover
 from repro.observability.fleetwatch import run_fleetwatch
 
+if __name__ == "__main__":
+    # Script form: import ``benchmarks`` from the repository root.
+    sys.path[0] = str(Path(__file__).resolve().parents[1])
+
+from benchmarks.committed import check_document, write_document  # noqa: E402
+
+DOCUMENT = "BENCH_observability_fleet.json"
 GRID: List[Tuple[int, int]] = [
     (8, 1), (8, 4), (8, 8),
     (16, 1), (16, 4), (16, 8),
@@ -53,31 +56,15 @@ REQUESTS = 3
 SEED = 2003
 
 
-def _peak_rss_kb() -> int:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is bytes on macOS, kilobytes on Linux.
-    return peak // 1024 if sys.platform == "darwin" else peak
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
-            seed: int = SEED) -> Dict[str, object]:
-    """The three-layer sweep; deterministic per seed except the
-    wall-clock / RSS observations."""
+def measure() -> Dict[str, object]:
+    """The three-layer sweep, deterministic per seed."""
     sweep: Dict[str, object] = {}
-    for sessions, shards in grid:
+    for sessions, shards in GRID:
         kwargs = dict(sessions=sessions, shards=shards,
-                      requests_per_session=requests, seed=seed)
-
-        dark, dark_s = _timed(lambda: run_failover(
-            probe_enabled=False, **kwargs))
-        traced, traced_s = _timed(lambda: run_failover(**kwargs))
-        watched, watched_s = _timed(lambda: run_fleetwatch(**kwargs))
+                      requests_per_session=REQUESTS, seed=SEED)
+        dark = run_failover(probe_enabled=False, **kwargs)
+        traced = run_failover(**kwargs)
+        watched = run_fleetwatch(**kwargs)
 
         ledger = dict(dark.counts)
         summary = watched.watch.engine.summary()
@@ -90,12 +77,10 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
             "layers": {
                 "off": {
                     "spans": len(dark.telemetry.spans),
-                    "wall_s": round(dark_s, 4),
                 },
                 "traced": {
                     "spans": len(traced.telemetry.spans),
                     "events": len(traced.telemetry.events),
-                    "wall_s": round(traced_s, 4),
                 },
                 "watched": {
                     "spans": len(watched.telemetry.spans),
@@ -103,7 +88,6 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
                     "samples": watched.watch.samples_taken,
                     "alerts": len(summary["alerts"]),
                     "streams": len(watched.store.streams()),
-                    "wall_s": round(watched_s, 4),
                 },
             },
             "ledger_invariant": (
@@ -113,28 +97,30 @@ def measure(grid: List[Tuple[int, int]] = GRID, requests: int = REQUESTS,
             # reconciliation invariant is a lit-layer property.
             "reconciled": (traced.reconciliation.ok
                            and watched.reconciliation.ok),
-            "peak_rss_kb": _peak_rss_kb(),
         }
     return {
         "_meta": {
-            "grid": [list(cell) for cell in grid],
-            "requests_per_session": requests,
-            "seed": seed,
+            "grid": [list(cell) for cell in GRID],
+            "requests_per_session": REQUESTS,
+            "seed": SEED,
             "layers": ("off = probe_enabled=False; traced = spans on; "
                        "watched = tracing + windowed series + SLO engine"),
-            "unit": ("wall_s / peak_rss_kb are host-dependent; every "
-                     "other field is deterministic per seed"),
         },
         "sweep": sweep,
     }
 
 
-# -- smoke-mode assertions (pytest entry point) -----------------------------
-
-
-def test_observability_layers_smoke():
-    results = measure(grid=[(8, 1), (10, 2)], requests=3)
-    for row in results["sweep"].values():
+def test_committed_document():
+    """The committed JSON is the acceptance artifact: a fresh sweep
+    reproduces it byte for byte.  At every grid point the dark layer
+    recorded zero spans, all three layers answered the identical
+    ledger, the watcher produced windows and samples, and the energy
+    reconciliation held on every lit layer."""
+    document = measure()
+    check_document(DOCUMENT, document)
+    sweep = document["sweep"]
+    assert len(sweep) == len(document["_meta"]["grid"])
+    for row in sweep.values():
         layers = row["layers"]
         # The dark layer records nothing; the lit layers record plenty.
         assert layers["off"]["spans"] == 0
@@ -143,29 +129,8 @@ def test_observability_layers_smoke():
         assert layers["watched"]["spans"] >= layers["traced"]["spans"]
         assert layers["watched"]["windows"] > 0
         assert layers["watched"]["samples"] > 0
-        # Observability never changes the run.
-        assert row["ledger_invariant"]
-        assert row["reconciled"]
-
-
-def test_committed_bench_document():
-    """The committed JSON is the acceptance artifact: at every grid
-    point the dark layer recorded zero spans, all three layers
-    answered the identical ledger, the watcher produced windows and
-    alerts, and the energy reconciliation held on every layer."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_observability_fleet.json")
-    with open(path, encoding="ascii") as handle:
-        document = json.load(handle)
-    sweep = document["sweep"]
-    assert len(sweep) == len(document["_meta"]["grid"])
-    for row in sweep.values():
-        layers = row["layers"]
-        assert layers["off"]["spans"] == 0
-        assert layers["traced"]["spans"] > 0
-        assert layers["watched"]["spans"] >= layers["traced"]["spans"]
-        assert layers["watched"]["windows"] > 0
         assert layers["watched"]["streams"] == row["shards"] + 1
+        # Observability never changes the run.
         assert row["ledger_invariant"] is True
         assert row["reconciled"] is True
     # More sessions means more spans: the trace volume scales with
@@ -175,14 +140,7 @@ def test_committed_bench_document():
 
 
 def main() -> None:
-    results = measure()
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_observability_fleet.json")
-    document = json.dumps(results, indent=2, sort_keys=True)
-    with open(out, "w", encoding="ascii") as handle:
-        handle.write(document + "\n")
-    print(document)
-    print(f"\nwrote {out}")
+    write_document(DOCUMENT, measure())
 
 
 if __name__ == "__main__":

@@ -5,41 +5,46 @@ attacker classes with benign load on one virtual clock.  This bench
 sweeps the attacker share of total traffic and records what survives:
 benign goodput, the shed breakdown, malformed records discarded, and
 the attacker-vs-user energy split — the robustness analogue of the
-throughput artifact.
+throughput artifact.  Every field is deterministic per seed.
 
-Runs two ways:
-
-* ``PYTHONPATH=src python benchmarks/bench_survivability.py`` — full
-  sweep; writes ``BENCH_survivability.json`` next to the repo root and
-  prints it;
-* ``PYTHONPATH=src python -m pytest benchmarks/bench_survivability.py``
-  — smoke mode: smaller world, asserts the structural floors (baseline
-  serves everything, the 50% mix holds the declared goodput bound,
-  every request answered, energy reconciles at every fraction).
+``PYTHONPATH=src python benchmarks/bench_survivability.py`` writes
+``BENCH_survivability.json`` at the repo root and prints it.
+``PYTHONPATH=src python -m pytest benchmarks/bench_survivability.py``
+regenerates the sweep, requires it to match the committed file byte
+for byte, and asserts the structural floors on it (baseline serves
+everything, the 50% mix holds the declared goodput bound, every
+request answered, energy reconciles at every fraction).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List
+import sys
+from pathlib import Path
+from typing import Dict
 
 from repro.adversary import run_survivability
 from repro.analysis.survivability import DECLARED_GOODPUT_BOUND
 
+if __name__ == "__main__":
+    # Script form: import ``benchmarks`` from the repository root.
+    sys.path[0] = str(Path(__file__).resolve().parents[1])
+
+from benchmarks.committed import check_document, write_document  # noqa: E402
+
+DOCUMENT = "BENCH_survivability.json"
+SESSIONS = 32
+REQUESTS = 4
 FRACTIONS = [0.0, 0.25, 0.5, 0.75]
 SEED = 2003
 
 
-def measure(sessions: int = 32, requests: int = 4,
-            fractions: List[float] = FRACTIONS,
-            seed: int = SEED) -> Dict[str, object]:
+def measure() -> Dict[str, object]:
     """The goodput-vs-attacker-fraction sweep, deterministic per seed."""
     sweep: Dict[str, object] = {}
-    for fraction in fractions:
+    for fraction in FRACTIONS:
         result = run_survivability(
-            sessions=sessions, requests_per_session=requests,
-            attacker_fraction=fraction, seed=seed)
+            sessions=SESSIONS, requests_per_session=REQUESTS,
+            attacker_fraction=fraction, seed=SEED)
         stats = result.stats
         user_mj = sum(
             (battery.capacity_j - battery.remaining_j) * 1000.0
@@ -61,10 +66,10 @@ def measure(sessions: int = 32, requests: int = 4,
         }
     return {
         "_meta": {
-            "sessions": sessions,
-            "requests_per_session": requests,
-            "seed": seed,
-            "attacker_fractions": fractions,
+            "sessions": SESSIONS,
+            "requests_per_session": REQUESTS,
+            "seed": SEED,
+            "attacker_fractions": FRACTIONS,
             "declared_goodput_bound": DECLARED_GOODPUT_BOUND,
             "unit": "goodput = served / answered (benign sessions)",
         },
@@ -72,59 +77,34 @@ def measure(sessions: int = 32, requests: int = 4,
     }
 
 
-# -- smoke-mode assertions (pytest entry point) -----------------------------
-
-
-def test_survivability_smoke():
-    results = measure(sessions=12, requests=3, fractions=[0.0, 0.5])
-    sweep = results["sweep"]
+def test_committed_document():
+    """The committed JSON is the acceptance artifact: a fresh sweep
+    reproduces it byte for byte, the full-scale sweep holds the
+    declared goodput bound at the 50% mix, answers every request at
+    every fraction, and reconciles energy exactly."""
+    document = measure()
+    check_document(DOCUMENT, document)
+    assert document["_meta"]["declared_goodput_bound"] == \
+        DECLARED_GOODPUT_BOUND
+    sweep = document["sweep"]
     baseline, attacked = sweep["0.00"], sweep["0.50"]
     assert baseline["goodput"] == 1.0
     assert baseline["attacker_events"] == 0
-    # The declared survivability bound, at smoke scale.
     assert attacked["goodput"] >= baseline["goodput"] - DECLARED_GOODPUT_BOUND
     for row in sweep.values():
         # Every benign request answered: served, degraded, or shed.
         assert row["answered"] == row["submitted"]
-        assert row["reconciled"]
+        assert row["reconciled"] is True
     assert attacked["attacker_events"] > 0
     assert attacked["attacker_mj"] > 0.0
-
-
-def test_committed_bench_document():
-    """The committed JSON is the acceptance artifact: the full-scale
-    sweep holds the declared goodput bound at the 50% mix, answers
-    every request at every fraction, and reconciles energy exactly."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_survivability.json")
-    with open(path, encoding="ascii") as handle:
-        document = json.load(handle)
-    assert document["_meta"]["declared_goodput_bound"] == \
-        DECLARED_GOODPUT_BOUND
-    sweep = document["sweep"]
-    baseline = sweep["0.00"]
-    assert baseline["goodput"] == 1.0
-    assert sweep["0.50"]["goodput"] >= \
-        baseline["goodput"] - DECLARED_GOODPUT_BOUND
-    for row in sweep.values():
-        assert row["answered"] == row["submitted"]
-        assert row["reconciled"] is True
     # More attackers, more attacker energy drained: the sweep is a
     # monotone energy story even where goodput holds.
-    fractions = sorted(sweep)
-    energies = [sweep[f]["attacker_mj"] for f in fractions]
+    energies = [sweep[f]["attacker_mj"] for f in sorted(sweep)]
     assert energies == sorted(energies)
 
 
 def main() -> None:
-    results = measure()
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_survivability.json")
-    document = json.dumps(results, indent=2, sort_keys=True)
-    with open(out, "w", encoding="ascii") as handle:
-        handle.write(document + "\n")
-    print(document)
-    print(f"\nwrote {out}")
+    write_document(DOCUMENT, measure())
 
 
 if __name__ == "__main__":

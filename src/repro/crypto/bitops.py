@@ -102,11 +102,6 @@ def hamming_distance(a: int, b: int) -> int:
     return hamming_weight(a ^ b)
 
 
-def bytes_hamming_weight(data: bytes) -> int:
-    """Total Hamming weight of a byte string."""
-    return sum(bin(byte).count("1") for byte in data)
-
-
 def split_blocks(data: bytes, block_size: int) -> List[bytes]:
     """Split ``data`` into consecutive ``block_size``-byte blocks.
 

@@ -353,6 +353,14 @@ class ShardedFleet:
         self.mutations[session_id] = 0
         self.unanswered[session_id] = deque()
         self.reply_buffer[session_id] = []
+        self._issue_ticket(session_id, client_session)
+        self._checkpoint(session_id)
+        return handset_conn
+
+    def _issue_ticket(self, session_id: str, client_session) -> None:
+        """Cache ``client_session`` on the handset and in the fleet-wide
+        ticket cache under one fresh ticket, the next crash's resumption
+        key."""
         ticket = cache_session(
             self.client_caches[session_id], client_session,
             self._ticket_rng)
@@ -360,8 +368,6 @@ class ShardedFleet:
             session_id=ticket, suite_name=client_session.suite.name,
             master=client_session.master))
         self.tickets[session_id] = ticket
-        self._checkpoint(session_id)
-        return handset_conn
 
     def handset(self, session_id: str) -> WTLSConnection:
         """The session's *current* handset-side connection (cold
@@ -643,14 +649,7 @@ class ShardedFleet:
             self._charge_recovery(
                 session_id, battery, _channel_bytes(new_channel))
             # Re-ticket under the fresh master for the next crash.
-            ticket = cache_session(
-                self.client_caches[session_id], client_session,
-                self._ticket_rng)
-            self.ticket_cache.store(CachedSession(
-                session_id=ticket,
-                suite_name=client_session.suite.name,
-                master=client_session.master))
-            self.tickets[session_id] = ticket
+            self._issue_ticket(session_id, client_session)
             self.stats.migrations_cold_full += 1
             path = "cold-full"
         self.handsets[session_id] = handset_conn

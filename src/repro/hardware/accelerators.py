@@ -46,10 +46,6 @@ class ExecutionReport:
     energy_mj: float
     host_instructions: float  # instructions still executed on the host CPU
 
-    def throughput_mbps(self, kilobytes: float) -> float:
-        """Achieved protected-data throughput for a bulk payload."""
-        return kilobytes * 8.192 / 1000.0 / self.time_s if self.time_s else float("inf")
-
 
 @dataclass
 class SoftwareEngine:

@@ -58,12 +58,6 @@ class HardwareFaultLog:
         return [kind for _, kind, _ in self.entries]
 
 
-class _Clock:
-    """Minimal clock protocol: anything with a ``now`` float attribute."""
-
-    now: float = 0.0
-
-
 class FlakyEngine:
     """Wraps any §4.2 ladder engine with a failure process.
 

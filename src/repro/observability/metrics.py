@@ -119,8 +119,9 @@ class Counter:
                 for key in sorted(self._values)]
 
 
-#: A collector returns live samples: (name, help, labels, value).
-Collector = Callable[[], Iterable[Tuple[str, str, Dict[str, object], float]]]
+#: A collector returns live samples: (name, labels, value).  Collector
+#: families render as gauges with no ``# HELP`` line.
+Collector = Callable[[], Iterable[Tuple[str, Dict[str, object], float]]]
 
 
 class MetricsRegistry:
@@ -151,7 +152,7 @@ class MetricsRegistry:
             out.extend(self._metrics[name].samples())
         collected: List[Tuple[str, LabelKey, float]] = []
         for collector in self._collectors:
-            for name, _help, labels, value in collector():
+            for name, labels, value in collector():
                 collected.append((name, _label_key(labels), float(value)))
         out.extend(sorted(collected))
         return out
@@ -203,8 +204,7 @@ def _numeric_fields(obj) -> List[str]:
 
 def attach_ledger(registry: MetricsRegistry, prefix: str, obj,
                   fields: Optional[Sequence[str]] = None,
-                  labels: Optional[Dict[str, object]] = None,
-                  help_text: str = "") -> None:
+                  labels: Optional[Dict[str, object]] = None) -> None:
     """Re-export a ledger object's numeric attributes as live gauges.
 
     ``obj``'s attributes remain the authoritative store (existing code
@@ -215,7 +215,6 @@ def attach_ledger(registry: MetricsRegistry, prefix: str, obj,
     """
     chosen = list(fields) if fields is not None else _numeric_fields(obj)
     fixed = dict(labels or {})
-    note = help_text or f"live read-through of {type(obj).__name__}"
 
     def collect():
         out = []
@@ -223,7 +222,7 @@ def attach_ledger(registry: MetricsRegistry, prefix: str, obj,
             value = getattr(obj, field)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
-            out.append((f"{prefix}_{field}", note, fixed, float(value)))
+            out.append((f"{prefix}_{field}", fixed, float(value)))
         return out
 
     registry.register_collector(collect)
@@ -241,8 +240,7 @@ def export_dos_responder(registry: MetricsRegistry, responder,
                           "cookies_grace_accepted", "cookies_unmatched",
                           "evicted", "secret_rotations",
                           "handshakes_started", "work_spent_mi"],
-                  labels={"role": role},
-                  help_text="stateless-cookie DoS gate ledger")
+                  labels={"role": role})
 
 
 def export_adversary_population(registry: MetricsRegistry,
@@ -260,9 +258,7 @@ def export_adversary_population(registry: MetricsRegistry,
                     value = int(value)
                 if not isinstance(value, (int, float)):
                     continue
-                out.append((f"repro_adversary_{key}",
-                            "adversary population ledger", labels,
-                            float(value)))
+                out.append((f"repro_adversary_{key}", labels, float(value)))
         return out
 
     registry.register_collector(collect)
@@ -275,13 +271,10 @@ def export_battery(registry: MetricsRegistry, battery,
 
     def collect():
         return [
-            ("repro_battery_capacity_j", "battery capacity", labels,
-             battery.capacity_j),
-            ("repro_battery_remaining_j", "battery charge remaining", labels,
-             battery.remaining_j),
-            ("repro_battery_drained_mj", "energy withdrawn so far", labels,
-             battery.drained_mj),
-            ("repro_battery_fraction_remaining", "charge fraction", labels,
+            ("repro_battery_capacity_j", labels, battery.capacity_j),
+            ("repro_battery_remaining_j", labels, battery.remaining_j),
+            ("repro_battery_drained_mj", labels, battery.drained_mj),
+            ("repro_battery_fraction_remaining", labels,
              battery.fraction_remaining),
         ]
 
@@ -294,12 +287,10 @@ def export_gateway(registry: MetricsRegistry, gateway) -> None:
     plaintext exposure, which is a *security* metric)."""
     attach_ledger(registry, "repro_gateway", gateway,
                   fields=["wired_leg_failures", "handler_failures",
-                          "degraded_responses"],
-                  help_text="WAP gateway proxy ledger")
+                          "degraded_responses"])
 
     def collect():
-        return [("repro_gateway_plaintext_records",
-                 "records exposed in gateway memory (the WAP gap)", {},
+        return [("repro_gateway_plaintext_records", {},
                  float(len(gateway.plaintext_log)))]
 
     registry.register_collector(collect)
@@ -317,20 +308,18 @@ def export_runtime(registry: MetricsRegistry, runtime) -> None:
                           "malformed_discarded", "breaker_fast_fails",
                           "wired_failures", "handler_failures",
                           "battery_refusals", "energy_mj", "shed",
-                          "answered"],
-                  help_text="gateway runtime answer ledger")
+                          "answered"])
     export_gateway(registry, runtime.gateway)
 
     def collect_breakers():
         out = []
         for origin in sorted(runtime.breakers):
             breaker = runtime.breakers[origin]
-            out.append(("repro_gateway_breaker_fast_fails",
-                        "requests fast-failed by an open breaker",
-                        {"origin": origin}, float(breaker.fast_fails)))
-            out.append(("repro_gateway_breaker_transitions",
-                        "breaker state transitions",
-                        {"origin": origin}, float(len(breaker.transitions))))
+            labels = {"origin": origin}
+            out.append(("repro_gateway_breaker_fast_fails", labels,
+                        float(breaker.fast_fails)))
+            out.append(("repro_gateway_breaker_transitions", labels,
+                        float(len(breaker.transitions))))
         return out
 
     registry.register_collector(collect_breakers)
@@ -353,69 +342,47 @@ def export_fleet(registry: MetricsRegistry, fleet) -> None:
                           "shed_recovering", "requests_while_down",
                           "black_holed_frames", "flushed_replies",
                           "migration_deferrals", "battery_refusals",
-                          "recovery_energy_mj", "journal_bytes_torn"],
-                  help_text="sharded fleet crash/recovery ledger")
+                          "recovery_energy_mj", "journal_bytes_torn"])
 
     def collect_shards():
         out = []
         for shard in fleet.shards:
             labels = {"shard": shard.name}
             journal = shard.journal
-            out.append(("repro_fleet_shard_alive",
-                        "1 when the shard is live", labels,
+            out.append(("repro_fleet_shard_alive", labels,
                         1.0 if shard.alive else 0.0))
-            out.append(("repro_fleet_shard_sessions",
-                        "sessions currently owned", labels,
+            out.append(("repro_fleet_shard_sessions", labels,
                         float(len(shard.runtime.sessions))))
-            out.append(("repro_fleet_shard_crashes",
-                        "times this shard died", labels,
+            out.append(("repro_fleet_shard_crashes", labels,
                         float(shard.crash_count)))
-            out.append(("repro_fleet_checkpoints_written",
-                        "checkpoint frames durably appended", labels,
+            out.append(("repro_fleet_checkpoints_written", labels,
                         float(journal.checkpoints_written)))
-            out.append(("repro_fleet_journal_bytes",
-                        "journal bytes on stable storage", labels,
+            out.append(("repro_fleet_journal_bytes", labels,
                         float(len(journal))))
-            out.append(("repro_fleet_journal_evictions",
-                        "journal index evictions (bounded state)", labels,
+            out.append(("repro_fleet_journal_evictions", labels,
                         float(journal.evictions)))
-            out.append(("repro_fleet_journal_torn_records",
-                        "torn frames seen during recovery", labels,
+            out.append(("repro_fleet_journal_torn_records", labels,
                         float(journal.torn_records)))
             # Answer ledger summed across incarnations (restarts swap
             # the live stats object; the retired ones still count).
             ledgers = list(shard.retired_stats) + [shard.runtime.stats]
-            for field_name, help_text in (
-                    ("served", "requests served across incarnations"),
-                    ("degraded", "degraded answers across incarnations"),
-                    ("shed", "requests shed across incarnations"),
-                    ("energy_mj",
-                     "airlink energy charged across incarnations (mJ)")):
+            for field_name in ("served", "degraded", "shed", "energy_mj"):
                 total = sum(getattr(stats, field_name)
                             for stats in ledgers)
-                out.append((f"repro_fleet_shard_{field_name}",
-                            help_text, labels, float(total)))
+                out.append((f"repro_fleet_shard_{field_name}", labels,
+                            float(total)))
         return out
 
     def collect_recovery():
         stats = fleet.stats
         cache = fleet.ticket_cache
         return [
-            ("repro_fleet_recovery_p50_s",
-             "median crash-to-migrated virtual latency", {},
-             stats.recovery_p50_s()),
-            ("repro_fleet_recovery_p95_s",
-             "p95 crash-to-migrated virtual latency", {},
-             stats.recovery_p95_s()),
-            ("repro_fleet_ticket_cache_entries",
-             "resumable tickets currently cached", {},
-             float(len(cache))),
-            ("repro_fleet_ticket_cache_evictions",
-             "tickets evicted by the bounded cache", {},
+            ("repro_fleet_recovery_p50_s", {}, stats.recovery_p50_s()),
+            ("repro_fleet_recovery_p95_s", {}, stats.recovery_p95_s()),
+            ("repro_fleet_ticket_cache_entries", {}, float(len(cache))),
+            ("repro_fleet_ticket_cache_evictions", {},
              float(cache.evictions)),
-            ("repro_fleet_ticket_cache_expired",
-             "tickets expired by rotation GC", {},
-             float(cache.expired)),
+            ("repro_fleet_ticket_cache_expired", {}, float(cache.expired)),
         ]
 
     registry.register_collector(collect_shards)

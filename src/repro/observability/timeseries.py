@@ -274,12 +274,8 @@ def series_collector(series_list: Iterable[WindowedSeries]):
                 continue
             labels = {"series": series.name,
                       "window_start_s": f"{window.start_s:.6f}"}
-            out.append((f"repro_window_count",
-                        "events in the latest window", labels,
-                        float(window.count)))
-            out.append((f"repro_window_sum",
-                        "value sum in the latest window", labels,
-                        float(window.sum)))
+            out.append(("repro_window_count", labels, float(window.count)))
+            out.append(("repro_window_sum", labels, float(window.sum)))
         return out
 
     return collect

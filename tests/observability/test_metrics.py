@@ -53,7 +53,7 @@ class TestPrimitives:
             registry.counter("b_total", "second").inc(2.0, kind="x")
             registry.counter("a_total", "first").inc()
             registry.register_collector(
-                lambda: [("c", "ignored", {"shard": "s1"}, 1.5)])
+                lambda: [("c", {"shard": "s1"}, 1.5)])
             return registry.render()
 
         first, second = build(), build()
