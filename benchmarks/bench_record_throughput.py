@@ -26,8 +26,9 @@ is 16-bit): 32 records of ≤ 1 KiB each is ~34 KiB of wire bytes.
 from __future__ import annotations
 
 import json
-import os
+import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.crypto import fastpath
@@ -45,6 +46,13 @@ from repro.protocols.tls import connect
 from repro.protocols.wtls import WTLSRecordDecoder, WTLSRecordEncoder
 from repro.protocols.certificates import CertificateAuthority
 
+if __name__ == "__main__":
+    # Script form: import ``benchmarks`` from the repository root.
+    sys.path[0] = str(Path(__file__).resolve().parents[1])
+
+from benchmarks.committed import REPO_ROOT, write_document  # noqa: E402
+
+DOCUMENT = "BENCH_record_throughput.json"
 SUITES = [NULL_WITH_SHA, RSA_WITH_RC4_MD5, RSA_WITH_AES_SHA]
 SIZES = [64, 1024]
 BATCH = 48  # 48 x 1 KiB ~= 50 KiB framed: safely under MAX_FRAME_PAYLOAD
@@ -248,10 +256,7 @@ def test_committed_bench_document():
     """The committed JSON is the acceptance artifact: batched fast-path
     records/sec >= 3x the per-record path at 1 KiB records (transport
     plane, frame-overhead-bound suite), measured by ``main()``."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_record_throughput.json")
-    with open(path, encoding="ascii") as handle:
-        document = json.load(handle)
+    document = json.loads((REPO_ROOT / DOCUMENT).read_text(encoding="ascii"))
     assert document["_meta"]["dispatch_path"] == "fast"
     row = document["transport"]["NULL_WITH_SHA"]["1024"]
     assert row["speedup"] >= 3.0
@@ -262,14 +267,7 @@ def test_committed_bench_document():
 
 
 def main() -> None:
-    results = measure()
-    out = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_record_throughput.json")
-    document = json.dumps(results, indent=2, sort_keys=True)
-    with open(out, "w", encoding="ascii") as handle:
-        handle.write(document + "\n")
-    print(document)
-    print(f"\nwrote {out}")
+    write_document(DOCUMENT, measure())
 
 
 if __name__ == "__main__":

@@ -320,7 +320,10 @@ def _des_tables() -> dict:
     * ``ip_e`` — IP followed by E on each half: eight byte lookups give
       ``E(L0) ‖ E(R0)`` as one 96-bit int;
     * ``spe`` — four 4096-entry tables, one per S-box *pair*, each entry
-      ``E(P(S₂ⱼ ‖ S₂ⱼ₊₁))`` for the pair's 12 input bits;
+      ``E(P(S₂ⱼ ‖ S₂ⱼ₊₁))`` for the pair's 12 input bits.  An entry
+      depends only on the pair's 8 output bits, so a table holds 256
+      distinct values; each value is built once and the 4096 entries
+      share those 256 int objects (16x fewer 48-bit ints to keep alive);
     * ``fp_e`` — FP read directly off the 96-bit ``E(R16) ‖ E(L16)``
       word, taking each bit from its middle copy (twelve byte lookups,
       six per half);
@@ -336,19 +339,26 @@ def _des_tables() -> dict:
         from .bitops import permute_bits
 
         e0, e1, e2, e3 = byte_permutation_tables(_des._E, 32)
-        spe = []
+        # Per box: the output nibble of each 6-bit input, and E(P(·)) of
+        # each nibble placed at the box's position.
+        outputs = []
+        expanded = []
         for box in range(8):
-            entries = []
-            for six in range(64):
-                row = ((six >> 4) & 0b10) | (six & 1)
-                col = (six >> 1) & 0xF
-                # S-box output placement fused with P, then expanded.
-                f = permute_bits(
-                    _des._SBOXES[box][row][col] << (28 - 4 * box), _des._P, 32
-                )
-                entries.append(e0[f >> 24] | e1[(f >> 16) & 255]
-                               | e2[(f >> 8) & 255] | e3[f & 255])
-            spe.append(entries)
+            outputs.append([_des._SBOXES[box][((six >> 4) & 0b10) | (six & 1)]
+                            [(six >> 1) & 0xF] for six in range(64)])
+            row = []
+            for nibble in range(16):
+                f = permute_bits(nibble << (28 - 4 * box), _des._P, 32)
+                row.append(e0[f >> 24] | e1[(f >> 16) & 255]
+                           | e2[(f >> 8) & 255] | e3[f & 255])
+            expanded.append(row)
+        spe = []
+        for j in range(4):
+            # E is linear, so a pair value is the XOR of its two boxes'.
+            values = [hi ^ lo for hi in expanded[2 * j] for lo in expanded[2 * j + 1]]
+            hi_out, lo_out = outputs[2 * j], outputs[2 * j + 1]
+            spe.append([values[(hi_out[hi] << 4) | lo_out[lo]]
+                        for hi in range(64) for lo in range(64)])
         # E copies bit b (1..32) of a half once into the middle four bits
         # of a 6-bit group; this is that copy's position in the 96-bit
         # E-form of a 64-bit word (high half's expansion on top).
@@ -389,9 +399,7 @@ def _des_tables() -> dict:
             ),
             "fp_e": byte_permutation_tables([middle[src - 1] for src in _des._FP], 96),
             "key": key_tables,
-            # E is linear, so one pair entry is the XOR of two box entries.
-            "spe": [[hi ^ lo for hi in spe[2 * j] for lo in spe[2 * j + 1]]
-                    for j in range(4)],
+            "spe": spe,
         }
     return _DES_TABLES
 

@@ -104,9 +104,14 @@ class Counter:
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Increment (the unlabelled series unless labels are given)."""
+        self.add(_label_key(labels), amount)
+
+    def add(self, key: LabelKey, amount: float) -> None:
+        """Increment the series of a ready label key (as
+        :func:`_label_key` builds it); no state changes on a negative
+        ``amount``."""
         if amount < 0:
             raise ValueError("counters can only increase")
-        key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels) -> float:

@@ -22,9 +22,9 @@ roll-up over the finished tree answers the paper's Fig. 3/4 question:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
+from .metrics import LabelKey, MetricsRegistry, _label_key
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -69,7 +69,7 @@ class SpanEvent:
     attrs: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Span:
     """One node of the trace tree.
 
@@ -78,7 +78,8 @@ class Span:
     back in for inclusive totals.  Spans compare by identity, so a span
     of one trace never matches an open span of another.  A span is its
     own context manager: ``with telemetry.span(...)`` closes it through
-    its owning :class:`Telemetry`.
+    its owning :class:`Telemetry`.  Spans are slotted (no per-instance
+    ``__dict__``): a fleet run keeps thousands of them alive.
     """
 
     span_id: int
@@ -135,6 +136,9 @@ class Telemetry:
         self.events: List[SpanEvent] = []
         self._stack: List[Span] = []
         self._next_id = 1
+        #: ``(kind, span name)`` -> the counters' label key, so a charge
+        #: does not sort a fresh label set.
+        self._label_keys: Dict[Tuple[str, str], LabelKey] = {}
         #: Energy/cycles charged while no span was open.
         self.unattributed_mj = 0.0
         self.unattributed_cycles = 0.0
@@ -147,10 +151,12 @@ class Telemetry:
         return self._stack[-1] if self._stack else None
 
     def start_span(self, name: str, **attrs) -> Span:
-        """Open a span as a child of the current one (explicit form)."""
+        """Open a span as a child of the current one (explicit form).
+
+        The span keeps ``attrs`` itself: ``**attrs`` is a fresh dict."""
         parent = self._stack[-1].span_id if self._stack else None
         span = Span(span_id=self._next_id, parent_id=parent, name=name,
-                    start_s=float(self.clock.now), attrs=dict(attrs),
+                    start_s=float(self.clock.now), attrs=attrs,
                     telemetry=self)
         self._next_id += 1
         self.spans.append(span)
@@ -164,14 +170,16 @@ class Telemetry:
         no-op — the owning ``with`` block may still unwind after a
         crash handler aborted the stack out from under it.
         """
-        if span.end_s is not None and span.attrs.get("aborted") \
-                and span not in self._stack:
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
+            span.end_s = float(self.clock.now)
             return
-        if not self._stack or self._stack[-1] is not span:
-            raise RuntimeError(
-                f"span {span.name!r} is not the innermost open span")
-        self._stack.pop()
-        span.end_s = float(self.clock.now)
+        if span.end_s is not None and span.attrs.get("aborted") \
+                and span not in stack:
+            return
+        raise RuntimeError(
+            f"span {span.name!r} is not the innermost open span")
 
     def abort_span(self, span: Span, **attrs) -> List[Span]:
         """Force-close ``span`` and everything nested inside it.
@@ -219,27 +227,37 @@ class Telemetry:
 
     # -- attribution sinks ---------------------------------------------------
 
+    def _new_label_key(self, kind: str, span: str) -> LabelKey:
+        """Build and cache the counters' label key ``kind=…, span=…``."""
+        key = self._label_keys[(kind, span)] = _label_key(
+            {"kind": kind, "span": span})
+        return key
+
     def add_energy_mj(self, millijoules: float, kind: str = "battery") -> None:
-        """Charge ``millijoules`` to the innermost open span."""
+        """Charge ``millijoules`` to the innermost open span.
+
+        The counter is charged first: it rejects a negative amount
+        before the span or the unattributed bucket changes."""
         current = self._stack[-1] if self._stack else None
+        name = current.name if current is not None else "<none>"
+        self._energy_mj.add(self._label_keys.get((kind, name))
+                            or self._new_label_key(kind, name), millijoules)
         if current is not None:
             current.energy_mj += millijoules
         else:
             self.unattributed_mj += millijoules
-        self._energy_mj.inc(millijoules, kind=kind,
-                            span=current.name if current is not None
-                            else "<none>")
 
     def add_cycles(self, cycles: float, kind: str = "model") -> None:
-        """Charge modelled instruction cycles to the innermost span."""
+        """Charge modelled instruction cycles to the innermost span
+        (counter first, like :meth:`add_energy_mj`)."""
         current = self._stack[-1] if self._stack else None
+        name = current.name if current is not None else "<none>"
+        self._cycles.add(self._label_keys.get((kind, name))
+                         or self._new_label_key(kind, name), cycles)
         if current is not None:
             current.cycles += cycles
         else:
             self.unattributed_cycles += cycles
-        self._cycles.inc(cycles, kind=kind,
-                         span=current.name if current is not None
-                         else "<none>")
 
     # -- whole-trace queries -------------------------------------------------
 

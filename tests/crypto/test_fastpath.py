@@ -23,6 +23,7 @@ from repro.crypto.des import (
     _P,
     _PC1,
     _PC2,
+    _SBOXES,
     _crypt_block,
     expand_key,
 )
@@ -213,6 +214,20 @@ class TestDESTableFusion:
     def test_rejects_partial_bytes(self):
         with pytest.raises(ValueError):
             fastpath.byte_permutation_tables(_E, 31)
+
+    def test_pair_tables_share_256_values(self):
+        # Naive construction: E(P(·)) of each box's output at its 6-bit
+        # input, and a pair entry is the XOR of its two boxes' entries.
+        boxes = [[permute_bits(permute_bits(
+            _SBOXES[box][((six >> 4) & 0b10) | (six & 1)][(six >> 1) & 0xF]
+            << (28 - 4 * box), _P, 32), _E, 32) for six in range(64)]
+            for box in range(8)]
+        tables = fastpath._des_tables()["spe"]
+        assert len(tables) == 4
+        for j, table in enumerate(tables):
+            assert table == [hi ^ lo for hi in boxes[2 * j]
+                             for lo in boxes[2 * j + 1]]
+            assert len({id(value) for value in table}) == 256
 
 
 class TestTraceRecorderFallback:

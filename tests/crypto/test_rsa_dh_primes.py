@@ -1,13 +1,16 @@
 """RSA, Diffie–Hellman, and primality."""
 
 import dataclasses
+import hashlib
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.fault import bellcore_attack
+from repro.crypto import primes as primes_module
 from repro.crypto.dh import DHGroup, DHParty
 from repro.crypto.errors import (
     DecryptionError,
@@ -54,6 +57,65 @@ class TestPrimes:
         p = generate_safe_prime(40, DeterministicDRBG(2))
         assert is_prime(p)
         assert is_prime((p - 1) // 2)
+
+
+class _OneDraw:
+    """An rng whose one ``getrandbits`` draw is ``value``."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def getrandbits(self, bits: int) -> int:
+        value, self.value = self.value, None
+        assert value is not None, "a prime candidate was rejected"
+        return value
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+class TestPrimeSieve:
+    def test_keygen_moduli_unchanged(self):
+        # sha256 over the 512-bit moduli of 12 DRBG labels, as generated
+        # before candidates were sieved: the sieve only skips composites,
+        # so the DRBG draws, and the keys, stay the same.
+        moduli = b"".join(
+            generate_keypair(512, DeterministicDRBG(f"keygen-pin-{i}"))
+            .n.to_bytes(64, "big") for i in range(12))
+        assert hashlib.sha256(moduli).hexdigest() == (
+            "60eb7283065f646d883e27ff535f99198956d4a74d306f5f97ae909005ae313a")
+
+    @pytest.mark.parametrize("bits", range(8, 17))
+    def test_every_small_prime_is_reachable(self, bits):
+        # Trial division, independent of is_prime and the sieve.
+        low = 3 << (bits - 2)
+        primes = [n for n in range(low | 1, 1 << bits, 2)
+                  if all(n % d for d in range(3, int(n ** 0.5) + 1, 2))]
+        assert primes
+        for prime in primes:
+            assert generate_prime(bits, _OneDraw(prime)) == prime
+
+    def test_sieve_product_is_the_odd_primes_below_the_limit(self):
+        expected = 1
+        for n in range(3, primes_module._SIEVE_LIMIT, 2):
+            if all(n % d for d in range(3, int(n ** 0.5) + 1, 2)):
+                expected *= n
+        assert primes_module._odd_prime_product() == expected
+
+    def test_witnesses_are_drawn_lazily(self):
+        big = 2 ** 89 - 1  # a Mersenne prime above the deterministic limit
+        composite = big * 1_000_003
+        rng = _CountingRandom(5)
+        assert not is_prime(composite, rng=rng)
+        assert 1 <= rng.draws < 24
+        rng = _CountingRandom(5)
+        assert is_prime(big, rng=rng)
+        assert rng.draws == 24
 
 
 class TestRSAKeygen:

@@ -81,8 +81,25 @@ class TestAbortSpan:
         other = telemetry.start_span("inner")
         with pytest.raises(RuntimeError):
             telemetry.end_span(span)  # not innermost, not aborted
+        assert telemetry.open_spans() == [span, other]
+        assert span.end_s is None
         telemetry.end_span(other)
+        with pytest.raises(RuntimeError):
+            telemetry.end_span(other)  # closed, not aborted
         telemetry.end_span(span)
+        with pytest.raises(RuntimeError):
+            telemetry.end_span(span)  # empty stack
+
+    def test_end_span_of_an_aborted_span_is_a_noop(self):
+        telemetry = Telemetry()
+        outer = telemetry.start_span("outer")
+        inner = telemetry.start_span("inner")
+        telemetry.abort_span(outer)
+        ended = (outer.end_s, inner.end_s)
+        telemetry.end_span(inner)
+        telemetry.end_span(outer)
+        assert (outer.end_s, inner.end_s) == ended
+        assert telemetry.open_spans() == []
 
     def test_abort_where_outermost_match(self):
         telemetry = Telemetry()

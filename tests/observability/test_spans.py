@@ -3,6 +3,7 @@
 import pytest
 
 from repro.observability import probe
+from repro.observability.export import to_jsonl
 from repro.observability.spans import (
     Span,
     Telemetry,
@@ -127,6 +128,74 @@ class TestAttributionSinks:
         assert telemetry.total_energy_mj() == 2.0
         assert telemetry.total_cycles() == 100.0
 
+    def test_negative_charge_changes_nothing(self):
+        telemetry = Telemetry()
+        with telemetry.span("handshake") as span:
+            telemetry.add_energy_mj(1.0)
+            telemetry.add_cycles(10.0)
+            with pytest.raises(ValueError):
+                telemetry.add_energy_mj(-0.5)
+            with pytest.raises(ValueError):
+                telemetry.add_cycles(-1.0)
+        with pytest.raises(ValueError):
+            telemetry.add_energy_mj(-0.5)
+        with pytest.raises(ValueError):
+            telemetry.add_cycles(-1.0)
+        assert (span.energy_mj, span.cycles) == (1.0, 10.0)
+        assert (telemetry.unattributed_mj, telemetry.unattributed_cycles) \
+            == (0.0, 0.0)
+        # The span totals and the counters still agree.
+        assert telemetry.registry.value(
+            "repro_telemetry_energy_mj_total",
+            kind="battery", span="handshake") == telemetry.total_energy_mj()
+        assert telemetry.registry.value(
+            "repro_telemetry_cycles_total",
+            kind="model", span="handshake") == telemetry.total_cycles()
+
+    def test_cached_label_keys_export_like_counter_inc(self):
+        # (span to open, "" for none, or None to close the innermost;
+        # energy mJ, cycles, kind).  The charges before, between and
+        # after spans land on "<none>".
+        script = [
+            ("", 0.5, 10.0, "battery"), ("handshake", 1.5, 1e6, "battery"),
+            ("kdf", 0.25, 300.0, "model"), ("kdf", 0.25, 300.0, "model"),
+            (None, 2.0, 50.0, "battery"), (None, 0.125, 7.0, "radio"),
+            ("", 0.75, 20.0, "battery"), ("record", 3.0, 4e5, "radio"),
+            (None, 1.0, 1.0, "battery"),
+        ]
+
+        def run(through_keys: bool) -> Telemetry:
+            telemetry = Telemetry(seed=("labels", 1))
+            for action, energy, cycles, kind in script:
+                if action is None:
+                    telemetry.end_span(telemetry.current)
+                elif action:
+                    telemetry.start_span(action)
+                if through_keys:
+                    telemetry.add_energy_mj(energy, kind=kind)
+                    telemetry.add_cycles(cycles, kind=kind)
+                    continue
+                current = telemetry.current
+                name = current.name if current is not None else "<none>"
+                if current is not None:
+                    current.energy_mj += energy
+                    current.cycles += cycles
+                else:
+                    telemetry.unattributed_mj += energy
+                    telemetry.unattributed_cycles += cycles
+                telemetry.registry.counter(
+                    "repro_telemetry_energy_mj_total").inc(
+                        energy, kind=kind, span=name)
+                telemetry.registry.counter(
+                    "repro_telemetry_cycles_total").inc(
+                        cycles, kind=kind, span=name)
+            return telemetry
+
+        cached, reference = run(True), run(False)
+        assert 'span="<none>"' in cached.registry.render()
+        assert cached.registry.render() == reference.registry.render()
+        assert to_jsonl(cached) == to_jsonl(reference)
+
     def test_sinks_mirror_into_registry(self):
         telemetry = Telemetry()
         with telemetry.span("handshake"):
@@ -215,6 +284,24 @@ class TestSpanContextManager:
         with telemetry.span("one"):
             pass
         assert telemetry.ends == 1
+
+    def test_spans_are_slotted(self):
+        telemetry = Telemetry()
+        with telemetry.span("handshake") as span:
+            pass
+        assert not hasattr(span, "__dict__")
+        with pytest.raises(AttributeError):
+            span.undeclared = 1
+
+    def test_start_span_stores_the_attrs_it_is_given(self):
+        telemetry = Telemetry()
+        attrs = {"suite": "aes", "shard": 2}
+        span = telemetry.start_span("handshake", **attrs)
+        assert span.attrs == attrs
+        # ``**attrs`` built a fresh dict: the caller's is never aliased.
+        span.set(path="fast")
+        assert attrs == {"suite": "aes", "shard": 2}
+        telemetry.end_span(span)
 
     def test_repr_leaves_out_the_telemetry(self):
         telemetry = Telemetry(label="marker-label")
