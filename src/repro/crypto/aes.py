@@ -19,6 +19,7 @@ DPA attack in :mod:`repro.attacks.power`.
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 from typing import List, Optional
 
 from . import fastpath
@@ -78,10 +79,14 @@ while len(_RCON) < 14:
     _RCON.append(_gf_mul(_RCON[-1], 2))
 
 
-def key_expansion(key: bytes) -> List[List[int]]:
-    """FIPS 197 key expansion; returns round keys as lists of 4 words."""
+def _check_key(key: bytes) -> None:
     if len(key) not in (16, 24, 32):
         raise InvalidKeyLength("AES", len(key), "16, 24 or 32")
+
+
+def key_expansion(key: bytes) -> List[List[int]]:
+    """FIPS 197 key expansion; returns round keys as lists of 4 words."""
+    _check_key(key)
     if len(key) == 16:
         return _key_expansion_128(key)
     return _key_expansion_words(key)
@@ -157,20 +162,33 @@ class AES:
         Optional side-channel trace recorder; probes first-round S-box
         outputs (``aes.sbox_out``) and each round's state
         (``aes.round_out``).
+
+    An instance keeps its key bytes and, per direction the fast path
+    runs, one packed kernel schedule.  The reference loops' round-key
+    lists are expanded on their first use and cached; a cipher built
+    with a recorder, or while the fast path is off, expands them at
+    construction.
     """
 
     name = "AES"
     block_size = BLOCK_SIZE
     key_size = 16
 
+    # Fast-path kernel schedules, built on first use per direction.
+    _fast_enc: Optional[bytes] = None
+    _fast_dec: Optional[bytes] = None
+
     def __init__(self, key: bytes, recorder: Optional[TraceRecorder] = None) -> None:
-        self._round_keys = key_expansion(key)
-        self._rounds = len(self._round_keys) - 1
+        _check_key(key)
+        self._key = bytes(key)
         self.recorder = recorder
-        # Fast-path key schedules, derived lazily and cached so repeated
-        # block calls under one mode/record-layer instance never re-expand.
-        self._fast_enc: Optional[tuple] = None
-        self._fast_dec: Optional[tuple] = None
+        if fastpath.dispatch_path(recorder) == "reference":
+            self._round_keys  # a probed cipher expands before its first block
+
+    @cached_property
+    def _round_keys(self) -> List[List[int]]:
+        """The reference loops' round keys, expanded on first use."""
+        return key_expansion(self._key)
 
     # -- encryption ---------------------------------------------------------
 
@@ -180,20 +198,22 @@ class AES:
             raise InvalidBlockSize("AES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
             return fastpath.aes_encrypt_block(block, self._schedule(False))
+        round_keys = self._round_keys
+        rounds = len(round_keys) - 1
         state = _state_from_bytes(block)
-        _add_round_key(state, self._round_keys[0])
-        for rnd in range(1, self._rounds):
+        _add_round_key(state, round_keys[0])
+        for rnd in range(1, rounds):
             self._sub_bytes(state, probe=(rnd == 1))
             _shift_rows(state)
             _mix_columns(state)
-            _add_round_key(state, self._round_keys[rnd])
+            _add_round_key(state, round_keys[rnd])
             if self.recorder is not None:
                 self.recorder.record(
                     "aes.round_out", rnd, int.from_bytes(_bytes_from_state(state), "big")
                 )
         self._sub_bytes(state, probe=False)
         _shift_rows(state)
-        _add_round_key(state, self._round_keys[self._rounds])
+        _add_round_key(state, round_keys[rounds])
         return _bytes_from_state(state)
 
     def decrypt_block(self, block: bytes) -> bytes:
@@ -202,16 +222,18 @@ class AES:
             raise InvalidBlockSize("AES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
             return fastpath.aes_decrypt_block(block, self._schedule(True))
+        round_keys = self._round_keys
+        rounds = len(round_keys) - 1
         state = _state_from_bytes(block)
-        _add_round_key(state, self._round_keys[self._rounds])
-        for rnd in range(self._rounds - 1, 0, -1):
+        _add_round_key(state, round_keys[rounds])
+        for rnd in range(rounds - 1, 0, -1):
             _inv_shift_rows(state)
             _inv_sub_bytes(state)
-            _add_round_key(state, self._round_keys[rnd])
+            _add_round_key(state, round_keys[rnd])
             _inv_mix_columns(state)
         _inv_shift_rows(state)
         _inv_sub_bytes(state)
-        _add_round_key(state, self._round_keys[0])
+        _add_round_key(state, round_keys[0])
         return _bytes_from_state(state)
 
     def cbc_encrypt(self, data, iv: int) -> bytes:
@@ -227,14 +249,16 @@ class AES:
         :meth:`cbc_encrypt`)."""
         return fastpath.aes_cbc(data, iv, self._schedule(True), decrypt=True)
 
-    def _schedule(self, decrypt: bool) -> tuple:
-        """The fast kernel's schedule for one direction, built once."""
+    def _schedule(self, decrypt: bool) -> bytes:
+        """The fast kernel's packed schedule for one direction, built
+        once from a fresh expansion (the fast path keeps no round-key
+        lists)."""
         if decrypt:
             if self._fast_dec is None:
-                self._fast_dec = fastpath.aes_decrypt_schedule(self._round_keys)
+                self._fast_dec = fastpath.aes_decrypt_schedule(key_expansion(self._key))
             return self._fast_dec
         if self._fast_enc is None:
-            self._fast_enc = fastpath.aes_encrypt_schedule(self._round_keys)
+            self._fast_enc = fastpath.aes_encrypt_schedule(key_expansion(self._key))
         return self._fast_enc
 
     def _sub_bytes(self, state: List[List[int]], probe: bool) -> None:

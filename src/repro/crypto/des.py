@@ -18,6 +18,7 @@ NIST-style round-trip properties in the test suite.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional
 
 from . import fastpath
@@ -200,16 +201,17 @@ class DESKernel:
     """The fast-path CBC record kernel shared by :class:`DES` and
     :class:`~repro.crypto.tdes.TripleDES`.
 
-    Each direction's :func:`~repro.crypto.fastpath.des_cbc` schedule is
-    built on first use from the round keys the subclass's
-    ``_kernel_keys`` supplies, and cached (a record layer's cipher only
-    ever runs one direction).  The kernel ignores ``recorder``;
+    Each direction's packed :func:`~repro.crypto.fastpath.des_cbc`
+    schedule is built on first use from the round keys the subclass's
+    ``_kernel_keys`` expands, and cached (a record layer's cipher only
+    ever runs one direction); the round-key lists themselves are not
+    kept.  The kernel ignores ``recorder``;
     :class:`~repro.crypto.modes.CBC` calls it only when
     :func:`~repro.crypto.fastpath.dispatch_path` says ``"fast"``.
     """
 
-    _fast_enc: Optional[tuple] = None
-    _fast_dec: Optional[tuple] = None
+    _fast_enc: Optional[bytes] = None
+    _fast_dec: Optional[bytes] = None
 
     def _kernel_keys(self, decrypt: bool) -> List[int]:
         raise NotImplementedError
@@ -222,7 +224,7 @@ class DESKernel:
         """CBC decryption of a block-aligned record."""
         return fastpath.des_cbc(data, iv, self._schedule(True), decrypt=True)
 
-    def _schedule(self, decrypt: bool) -> tuple:
+    def _schedule(self, decrypt: bool) -> bytes:
         if decrypt:
             if self._fast_dec is None:
                 self._fast_dec = fastpath.des_schedule(self._kernel_keys(True))
@@ -245,6 +247,10 @@ class DES(DESKernel):
     recorder:
         Optional :class:`~repro.crypto.trace.TraceRecorder` receiving
         side-channel probe samples.
+
+    An instance keeps its key bytes; the reference loops' round keys
+    (both orders) are expanded on their first use and cached, at
+    construction when a recorder is given or the fast path is off.
     """
 
     name = "DES"
@@ -252,10 +258,22 @@ class DES(DESKernel):
     key_size = KEY_SIZE
 
     def __init__(self, key: bytes, recorder: Optional[TraceRecorder] = None) -> None:
-        self._round_keys = expand_key(key)
-        # Cache the reversed schedule too, so decryption never rebuilds it.
-        self._round_keys_dec = list(reversed(self._round_keys))
+        if len(key) != KEY_SIZE:
+            raise InvalidKeyLength("DES", len(key), "8")
+        self._key = bytes(key)
         self.recorder = recorder
+        if fastpath.dispatch_path(recorder) == "reference":
+            self._round_keys_dec  # a probed cipher expands before its first block
+
+    @cached_property
+    def _round_keys(self) -> List[int]:
+        """The reference loops' round keys, expanded on first use."""
+        return expand_key(self._key)
+
+    @cached_property
+    def _round_keys_dec(self) -> List[int]:
+        """The reversed schedule, cached so decryption never rebuilds it."""
+        return list(reversed(self._round_keys))
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 8-byte block."""
@@ -278,7 +296,8 @@ class DES(DESKernel):
         )
 
     def _kernel_keys(self, decrypt: bool) -> List[int]:
-        return self._round_keys_dec if decrypt else self._round_keys
+        keys = expand_key(self._key)
+        return keys[::-1] if decrypt else keys
 
 
 def sbox_lookup(box: int, six_bits: int) -> int:

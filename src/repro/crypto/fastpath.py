@@ -22,16 +22,29 @@ Three families of kernel live here:
 * **DES table fusion** — every FIPS 46-3 bit permutation (IP, FP)
   becomes a handful of per-byte lookups via
   :func:`byte_permutation_tables`, and the whole key schedule (PC1,
-  rotations, PC2) eight.  The kernel keeps both Feistel halves
-  E-expanded, so a round is the round-key XOR plus four lookups into
-  S-box-pair tables that already emit E(P(S)); :func:`des_cbc` runs a
-  whole CBC record, all three passes of 3DES per block, in one call
-  (see :func:`_des_tables`).
+  rotations, PC2) sixteen per-nibble ones.  The kernel keeps both
+  Feistel halves E-expanded, so a round is the round-key XOR plus four
+  lookups into S-box-pair tables that already emit E(P(S));
+  :func:`des_cbc` runs a whole CBC record, all three passes of 3DES
+  per block, in one call (see :func:`_des_tables`).
 * **hash delegation** — SHA-1/MD5 whole-message hashing is handed to
   the platform's optimised primitive (:mod:`hashlib`, the software
   stand-in for the paper's crypto accelerator) when available; the
   from-scratch compression functions remain the instrumented reference
   and the differential tests pin the two bit-for-bit.
+
+Packed schedules
+----------------
+
+A keyed cipher hands its kernel one packed big-endian ``bytes``
+schedule per direction it runs (:func:`aes_encrypt_schedule`,
+:func:`aes_decrypt_schedule`, :func:`des_schedule`): 176 bytes for
+AES-128, 384 for 3DES.  The kernels unpack it into round-key quads once
+per record call with :func:`struct.iter_unpack`, about 2 µs against a
+55 µs three-block AES record.  The paper's §4 platform is bound by
+memory as much as by cycles: a gateway keeps four record ciphers per
+handset session, and as tuples of boxed ints their schedules would pin
+3.5–4 KiB each where the key material is a tenth of that.
 
 The switch
 ----------
@@ -174,21 +187,26 @@ def _relabel(words: Sequence[int]) -> tuple:
     return words[0], words[3], words[2], words[1]
 
 
-def aes_encrypt_schedule(round_keys: Sequence[Sequence[int]]) -> tuple:
-    """The :func:`aes_cbc` schedule for encryption, ``(first, inner
-    quads, last)``, from the round keys of
-    :func:`repro.crypto.aes.key_expansion`."""
-    return (tuple(round_keys[0]), tuple(map(tuple, round_keys[1:-1])),
-            tuple(round_keys[-1]))
+def _pack_words(quads) -> bytes:
+    """Round-key quads as one big-endian ``bytes`` schedule."""
+    words = [word for quad in quads for word in quad]
+    return struct.pack(f">{len(words)}I", *words)
 
 
-def aes_decrypt_schedule(round_keys: Sequence[Sequence[int]]) -> tuple:
+def aes_encrypt_schedule(round_keys: Sequence[Sequence[int]]) -> bytes:
+    """The :func:`aes_cbc` schedule for encryption: the round keys of
+    :func:`repro.crypto.aes.key_expansion`, packed big-endian, round 0
+    first (176 bytes for AES-128)."""
+    return _pack_words(round_keys)
+
+
+def aes_decrypt_schedule(round_keys: Sequence[Sequence[int]]) -> bytes:
     """Equivalent-inverse-cipher key schedule for :func:`aes_cbc`.
 
     Reverses the round key order and applies InvMixColumns to every
     inner round key, so decryption can run the same table-lookup shape
-    as encryption.  Computed once per :class:`~repro.crypto.aes.AES`
-    instance (key-schedule caching).
+    as encryption.  Packed like :func:`aes_encrypt_schedule`; computed
+    once per :class:`~repro.crypto.aes.AES` instance that decrypts.
     """
     from .aes import SBOX
 
@@ -198,19 +216,22 @@ def aes_decrypt_schedule(round_keys: Sequence[Sequence[int]]) -> tuple:
         td0[SBOX[w >> 24]] ^ td1[SBOX[(w >> 16) & 255]]
         ^ td2[SBOX[(w >> 8) & 255]] ^ td3[SBOX[w & 255]]
         for round_key in round_keys[-2:0:-1] for w in round_key])
-    return (_relabel(round_keys[-1]),
-            tuple(map(_relabel, zip(words, words, words, words))),
-            _relabel(round_keys[0]))
+    return _pack_words([_relabel(round_keys[-1]),
+                        *map(_relabel, zip(words, words, words, words)),
+                        _relabel(round_keys[0])])
 
 
-def aes_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
+def aes_cbc(data, iv: int, schedule: bytes, decrypt: bool = False) -> bytes:
     """T-table AES-CBC over a whole block-aligned record in one frame.
 
     ``data`` is ``bytes`` or a ``memoryview``; ``iv`` is the 128-bit IV
-    as an int and ``schedule`` comes from :func:`aes_encrypt_schedule`
-    or :func:`aes_decrypt_schedule`.  One ``struct.unpack`` reads every
-    word, the chain XOR runs on ints, and one ``struct.pack`` writes
-    the result.  With ``iv=0`` and one block this is plain AES.
+    as an int and ``schedule`` is the packed ``bytes`` of
+    :func:`aes_encrypt_schedule` or :func:`aes_decrypt_schedule`,
+    unpacked here into round-key quads once per call (about 2 µs) so a
+    keyed cipher holds 176 bytes of key material, not eleven tuples of
+    boxed ints.  One ``struct.unpack`` reads every word, the chain XOR
+    runs on ints, and one ``struct.pack`` writes the result.  With
+    ``iv=0`` and one block this is plain AES.
 
     The inverse cipher's ShiftRows runs the other way, so its round
     reads the state words in the order (0, 3, 2, 1) where encryption
@@ -222,7 +243,7 @@ def aes_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
         t0, t1, t2, t3, box = _aes_dec_tables()
     else:
         t0, t1, t2, t3, box = _aes_enc_tables()
-    (r0, r1, r2, r3), inner, (f0, f1, f2, f3) = schedule
+    (r0, r1, r2, r3), *inner, (f0, f1, f2, f3) = struct.iter_unpack(">4I", schedule)
     count = len(data) >> 2
     p0, p1, p2, p3 = iv >> 96, (iv >> 64) & MASK32, (iv >> 32) & MASK32, iv & MASK32
     out: List[int] = []
@@ -257,13 +278,13 @@ def aes_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
     return struct.pack(f">{count}I", *out)
 
 
-def aes_encrypt_block(block: bytes, schedule: tuple) -> bytes:
+def aes_encrypt_block(block: bytes, schedule: bytes) -> bytes:
     """T-table AES encryption of one 16-byte block (one-block
     :func:`aes_cbc` call with a zero IV)."""
     return aes_cbc(block, 0, schedule)
 
 
-def aes_decrypt_block(block: bytes, schedule: tuple) -> bytes:
+def aes_decrypt_block(block: bytes, schedule: bytes) -> bytes:
     """T-table AES decryption of one 16-byte block (equivalent inverse
     cipher; one-block :func:`aes_cbc` call with a zero IV)."""
     return aes_cbc(block, 0, schedule, decrypt=True)
@@ -329,9 +350,12 @@ def _des_tables() -> dict:
       six per half);
     * ``key`` — the key schedule.  PC1, the rotations and PC2 only route
       bits, so the packed schedule of a key (:data:`_KEY_LANES`) is the
-      OR of the schedules of its bytes: eight byte-indexed tables, each
-      filled by ``t[v] = t[v ^ low] | t[low]`` from the single-bit
-      schedules that the PC1/PC2 byte-table schedule below computes.
+      OR of the schedules of its nibbles: sixteen nibble-indexed tables
+      of 16 entries, each filled by ``t[v] = t[v ^ low] | t[low]`` from
+      the single-bit schedules that the PC1/PC2 byte-table schedule
+      below computes.  A table entry is a 1024-bit int, so sixteen
+      tables of 16 keep about 40 KiB alive where eight of 256 kept
+      330 KiB, for eight more lookups per key.
     """
     global _DES_TABLES
     if _DES_TABLES is None:
@@ -385,12 +409,12 @@ def _des_tables() -> dict:
             return packed
 
         key_tables = []
-        for index in range(8):
-            table = [0] * 256
-            for value in range(1, 256):
+        for index in range(16):
+            table = [0] * 16
+            for value in range(1, 16):
                 low = value & -value
                 table[value] = (table[value ^ low] | table[low] if value != low
-                                else packed_schedule(low << (56 - 8 * index)))
+                                else packed_schedule(low << (60 - 4 * index)))
             key_tables.append(table)
         _DES_TABLES = {
             "ip_e": byte_permutation_tables(
@@ -404,25 +428,27 @@ def _des_tables() -> dict:
     return _DES_TABLES
 
 
-def des_schedule(round_keys: Sequence[int]) -> tuple:
-    """Regroup 16·n FIPS round keys into the :func:`des_cbc` schedule:
-    n passes, each four 4-round key quads.  Ciphers cache the result."""
-    keys = iter(round_keys)
-    quads = tuple(zip(keys, keys, keys, keys))
-    return tuple(quads[i:i + 4] for i in range(0, len(quads), 4))
+def des_schedule(round_keys: Sequence[int]) -> bytes:
+    """Pack 16·n FIPS round keys into the :func:`des_cbc` schedule: one
+    big-endian 64-bit lane per round key, in the order the rounds run
+    (128 bytes per DES pass, 384 for 3DES).  Packed ``bytes`` rather
+    than tuples of boxed 48-bit ints, so a keyed cipher holds only the
+    key material its kernel reads.  Ciphers cache the result."""
+    return struct.pack(f">{len(round_keys)}Q", *round_keys)
 
 
-def des_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
+def des_cbc(data, iv: int, schedule: bytes, decrypt: bool = False) -> bytes:
     """Table-driven DES/3DES-CBC over a whole block-aligned record.
 
     ``data`` is ``bytes`` or a ``memoryview``; ``iv`` is the 64-bit IV
-    as an int and ``schedule`` comes from :func:`des_schedule`.  One
-    ``struct.unpack`` reads every block and one ``struct.pack`` writes
-    the result; in between, each block runs IP → 16·n E-form rounds →
-    FP in this one frame, with the chain XOR on ints.  DES is its own
-    inverse under the reversed schedule, so ``decrypt`` only changes
-    where the chain XOR goes.  With ``iv=0`` and one block this is
-    plain (3)DES.
+    as an int and ``schedule`` is the packed ``bytes`` of
+    :func:`des_schedule`, unpacked here once per call into four 4-round
+    key quads per pass.  One ``struct.unpack`` reads every block and
+    one ``struct.pack`` writes the result; in between, each block runs
+    IP → 16·n E-form rounds → FP in this one frame, with the chain XOR
+    on ints.  DES is its own inverse under the reversed schedule, so
+    ``decrypt`` only changes where the chain XOR goes.  With ``iv=0``
+    and one block this is plain (3)DES.
 
     Each pass of 16 rounds is a full DES, and the half-swap is undone
     between passes.  The 48 keys of an EDE schedule are therefore 3DES
@@ -433,6 +459,8 @@ def des_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
     ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = t["ip_e"]
     fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7, fp8, fp9, fp10, fp11 = t["fp_e"]
     s0, s1, s2, s3 = t["spe"]
+    quads = struct.iter_unpack(">4Q", schedule)
+    passes = tuple(zip(quads, quads, quads, quads))
     count = len(data) >> 3
     out: List[int] = []
     append = out.append
@@ -447,9 +475,9 @@ def des_cbc(data, iv: int, schedule: tuple, decrypt: bool = False) -> bytes:
         )
         left = state >> 48
         right = state & MASK48
-        for quads in schedule:
+        for keys in passes:
             # Four rounds per step, so the halves trade roles without a swap.
-            for k0, k1, k2, k3 in quads:
+            for k0, k1, k2, k3 in keys:
                 x = right ^ k0
                 left ^= s0[x >> 36] ^ s1[(x >> 24) & 4095] ^ s2[(x >> 12) & 4095] ^ s3[x & 4095]
                 x = left ^ k1
@@ -481,7 +509,7 @@ def des_crypt_block(block64: int, round_keys: Sequence[int]) -> int:
     """DES on one 64-bit int under 16·n FIPS round keys (one pass per
     16; the 48 keys of an EDE schedule give 3DES).
 
-    The int-level entry point: regroups ``round_keys`` and makes one
+    The int-level entry point: packs ``round_keys`` and makes one
     one-block :func:`des_cbc` call.  Ciphers cache their
     :func:`des_schedule` and call :func:`des_cbc` directly.
     """
@@ -490,15 +518,19 @@ def des_crypt_block(block64: int, round_keys: Sequence[int]) -> int:
 
 
 def des_expand_key(key: bytes) -> List[int]:
-    """Table-driven FIPS 46-3 key schedule: eight byte lookups OR to
-    the packed schedule, and one ``struct.unpack`` splits its lanes.
+    """Table-driven FIPS 46-3 key schedule: sixteen nibble lookups OR
+    to the packed schedule, and one ``struct.unpack`` splits its lanes.
 
     Bit-for-bit equivalent to :func:`repro.crypto.des.expand_key`;
     callers validate the key length.
     """
-    k0, k1, k2, k3, k4, k5, k6, k7 = _des_tables()["key"]
-    packed = (k0[key[0]] | k1[key[1]] | k2[key[2]] | k3[key[3]]
-              | k4[key[4]] | k5[key[5]] | k6[key[6]] | k7[key[7]])
+    (n0, n1, n2, n3, n4, n5, n6, n7,
+     n8, n9, n10, n11, n12, n13, n14, n15) = _des_tables()["key"]
+    b0, b1, b2, b3, b4, b5, b6, b7 = key
+    packed = (n0[b0 >> 4] | n1[b0 & 15] | n2[b1 >> 4] | n3[b1 & 15]
+              | n4[b2 >> 4] | n5[b2 & 15] | n6[b3 >> 4] | n7[b3 & 15]
+              | n8[b4 >> 4] | n9[b4 & 15] | n10[b5 >> 4] | n11[b5 & 15]
+              | n12[b6 >> 4] | n13[b6 & 15] | n14[b7 >> 4] | n15[b7 & 15])
     return list(_KEY_LANES.unpack(packed.to_bytes(128, "big")))
 
 

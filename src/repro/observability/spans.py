@@ -22,7 +22,7 @@ roll-up over the finished tree answers the paper's Fig. 3/4 question:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .metrics import LabelKey, MetricsRegistry, _label_key
 
@@ -79,7 +79,10 @@ class Span:
     of one trace never matches an open span of another.  A span is its
     own context manager: ``with telemetry.span(...)`` closes it through
     its owning :class:`Telemetry`.  Spans are slotted (no per-instance
-    ``__dict__``): a fleet run keeps thousands of them alive.
+    ``__dict__``): a fleet run keeps thousands of them alive.  For the
+    same reason ``events`` stays a shared empty tuple until the span's
+    first event, when :meth:`Telemetry.event` gives it a list: few
+    spans carry events.
     """
 
     span_id: int
@@ -88,7 +91,7 @@ class Span:
     start_s: float
     end_s: Optional[float] = None
     attrs: Dict[str, object] = field(default_factory=dict)
-    events: List[SpanEvent] = field(default_factory=list)
+    events: Sequence[SpanEvent] = ()
     energy_mj: float = 0.0
     cycles: float = 0.0
     telemetry: Optional["Telemetry"] = field(default=None, repr=False)
@@ -216,13 +219,17 @@ class Telemetry:
         return self.start_span(name, **attrs)
 
     def event(self, name: str, **attrs) -> SpanEvent:
-        """A point event, attached to the current span (or the trace)."""
-        event = SpanEvent(float(self.clock.now), name, dict(attrs))
+        """A point event, attached to the current span (or the trace).
+
+        The event keeps ``attrs`` itself: ``**attrs`` is a fresh dict."""
+        event = SpanEvent(float(self.clock.now), name, attrs)
         current = self._stack[-1] if self._stack else None
-        if current is not None:
+        if current is None:
+            self.events.append(event)
+        elif current.events:
             current.events.append(event)
         else:
-            self.events.append(event)
+            current.events = [event]
         return event
 
     # -- attribution sinks ---------------------------------------------------

@@ -8,12 +8,17 @@ asserted explicitly — it is what keeps the DPA/timing simulators
 honest.
 """
 
+import gc
 import random
+import struct
+import tracemalloc
 
 import pytest
 
 from repro.crypto import fastpath
-from repro.crypto.aes import AES
+from repro.crypto import aes as aes_module
+from repro.crypto import des as des_module
+from repro.crypto.aes import AES, _inv_mix_columns, key_expansion
 from repro.crypto.bitops import bytes_to_int, int_to_bytes, permute_bits, xor_bytes
 from repro.crypto.des import (
     DES,
@@ -491,7 +496,7 @@ class TestCBCRecordKernel:
 
 
 class TestDESByteTableKeySchedule:
-    """Eight byte lookups ≡ the reference PC1/rotation/PC2 schedule."""
+    """Sixteen nibble lookups ≡ the reference PC1/rotation/PC2 schedule."""
 
     SEMI_WEAK = [bytes.fromhex(k) for k in (
         "011F011F010E010E", "1F011F010E010E01", "01E001E001F101F1",
@@ -527,3 +532,124 @@ class TestDESByteTableKeySchedule:
         monkeypatch.setattr(des_module, "_PC2", tuple(pc2))
         monkeypatch.setattr(fastpath, "_DES_TABLES", None)
         assert fastpath.des_expand_key(key) == self._reference(key) != genuine
+
+    def test_nibble_tables_match_single_bit_and_random_keys(self):
+        tables = fastpath._des_tables()["key"]
+        assert len(tables) == 16 and all(len(t) == 16 for t in tables)
+        rng = random.Random(0x41B)
+        keys = [(1 << bit).to_bytes(8, "big") for bit in range(64)]
+        keys += [bytes(rng.randrange(256) for _ in range(8))
+                 for _ in range(200)]
+        for key in keys:
+            assert fastpath.des_expand_key(key) == self._reference(key), key.hex()
+
+
+def _reference_des_keys(key):
+    with fastpath.force(False):
+        return expand_key(key)
+
+
+def _inverse_key_quad(words):
+    """InvMixColumns of one AES round key, through the reference loop."""
+    state = [[(word >> (24 - 8 * row)) & 255 for word in words]
+             for row in range(4)]
+    _inv_mix_columns(state)
+    return [int.from_bytes(bytes(state[row][col] for row in range(4)), "big")
+            for col in range(4)]
+
+
+class TestPackedSchedules:
+    """Each keyed block cipher keeps key bytes and one packed ``bytes``
+    schedule per direction its fast path runs."""
+
+    AES_KEYS = [bytes(range(16)), bytes(range(24)), bytes(range(32))]
+    TDES_KEY = bytes.fromhex("0123456789abcdef23456789abcdef01456789abcdef0123")
+
+    @pytest.mark.parametrize("key", AES_KEYS, ids=lambda k: f"AES-{8 * len(k)}")
+    def test_aes_schedules_unpack_to_the_reference_round_keys(self, key):
+        with fastpath.force(True):
+            cipher = AES(key)
+            enc, dec = cipher._schedule(False), cipher._schedule(True)
+        round_keys = key_expansion(key)
+        assert isinstance(enc, bytes) and isinstance(dec, bytes)
+        assert [list(q) for q in struct.iter_unpack(">4I", enc)] == round_keys
+        # Equivalent inverse cipher: reversed order, InvMixColumns on the
+        # inner keys, each quad relabelled (k0, k3, k2, k1).
+        inverse = ([round_keys[-1]]
+                   + [_inverse_key_quad(rk) for rk in round_keys[-2:0:-1]]
+                   + [round_keys[0]])
+        assert [list(q) for q in struct.iter_unpack(">4I", dec)] == [
+            [k0, k3, k2, k1] for k0, k1, k2, k3 in inverse]
+
+    def test_tdes_schedules_unpack_to_ede_order_both_ways(self):
+        s1, s2, s3 = (_reference_des_keys(self.TDES_KEY[i:i + 8])
+                      for i in (0, 8, 16))
+        with fastpath.force(True):
+            cipher = TripleDES(self.TDES_KEY)
+            enc, dec = cipher._schedule(False), cipher._schedule(True)
+        assert isinstance(enc, bytes) and len(enc) == 384
+        assert list(struct.unpack(">48Q", enc)) == s1 + s2[::-1] + s3
+        assert list(struct.unpack(">48Q", dec)) == s3[::-1] + s2 + s1[::-1]
+
+    @pytest.mark.parametrize("factory,key", [
+        (AES, bytes(range(16))), (TripleDES, TDES_KEY)], ids=["AES", "3DES"])
+    def test_one_instance_gives_the_same_record_on_both_paths(self, factory,
+                                                              key):
+        cipher = factory(key)
+        size = cipher.block_size
+        iv, data = bytes(range(size)), bytes(range(7 * size))
+        with fastpath.force(True):
+            fast_ct = CBC(cipher, iv).encrypt(data, pad=False)
+            fast_pt = CBC(cipher, iv).decrypt(fast_ct, pad=False)
+        with fastpath.force(False):
+            assert CBC(cipher, iv).encrypt(data, pad=False) == fast_ct
+            assert CBC(cipher, iv).decrypt(fast_ct, pad=False) == fast_pt == data
+
+    @pytest.mark.parametrize("factory,key,module,expander,expansions", [
+        (AES, bytes(range(16)), aes_module, "key_expansion", 1),
+        (TripleDES, TDES_KEY, des_module, "expand_key", 3),
+    ], ids=["AES", "3DES"])
+    def test_probed_cipher_expands_its_round_keys_once(
+            self, monkeypatch, factory, key, module, expander, expansions):
+        calls = []
+        genuine = getattr(module, expander)
+
+        def counted(k):
+            calls.append(k)
+            return genuine(k)
+
+        monkeypatch.setattr(module, expander, counted)
+        recorder = TraceRecorder()
+        with fastpath.force(True):
+            cipher = factory(key, recorder)
+            assert len(calls) == expansions
+            CBC(cipher, bytes(cipher.block_size)).encrypt(bytes(64))
+            cipher.decrypt_block(bytes(cipher.block_size))
+        assert len(calls) == expansions
+        assert recorder.samples
+
+    @pytest.mark.parametrize("decrypt", [False, True], ids=["seal", "open"])
+    @pytest.mark.parametrize("factory,key", [
+        (AES, bytes(range(16))), (TripleDES, TDES_KEY)], ids=["AES", "3DES"])
+    def test_keyed_instance_holds_at_most_1_kib(self, factory, key, decrypt):
+        size = factory(key).block_size
+        iv, record = bytes(size), bytes(3 * size)
+        with fastpath.force(True):
+            # Build the shared tables and the mode's code paths first.
+            CBC(factory(key), iv).decrypt(
+                CBC(factory(key), iv).encrypt(record, pad=False), pad=False)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cipher = factory(key)
+                mode = CBC(cipher, iv)
+                out = (mode.decrypt if decrypt else mode.encrypt)(record,
+                                                                 pad=False)
+                del mode, out
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert cipher._schedule(decrypt)
+        assert held <= 1024, held

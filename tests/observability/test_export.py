@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from repro.observability.export import (
+    fleet_jsonl,
     flamegraph_folds,
     prometheus_text,
     rollup_table,
@@ -16,6 +17,7 @@ from repro.observability.export import (
 )
 from repro.observability.scenario import run_gateway_chaos
 from repro.observability.spans import Telemetry
+from repro.observability.tracecontext import FleetTraceStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -27,6 +29,37 @@ def _load_schema_checker():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class _Clock:
+    now = 0.0
+
+
+def _small_fleet_export() -> str:
+    """A two-shard fleet JSONL whose merged order lists a child before
+    its parent: both start at t=1, and the child's stream sorts first."""
+    clock = _Clock()
+    telemetry = Telemetry(clock=clock, label="fleet")
+    with telemetry.span("fleet.tick"):
+        telemetry.event("tick")
+    clock.now = 1.0
+    with telemetry.span("fleet.recover", shard="shard-01"):
+        with telemetry.span("handshake", shard="shard-00"):
+            pass
+    telemetry.event("done")
+    return fleet_jsonl(telemetry, FleetTraceStore.partition(telemetry))
+
+
+def _edit_span_line(text: str, name: str, edit) -> str:
+    """``text`` with ``edit`` applied to the span line named ``name``."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("name") == name and record["type"] == "span":
+            edit(record)
+            lines[index] = json.dumps(record, sort_keys=True,
+                                      separators=(",", ":"))
+    return "\n".join(lines) + "\n"
 
 
 def _small_chaos(seed: int = 3):
@@ -84,6 +117,47 @@ class TestSchema:
         path.write_text("\n".join(lines) + "\n")
         errors = checker.check_file(str(path))
         assert any("parent" in e for e in errors)
+
+    def test_fleet_export_passes_schema_checker(self, tmp_path):
+        checker = _load_schema_checker()
+        text = _small_fleet_export()
+        header = json.loads(text.splitlines()[0])
+        assert header["type"] == "fleet"
+        assert header["streams"] == ["fleet", "shard-00", "shard-01"]
+        names = [json.loads(line).get("name") for line in text.splitlines()]
+        assert names.index("handshake") < names.index("fleet.recover")
+        path = tmp_path / "fleet.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert checker.check_file(str(path)) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda record: record.pop("stream"), "span keys"),
+        (lambda record: record.update(stream="shard-09"), "not declared"),
+        (lambda record: record.update(parent=99), "parent 99"),
+    ], ids=["no-stream", "undeclared-stream", "unresolvable-parent"])
+    def test_schema_checker_rejects_broken_fleet_spans(self, tmp_path,
+                                                       edit, message):
+        checker = _load_schema_checker()
+        path = tmp_path / "fleet.jsonl"
+        path.write_text(_edit_span_line(_small_fleet_export(), "handshake",
+                                        edit), encoding="utf-8")
+        errors = checker.check_file(str(path))
+        assert len(errors) == 1 and message in errors[0], errors
+
+    def test_schema_checker_rejects_fleet_ids_out_of_stream_order(
+            self, tmp_path):
+        checker = _load_schema_checker()
+        telemetry = Telemetry(label="fleet")
+        for _ in range(2):
+            with telemetry.span("serve", shard="shard-00"):
+                pass
+        text = fleet_jsonl(telemetry, FleetTraceStore.partition(telemetry))
+        lines = text.splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        path = tmp_path / "fleet.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        errors = checker.check_file(str(path))
+        assert any("stream 'shard-00'" in e for e in errors), errors
 
     def test_header_counts_match_body(self):
         telemetry = _small_chaos().telemetry

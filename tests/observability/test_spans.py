@@ -1,5 +1,7 @@
 """Span trees, deterministic identities, and the probe seam contract."""
 
+import sys
+
 import pytest
 
 from repro.observability import probe
@@ -98,6 +100,47 @@ class TestSpanTree:
             telemetry.event("span-level", detail="b")
         assert [e.name for e in telemetry.events] == ["trace-level"]
         assert [e.name for e in span.events] == ["span-level"]
+
+    def test_event_stores_the_dict_it_is_handed(self):
+        telemetry = Telemetry()
+        handed = []
+
+        def profile(frame, kind, arg):
+            if kind == "return" and frame.f_code is Telemetry.event.__code__:
+                handed.append(frame.f_locals["attrs"])
+
+        attrs = {"ok": True}
+        sys.setprofile(profile)
+        try:
+            event = telemetry.event("mac.check", **attrs)
+        finally:
+            sys.setprofile(None)
+        assert event.attrs is handed[0]
+        # ``**attrs`` built a fresh dict: the caller's is never aliased.
+        assert event.attrs == attrs and event.attrs is not attrs
+
+    def test_span_without_events_holds_no_list(self):
+        telemetry = Telemetry()
+        with telemetry.span("quiet") as quiet:
+            pass
+        with telemetry.span("busy") as busy:
+            telemetry.event("first")
+        assert quiet.events == () and not isinstance(quiet.events, list)
+        assert isinstance(busy.events, list) and len(busy.events) == 1
+        assert '"events":[]' in to_jsonl(telemetry).splitlines()[1]
+
+    def test_span_with_two_events_exports_the_same_line(self):
+        telemetry = Telemetry(label="events")
+        with telemetry.span("record.decode", suite="3des"):
+            telemetry.event("mac.check", ok=True)
+            telemetry.event("pad.strip", n=3)
+        assert to_jsonl(telemetry).splitlines()[1] == (
+            '{"attrs":{"suite":"3des"},"cycles":0.0,"end_s":3.0,'
+            '"energy_mj":0.0,"events":[{"attrs":{"ok":true},'
+            '"name":"mac.check","time_s":1.0},{"attrs":{"n":3},'
+            '"name":"pad.strip","time_s":2.0}],"id":1,'
+            '"name":"record.decode","parent":null,"start_s":0.0,'
+            '"type":"span"}')
 
     def test_attrs_set_and_find(self):
         telemetry = Telemetry()
