@@ -264,6 +264,8 @@ class A51:
     def keystream(self, length: int) -> bytes:
         """Produce the next ``length`` keystream bytes (8 majority
         clocks per byte, output bits MSB-first)."""
+        if length < 0:
+            raise ValueError(f"keystream length must be >= 0, got {length}")
         if self.recorder is None and fastpath.enabled():
             out = bytearray(length)
             self._r1, self._r2, self._r3 = _run_bytes(

@@ -15,14 +15,26 @@ int bit ``i`` (LSB-first), so loading is just
 ``int.from_bytes(..., "little")`` and a spec step is ``>> 1`` with the
 feedback bit inserted at bit 79.  The fast path batches 16 spec steps:
 every tap index is at most 64, so all sixteen steps read windows of
-pre-batch state bits (the 16-step validity bound ``64 + 15 <= 79``),
-and one batched step computes 16 keystream bits with shifted windows —
+pre-batch state bits (the 16-step validity bound ``64 + 15 <= 79``) —
 Grain's own designers describe exactly this x16 speedup as the
-hardware trade-off.  :func:`_run_chunks` runs every batch one
-``keystream`` call (or the initialisation) needs in one loop frame,
-with both registers in locals, each window shifted once and masked to
-16 bits before the nonlinear terms, and the output written into one
-preallocated buffer.
+hardware trade-off.  The initialisation, which feeds the filter output
+back into both registers, runs its ten batches in :func:`_run_chunks`.
+
+Keystream mode feeds nothing back, so the LFSR runs on its own and the
+NFSR only reads it.  :func:`_keystream` therefore works in bulk:
+
+1. :func:`_lfsr_stream` builds ``s_0 .. s_{16n+79}`` as one int,
+   stepping by the recurrences of ``f(x)^(2^k) = f(x^(2^k))``: 16, 32
+   and 64 bits at a time while the stream is shorter than 160, 320
+   and 640 bits, then 144 bits at a time with
+   ``s_{i+640} = s_{i+496}+s_{i+408}+s_{i+304}+s_{i+184}+s_{i+104}+s_i``;
+2. one loop frame runs the NFSR alone, 16 feedback bits
+   ``s_i + g(b)`` per batch, with each window shifted once and masked
+   to 16 bits before the nonlinear terms;
+3. one ``struct.pack`` assembles the NFSR stream ``b_0 .. b_{16n+79}``;
+4. the filter computes all ``16n`` keystream bits in one pass of
+   big-int shifts, ANDs and XORs over both streams, and both registers
+   are read back at bit ``16n``.
 
 Both dispatch paths advance in whole 16-bit (2-byte) chunks and buffer
 the leftover byte, so :meth:`save_state` snapshots are byte-identical
@@ -37,7 +49,8 @@ the spec.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import struct
+from typing import Tuple
 
 from . import fastpath
 from .errors import InvalidKeyLength
@@ -46,15 +59,11 @@ _M16 = 0xFFFF
 _INIT_STEPS = 160
 
 
-def _run_chunks(b: int, s: int, chunks: int,
-                out: Optional[bytearray]) -> Tuple[int, int]:
-    """``chunks`` batches of 16 spec steps on (NFSR ``b``, LFSR ``s``).
-
-    With ``out`` the keystream of batch i lands LSB-first in
-    ``out[2i:2i+2]``; with ``None`` it is folded back into both
-    feedbacks (initialisation mode).  Returns the new registers.
-    """
-    for j in range(0, 2 * chunks, 2):
+def _run_chunks(b: int, s: int, chunks: int) -> Tuple[int, int]:
+    """``chunks`` batches of 16 initialisation steps on (NFSR ``b``,
+    LFSR ``s``), the filter output folded back into both feedbacks.
+    Returns the new registers."""
+    for _ in range(chunks):
         # Filter h(x0..x4) on (s3, s25, s46, s64, b63), its ten
         # monomials grouped by x3, x0·x2 and x2·x4.
         x0 = s >> 3 & _M16
@@ -67,7 +76,7 @@ def _run_chunks(b: int, s: int, chunks: int,
              ^ x1 ^ b63 ^ (x3 & (x0 ^ x2 ^ b63))
              ^ (x0 & x2 & (x1 ^ x3 ^ b63)) ^ (x2 & b63 & (x1 ^ x3)))
         # LFSR feedback f: s_{i+80} = s62+s51+s38+s23+s13+s0.
-        ns = (s >> 62 ^ s >> 51 ^ s >> 38 ^ s >> 23 ^ s >> 13 ^ s) & _M16
+        ns = (s >> 62 ^ s >> 51 ^ s >> 38 ^ s >> 23 ^ s >> 13 ^ s ^ z) & _M16
         # NFSR feedback g (masked input s0 added per the spec), its
         # monomials in spec order over the shared windows.
         b60 = b >> 60 & _M16
@@ -84,21 +93,104 @@ def _run_chunks(b: int, s: int, chunks: int,
         b37_33 = b37 & b33
         b33_28_21 = b33 & b28 & b21
         b15_9 = b15 & b9
-        nb = (((s ^ b >> 62 ^ b >> 14 ^ b) & _M16)
+        nb = (((s ^ b >> 62 ^ b >> 14 ^ b) & _M16) ^ z
               ^ b60 ^ b52 ^ b45 ^ b37 ^ b33 ^ b28 ^ b21 ^ b9
               ^ b63_60 ^ b37_33 ^ b15_9 ^ (b60 & b52_45) ^ b33_28_21
               ^ (b63 & b45 & b28 & b9) ^ (b60 & b52 & b37_33)
               ^ (b63_60 & b21 & b15) ^ (b63_60 & b52_45 & b37)
               ^ (b33_28_21 & b15_9) ^ (b52_45 & b37 & b33_28_21))
-        if out is None:
-            ns ^= z
-            nb ^= z
-        else:
-            out[j] = z & 255
-            out[j + 1] = z >> 8
         s = s >> 16 | ns << 64
         b = b >> 16 | nb << 64
     return b, s
+
+
+# The LFSR stream's recurrences f(x)^(2^k) = f(x^(2^k)) over GF(2):
+# (stream length up to which a row runs, step width, degree, taps).
+# Each width is at most degree minus top tap, so a step reads only
+# bits already in the stream; each row runs until the stream holds the
+# next row's degree in bits of history.
+_LFSR_STEPS = (
+    (160, 16, 80, 62, 51, 38, 23, 13),
+    (320, 32, 160, 124, 102, 76, 46, 26),
+    (640, 64, 320, 248, 204, 152, 92, 52),
+    (None, 144, 640, 496, 408, 304, 184, 104),
+)
+
+
+def _lfsr_stream(s: int, bits: int) -> int:
+    """LFSR bits ``s_0 .. s_{bits-1}`` at int bits 0.., from the
+    80-bit register ``s``.  Keystream mode never feeds the filter
+    back, so the LFSR runs on its own."""
+    stream, top = s, 80
+    for limit, width, degree, t1, t2, t3, t4, t5 in _LFSR_STEPS:
+        end = bits if limit is None else min(bits, limit)
+        mask = (1 << width) - 1
+        while top < end:
+            i = top - degree
+            stream |= ((stream >> i + t1 ^ stream >> i + t2
+                        ^ stream >> i + t3 ^ stream >> i + t4
+                        ^ stream >> i + t5 ^ stream >> i) & mask) << top
+            top += width
+    return stream & ((1 << bits) - 1)
+
+
+def _keystream(b: int, s: int, chunks: int) -> Tuple[bytes, int, int]:
+    """``2·chunks`` keystream bytes from (NFSR ``b``, LFSR ``s``) and
+    the registers after them.
+
+    The LFSR stream comes first, whole; the loop then runs the NFSR
+    alone, its feedback ``s_i + g(b)`` over 16-bit windows; the filter
+    ``z`` runs last, once over both streams as big ints."""
+    bits = 16 * chunks + 80
+    lfsr = _lfsr_stream(s, bits)
+    nfsr = []
+    append = nfsr.append
+    nfsr_head = b
+    for s_i in struct.unpack_from(f"<{chunks}H",
+                                  lfsr.to_bytes(bits >> 3, "little")):
+        # NFSR feedback g plus the LFSR bits s_i, as in _run_chunks:
+        # written out, not shared, because a call per batch costs
+        # about 3% of this loop.
+        b63 = b >> 63 & _M16
+        b60 = b >> 60 & _M16
+        b52 = b >> 52 & _M16
+        b45 = b >> 45 & _M16
+        b37 = b >> 37 & _M16
+        b33 = b >> 33 & _M16
+        b28 = b >> 28 & _M16
+        b21 = b >> 21 & _M16
+        b15 = b >> 15 & _M16
+        b9 = b >> 9 & _M16
+        b63_60 = b63 & b60
+        b52_45 = b52 & b45
+        b37_33 = b37 & b33
+        b33_28_21 = b33 & b28 & b21
+        b15_9 = b15 & b9
+        nb = (((s_i ^ b >> 62 ^ b >> 14 ^ b) & _M16)
+              ^ b60 ^ b52 ^ b45 ^ b37 ^ b33 ^ b28 ^ b21 ^ b9
+              ^ b63_60 ^ b37_33 ^ b15_9 ^ (b60 & b52_45) ^ b33_28_21
+              ^ (b63 & b45 & b28 & b9) ^ (b60 & b52 & b37_33)
+              ^ (b63_60 & b21 & b15) ^ (b63_60 & b52_45 & b37)
+              ^ (b33_28_21 & b15_9) ^ (b52_45 & b37 & b33_28_21))
+        append(nb)
+        b = b >> 16 | nb << 64
+    nfsr_stream = nfsr_head | int.from_bytes(
+        struct.pack(f"<{chunks}H", *nfsr), "little") << 80
+    # Filter h(x0..x4) on (s3, s25, s46, s64, b63) for every output
+    # bit at once, grouped as in the initialisation loop.
+    x0 = lfsr >> 3
+    x1 = lfsr >> 25
+    x2 = lfsr >> 46
+    x3 = lfsr >> 64
+    b63 = nfsr_stream >> 63
+    z = (nfsr_stream >> 1 ^ nfsr_stream >> 2 ^ nfsr_stream >> 4
+         ^ nfsr_stream >> 10 ^ nfsr_stream >> 31 ^ nfsr_stream >> 43
+         ^ nfsr_stream >> 56
+         ^ x1 ^ b63 ^ (x3 & (x0 ^ x2 ^ b63))
+         ^ (x0 & x2 & (x1 ^ x3 ^ b63)) ^ (x2 & b63 & (x1 ^ x3)))
+    out_bits = 16 * chunks
+    return ((z & ((1 << out_bits) - 1)).to_bytes(2 * chunks, "little"),
+            b, lfsr >> out_bits)
 
 
 class Grain:
@@ -169,7 +261,7 @@ class Grain:
         """The 160 initialisation clocks with the output fed back."""
         if self.recorder is None and fastpath.enabled():
             self._b, self._s = _run_chunks(
-                self._b, self._s, _INIT_STEPS // 16, None)
+                self._b, self._s, _INIT_STEPS // 16)
         else:
             for _ in range(_INIT_STEPS):
                 self._step(feed_z=True)
@@ -185,16 +277,17 @@ class Grain:
 
     def keystream(self, length: int) -> bytes:
         """Produce the next ``length`` keystream bytes."""
+        if length < 0:
+            raise ValueError(f"keystream length must be >= 0, got {length}")
         buffered = self._buffer
         if len(buffered) < length:
-            out = bytearray((length - len(buffered) + 1) & ~1)
+            chunks = (length - len(buffered) + 1) >> 1
             if self.recorder is None and fastpath.enabled():
-                self._b, self._s = _run_chunks(
-                    self._b, self._s, len(out) // 2, out)
+                fresh, self._b, self._s = _keystream(
+                    self._b, self._s, chunks)
             else:
-                for j in range(0, len(out), 2):
-                    out[j:j + 2] = self._chunk()
-            buffered += out
+                fresh = b"".join(self._chunk() for _ in range(chunks))
+            buffered += fresh
         self._buffer = buffered[length:]
         return buffered[:length]
 

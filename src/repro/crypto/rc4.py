@@ -46,6 +46,8 @@ class RC4:
 
     def keystream(self, length: int) -> bytes:
         """Produce the next ``length`` keystream bytes."""
+        if length < 0:
+            raise ValueError(f"keystream length must be >= 0, got {length}")
         out = bytearray()
         append = out.append
         state, i, j = self._state, self._i, self._j

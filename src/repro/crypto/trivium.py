@@ -150,6 +150,8 @@ class Trivium:
     def keystream(self, length: int) -> bytes:
         """Produce the next ``length`` keystream bytes (whole 8-byte
         chunks, the leftover bytes kept for the next call)."""
+        if length < 0:
+            raise ValueError(f"keystream length must be >= 0, got {length}")
         buffered = self._buffer
         if len(buffered) < length:
             chunks = (length - len(buffered) + 7) // 8

@@ -16,8 +16,11 @@ Five layers of assurance, matching the conformance plane's policy:
 * fast/reference agreement on the per-record re-key: 200 seeded A5/1
   key schedules and bursts, and the Trivium key loader against its
   per-bit formula;
+* Grain's bulk keystream kernel against the per-step reference on
+  random, all-zero and all-ones registers, around its LFSR ladder's
+  step switches;
 * interface contracts the record layers rely on (memoryview inputs,
-  key-blob splitting, invalid key lengths).
+  key-blob splitting, invalid key and keystream lengths).
 """
 
 import importlib.util
@@ -28,10 +31,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import fastpath
+from repro.crypto import fastpath, grain
 from repro.crypto.a51 import A51
 from repro.crypto.errors import InvalidKeyLength
 from repro.crypto.grain import Grain
+from repro.crypto.rc4 import RC4
 from repro.crypto.trivium import Trivium, _load_reflected
 
 _TOOL = pathlib.Path(__file__).resolve().parents[2] / "tools" / \
@@ -209,6 +213,43 @@ class TestCrossPath:
                 assert _load_reflected(data, width) == want
 
 
+class TestGrainKernel:
+    """The fast path's ``grain._keystream`` (LFSR stream, NFSR loop,
+    bulk filter) against the per-step ``_step`` path: the same bytes
+    out and the same registers after.  The chunk counts straddle the
+    LFSR stream's 640-bit switch to 144-bit steps (35 chunks fill
+    640 bits) and run to a 1 KiB record."""
+
+    @staticmethod
+    def _states():
+        rng = random.Random(16)
+        ones = (1 << 80) - 1
+        return [(0, 0), (ones, ones), (0, ones), (ones, 0)] + [
+            (rng.getrandbits(80), rng.getrandbits(80)) for _ in range(2)]
+
+    @pytest.mark.parametrize("chunks", [1, 2, 34, 35, 36, 45, 512, 513])
+    def test_matches_per_step_path(self, chunks):
+        for b, s in self._states():
+            with fastpath.force(False):
+                reference = Grain(bytes(10))
+                reference.restore_state((b, s, b""))
+                want = reference.keystream(2 * chunks)
+            assert grain._keystream(b, s, chunks) == \
+                (want,) + reference.save_state()[:2], (chunks, b, s)
+
+    @pytest.mark.parametrize("bits", [80, 81, 96, 159, 160, 161, 320, 639,
+                                      640, 641, 784, 785, 8272])
+    def test_lfsr_stream_matches_the_recurrence(self, bits):
+        rng = random.Random(bits)
+        s = rng.getrandbits(80)
+        want = [s >> i & 1 for i in range(80)]
+        for i in range(bits - 80):
+            want.append(want[i + 62] ^ want[i + 51] ^ want[i + 38]
+                        ^ want[i + 23] ^ want[i + 13] ^ want[i])
+        assert grain._lfsr_stream(s, bits) == \
+            sum(bit << i for i, bit in enumerate(want))
+
+
 class TestInterface:
     @pytest.mark.parametrize("factory,key_bytes,iv_bytes", CIPHERS)
     def test_short_blob_means_zero_iv(self, factory, key_bytes, iv_bytes):
@@ -238,6 +279,25 @@ class TestInterface:
         other = bytes(iv[:-1]) + bytes([iv[-1] ^ 1])
         assert factory(key + iv).keystream(24) != \
             factory(key + other).keystream(24)
+
+    @pytest.mark.parametrize("path", ["fast", "reference"])
+    @pytest.mark.parametrize("factory,blob", [
+        pytest.param(A51, bytes(range(11)), id="a51"),
+        pytest.param(Grain, bytes(range(18)), id="grain"),
+        pytest.param(Trivium, bytes(range(20)), id="trivium"),
+        pytest.param(RC4, bytes(range(16)), id="rc4"),
+    ])
+    def test_negative_length_rejected(self, factory, blob, path):
+        """A negative read raises and leaves the keystream position
+        where it was, leftover bytes included."""
+        with fastpath.force(path == "fast"):
+            cipher, twin = factory(blob), factory(blob)
+            cipher.keystream(3)
+            twin.keystream(3)
+            with pytest.raises(ValueError):
+                cipher.keystream(-1)
+            assert cipher.save_state() == twin.save_state()
+            assert cipher.keystream(13) == twin.keystream(13)
 
     def test_a51_burst_requires_raw_key(self):
         with pytest.raises(InvalidKeyLength):

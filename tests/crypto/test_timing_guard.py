@@ -13,8 +13,10 @@ import time
 import pytest
 
 from repro.crypto import fastpath
+from repro.crypto.a51 import A51
 from repro.crypto.aes import AES
 from repro.crypto.des import DES
+from repro.crypto.grain import Grain
 from repro.crypto.md5 import md5
 from repro.crypto.modes import CBC, ECB
 from repro.crypto.sha1 import sha1
@@ -39,6 +41,12 @@ def test_representative_crypto_workload_within_budget():
     sealed = [sender.encrypt_next(record) for record in records]
     receiver = CBC(TripleDES(bytes(range(24))), bytes(8))
     assert [receiver.decrypt_next(c) for c in sealed] == records
+    # WTLS stream suites: a fresh cipher per 1 KiB record, each keyed
+    # for its own sequence number.
+    record = b"\x69" * 1024
+    for seq in range(32):
+        Grain(bytes(range(17)) + bytes([seq])).process(record)
+        A51(bytes(range(10)) + bytes([seq])).process(record)
 
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_SECONDS, (
