@@ -33,11 +33,12 @@ its clock bit from the bit that sat ``k`` places lower, and a byte
 clocks a register at most 8 times, so all 8 clock decisions of a byte
 read bits present before it (R1 bits 8..1, R2/R3 bits 10..3).  Each
 4-step half is one lookup in a majority table indexed by the three
-4-bit clock windows; a selection table then turns each register's step
-mask and top five bits into its share of the four output bits.  Every
-register shifts once per byte, its feedback bits computed
-word-parallel.  The key/frame load is linear over GF(2), so it is 11
-byte-indexed table lookups (see :func:`_a51_tables`).
+4-bit clock windows; the two halves' step masks OR into each register's
+8-step mask, and one selection lookup by that mask and the register's
+top nine bits gives its share of the output byte.  Every register
+shifts once per byte, its feedback bits looked up by clock count in
+byte tables over its tap bits.  The key/frame load is linear over
+GF(2), so it is 11 byte-indexed table lookups (see :func:`_a51_tables`).
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ _R3_OUT = 22
 
 _FRAME_MASK = 0x3FFFFF         # GSM frame numbers are 22 bits
 
-_LOW = tuple((1 << n) - 1 for n in range(9))   # n feedback bits
-
 _A51_TABLES: Optional[tuple] = None
 
 
@@ -73,66 +72,130 @@ def _parity(word: int) -> int:
     return bin(word).count("1") & 1
 
 
-def _a51_tables() -> tuple:
-    """The fast-path tables ``(majority, select, load)``, derived from
-    the reference clock functions on first use.
+def _majority_tables() -> Tuple[list, list]:
+    """``(first, second)``, the 4-step majority halves by the three
+    4-bit clock windows (see :func:`_a51_tables`), derived from the
+    windows step by step."""
+    # packed[w1 | w2 << k | w3 << 2k] holds the three k-step clock masks
+    # of k-bit windows, 4 bits apart, step 0 at bit k - 1.  A step votes
+    # on the windows' top bits; a clocked register's window then drops
+    # its top bit, an idle one its lowest.
+    packed = [0]
+    for k in range(1, 5):
+        top, low, width = k - 1, (1 << k - 1) - 1, (1 << k) - 1
+        shorter, packed = packed, []
+        for index in range(1 << 3 * k):
+            w1, w2, w3 = index & width, index >> k & width, index >> 2 * k
+            vote = (w1 >> top) + (w2 >> top) + (w3 >> top) >= 2
+            c1, c2, c3 = (w1 >> top == vote, w2 >> top == vote,
+                          w3 >> top == vote)
+            w1 = w1 & low if c1 else w1 >> 1
+            w2 = w2 & low if c2 else w2 >> 1
+            w3 = w3 & low if c3 else w3 >> 1
+            packed.append(shorter[w1 | w2 << top | w3 << 2 * top]
+                          | (c1 | c2 << 4 | c3 << 8) << top)
+    entries, lifted = {}, [[mask << shift for mask in range(16)]
+                           for shift in (13, 9)]
+    for word in set(packed):
+        masks = (word & 15, word >> 4 & 15, word >> 8)
+        counts = tuple(bin(mask).count("1") for mask in masks)
+        entries[word] = [counts + tuple(half[mask] for mask in masks)
+                         for half in lifted]
+    return ([entries[word][0] for word in packed],
+            [entries[word][1] for word in packed])
 
-    * ``majority[w1 | w2 << 4 | w3 << 8]``, for the clock windows R1
-      bits 8..5 and R2/R3 bits 10..7, is ``(n1, n2, n3, m1, m2, m3)``:
-      how often each register clocks in four majority steps, and on
-      which steps (step 0 at mask bit 3, shifted into ``select``
-      index position);
-    * ``select[mask << 5 | top]`` is the output nibble of one register
-      that clocks on ``mask``'s steps, ``top`` being its five highest
-      bits;
+
+def _linear_table(columns, flips) -> bytes:
+    """The byte table of the GF(2)-linear map that sends input bit ``j``
+    to ``columns[j]``: each input bit doubles the table, its upper half
+    the lower one XORed with that column (``flips[c]`` is the
+    ``translate`` table of XOR with ``c``)."""
+    table = b"\0"
+    for column in columns:
+        table += table.translate(flips[column])
+    return table
+
+
+def _select_table(flips) -> bytes:
+    """Per 8-bit step mask, output bit ``7 - s`` reads top bit
+    ``8 - (clocks so far)``: a linear map of the top nine bits."""
+    parts = []
+    for mask in range(256):
+        columns, clocks = [0] * 9, 0
+        for step in range(8):
+            clocks += mask >> (7 - step) & 1
+            columns[8 - clocks] |= 0x80 >> step
+        parts.append(_linear_table(columns, flips))
+    return b"".join(parts)
+
+
+def _feedback_tables(taps: int, base: int, width: int, flips) -> tuple:
+    """Per clock count ``n`` (0..8), a byte table of the ``n`` feedback
+    bits that register bits ``base .. base + width - 1`` contribute,
+    indexed by those bits.  Step ``t``'s feedback bit XORs the taps
+    moved down by ``t`` and lands at bit ``n - 1 - t``."""
+    full = _linear_table(
+        [sum((taps >> (q + t) & 1) << (7 - t) for t in range(8))
+         for q in range(base, base + width)], flips)
+    return tuple(full.translate(bytes(v >> (8 - n) for v in range(256)))
+                 for n in range(9))
+
+
+def _load_tables() -> list:
+    """``load[j][v]`` (see :func:`_a51_tables`)."""
+    # The load clocks start from zero and are linear, so input bit p
+    # (key bits 0..63, frame bits 64..85) contributes the state
+    # (1, 1, 1) clocked 85 - p more times.  Bits 86 and 87 of the last
+    # frame byte lie above the 22-bit frame number.
+    units, regs = [], (1, 1, 1)
+    for _ in range(86):
+        units.append(regs[0] | regs[1] << 19 | regs[2] << 41)
+        regs = A51._clock_all(*regs)
+    units = units[::-1] + [0, 0]
+    load = []
+    for j in range(11):
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            table[value] = (table[value ^ low]
+                            ^ units[8 * j + low.bit_length() - 1])
+        load.append(table)
+    return load
+
+
+def _a51_tables() -> tuple:
+    """The fast-path tables ``(first, second, select, feedback, load)``,
+    built on first use.
+
+    * ``first[w1 | w2 << 4 | w3 << 8]``, for the clock windows R1 bits
+      8..5 and R2/R3 bits 10..7, is ``(n1, n2, n3, m1, m2, m3)``: how
+      often each register clocks in four majority steps, and on which
+      (step 0 at bit 16, step 3 at bit 13); ``second`` is the same with
+      the mask at bits 12..9, for steps 4..7;
+    * ``select[mask << 9 | top]`` is the output byte of one register
+      that clocks on the 8-bit ``mask``'s steps, ``top`` being its nine
+      highest bits;
+    * ``feedback`` is ``(f1, f2, f3, f3low)`` from
+      :func:`_feedback_tables`: R1's indexed by bits 18..6, R2's by
+      bits 21..13, and R3's the XOR of one by bits 22..13 and one by
+      bits 7..0;
     * ``load[j][v]`` is the packed ``r1 | r2 << 19 | r3 << 41`` state
       the 86 load clocks make of value ``v`` at input byte ``j`` (key
       bytes 0..7, then the frame number LSB-first).
     """
     global _A51_TABLES
     if _A51_TABLES is None:
-        majority, entries = [], {}
-        for index in range(4096):
-            # The windows sit at the clock bits over a marker at bit 0,
-            # so no register is zero and every clocked one changes (an
-            # LFSR step fixes only the zero state).
-            regs = ((index & 15) << 5 | 1, (index >> 4 & 15) << 7 | 1,
-                    (index >> 8) << 7 | 1)
-            counts, masks = [0, 0, 0], [0, 0, 0]
-            for step in range(4):
-                clocked = A51._clock_majority(*regs)
-                for i in range(3):
-                    if clocked[i] != regs[i]:
-                        counts[i] += 1
-                        masks[i] |= 8 >> step
-                regs = clocked
-            entry = (*counts, *(mask << 5 for mask in masks))
-            majority.append(entries.setdefault(entry, entry))
-        select = []
-        for index in range(512):
-            nibble = clocks = 0
-            for step in range(4):
-                clocks += index >> (8 - step) & 1
-                nibble = nibble << 1 | (index >> (4 - clocks) & 1)
-            select.append(nibble)
-        # The load clocks start from zero and are linear, so input bit p
-        # (key bits 0..63, frame bits 64..85) contributes the state
-        # (1, 1, 1) clocked 85 - p more times.  Bits 86 and 87 of the
-        # last frame byte lie above the 22-bit frame number.
-        units, regs = [], (1, 1, 1)
-        for _ in range(86):
-            units.append(regs[0] | regs[1] << 19 | regs[2] << 41)
-            regs = A51._clock_all(*regs)
-        units = units[::-1] + [0, 0]
-        load = []
-        for j in range(11):
-            table = [0] * 256
-            for value in range(1, 256):
-                low = value & -value
-                table[value] = (table[value ^ low]
-                                ^ units[8 * j + low.bit_length() - 1])
-            load.append(table)
-        _A51_TABLES = (majority, select, load)
+        first, second = _majority_tables()
+        flips = [bytes(range(256))]
+        for bit in (1, 2, 4, 8, 16, 32, 64, 128):
+            xor = bytes(v ^ bit for v in range(256))
+            flips += [flip.translate(xor) for flip in flips]
+        feedback = (_feedback_tables(_R1_TAPS, 6, 13, flips),
+                    _feedback_tables(_R2_TAPS, 13, 9, flips),
+                    _feedback_tables(_R3_TAPS, 13, 10, flips),
+                    _feedback_tables(_R3_TAPS, 0, 8, flips))
+        _A51_TABLES = (first, second, _select_table(flips), feedback,
+                       _load_tables())
     return _A51_TABLES
 
 
@@ -140,33 +203,27 @@ def _run_bytes(r1: int, r2: int, r3: int,
                out: bytearray) -> Tuple[int, int, int]:
     """Clock the registers 8 majority steps per byte of ``out`` and
     write each byte's keystream into it; returns the new registers."""
-    majority, select, _ = _a51_tables()
-    low = _LOW
+    first, second, select, (f1, f2, f3, f3low), _ = _a51_tables()
+    mask1, mask2, mask3 = _R1_MASK, _R2_MASK, _R3_MASK
     for i in range(len(out)):
-        # Steps 0-3 read R1 bits 8..5 and R2/R3 bits 10..7; a register's
-        # top five bits need no mask.
-        n1, n2, n3, m1, m2, m3 = majority[
+        # Steps 0-3 read R1 bits 8..5 and R2/R3 bits 10..7; steps 4-7
+        # the same windows moved down by the clocks just taken.
+        n1, n2, n3, s1, s2, s3 = first[
             (r1 >> 5 & 15) | (r2 >> 3 & 0xF0) | (r3 << 1 & 0xF00)]
-        high = select[m1 | r1 >> 14] ^ select[m2 | r2 >> 17] ^ select[m3 | r3 >> 18]
-        # Steps 4-7: every window moves down by the clocks just taken.
-        t1, t2, t3 = r1 << n1, r2 << n2, r3 << n3
-        k1, k2, k3, m1, m2, m3 = majority[
-            (t1 >> 5 & 15) | (t2 >> 3 & 0xF0) | (t3 << 1 & 0xF00)]
-        out[i] = high << 4 | (select[m1 | t1 >> 14 & 31]
-                              ^ select[m2 | t2 >> 17 & 31]
-                              ^ select[m3 | t3 >> 18 & 31])
-        # One shift per register.  Feedback bit t XORs the taps moved
-        # down by t, all still pre-byte bits while n <= 8 (R3's lowest
-        # tap is bit 7).
+        k1, k2, k3, t1, t2, t3 = second[
+            (r1 << n1 >> 5 & 15) | (r2 << n2 >> 3 & 0xF0)
+            | (r3 << n3 << 1 & 0xF00)]
+        # A register's top nine bits need no mask.
+        out[i] = (select[s1 | t1 | r1 >> 10] ^ select[s2 | t2 | r2 >> 13]
+                  ^ select[s3 | t3 | r3 >> 14])
+        # One shift per register; the feedback bits read only pre-byte
+        # bits while n <= 8 (R3's lowest tap is bit 7).
         n1 += k1
         n2 += k2
         n3 += k3
-        r1 = ((r1 << n1 & _R1_MASK)
-              | (r1 ^ r1 << 1 ^ r1 << 2 ^ r1 << 5) >> (19 - n1) & low[n1])
-        r2 = ((r2 << n2 & _R2_MASK)
-              | (r2 ^ r2 << 1) >> (22 - n2) & low[n2])
-        r3 = ((r3 << n3 & _R3_MASK)
-              | (r3 ^ r3 << 1 ^ r3 << 2 ^ r3 << 15) >> (23 - n3) & low[n3])
+        r1 = r1 << n1 & mask1 | f1[n1][r1 >> 6]
+        r2 = r2 << n2 & mask2 | f2[n2][r2 >> 13]
+        r3 = r3 << n3 & mask3 | f3[n3][r3 >> 13] ^ f3low[n3][r3 & 255]
     return r1, r2, r3
 
 
@@ -246,8 +303,9 @@ class A51:
     @classmethod
     def _schedule_fast(cls, key: bytes, frame: int) -> Tuple[int, int, int]:
         """:meth:`_schedule` from the tables: the load clocks are 11
-        lookups, the mixing clocks 12 kernel bytes and 4 more clocks."""
-        load = _a51_tables()[2]
+        lookups, the mixing clocks 12 kernel bytes and one 4-step
+        majority lookup."""
+        first, _, _, (f1, f2, f3, f3low), load = _a51_tables()
         state = (load[0][key[0]] ^ load[1][key[1]] ^ load[2][key[2]]
                  ^ load[3][key[3]] ^ load[4][key[4]] ^ load[5][key[5]]
                  ^ load[6][key[6]] ^ load[7][key[7]]
@@ -255,9 +313,11 @@ class A51:
                  ^ load[10][frame >> 16])
         r1, r2, r3 = _run_bytes(state & _R1_MASK, state >> 19 & _R2_MASK,
                                 state >> 41, bytearray(12))
-        for _ in range(4):
-            r1, r2, r3 = cls._clock_majority(r1, r2, r3)
-        return r1, r2, r3
+        n1, n2, n3 = first[
+            (r1 >> 5 & 15) | (r2 >> 3 & 0xF0) | (r3 << 1 & 0xF00)][:3]
+        return (r1 << n1 & _R1_MASK | f1[n1][r1 >> 6],
+                r2 << n2 & _R2_MASK | f2[n2][r2 >> 13],
+                r3 << n3 & _R3_MASK | f3[n3][r3 >> 13] ^ f3low[n3][r3 & 255])
 
     # -- continuous keystream ----------------------------------------------
 

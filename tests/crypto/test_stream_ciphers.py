@@ -1,6 +1,6 @@
 """The lightweight stream-cipher family: A5/1, Grain v1, Trivium.
 
-Five layers of assurance, matching the conformance plane's policy:
+Six layers of assurance, matching the conformance plane's policy:
 
 * the published A5/1 pedagogical vector (Briceno/Goldberg/Wagner) on
   both dispatch paths (the corpus files themselves run through
@@ -16,9 +16,10 @@ Five layers of assurance, matching the conformance plane's policy:
 * fast/reference agreement on the per-record re-key: 200 seeded A5/1
   key schedules and bursts, and the Trivium key loader against its
   per-bit formula;
-* Grain's bulk keystream kernel against the per-step reference on
-  random, all-zero and all-ones registers, around its LFSR ladder's
-  step switches;
+* the A5/1 byte kernel (and its majority and selection tables entry
+  by entry) and Grain's bulk keystream kernel (around its LFSR
+  ladder's step switches) against the per-step reference on random,
+  all-zero and all-ones registers;
 * interface contracts the record layers rely on (memoryview inputs,
   key-blob splitting, invalid key and keystream lengths).
 """
@@ -31,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import fastpath, grain
+from repro.crypto import a51, fastpath, grain
 from repro.crypto.a51 import A51
 from repro.crypto.errors import InvalidKeyLength
 from repro.crypto.grain import Grain
@@ -248,6 +249,80 @@ class TestGrainKernel:
                         ^ want[i + 23] ^ want[i + 13] ^ want[i])
         assert grain._lfsr_stream(s, bits) == \
             sum(bit << i for i, bit in enumerate(want))
+
+
+class TestA51Kernel:
+    """The fast path's ``a51._run_bytes`` (two 4-step majority lookups,
+    one 8-step output lookup and table feedback per register per byte)
+    against the per-step ``_clock_majority`` path: the same bytes out
+    and the same registers after."""
+
+    @staticmethod
+    def _registers():
+        rng = random.Random(51)
+        triples = [(0, 0, 0), (0x7FFFF, 0x3FFFFF, 0x7FFFFF)]
+        # All three clock windows (R1 bits 8..1, R2/R3 bits 10..3) equal.
+        for window in (0x00, 0xFF, 0x5A, 0xC3):
+            r1, r2, r3 = rng.getrandbits(19), rng.getrandbits(22), \
+                rng.getrandbits(23)
+            triples.append((r1 & ~0x1FE | window << 1,
+                            r2 & ~0x7F8 | window << 3,
+                            r3 & ~0x7F8 | window << 3))
+        # Exactly one register's clock bit set.
+        for one in range(3):
+            r1, r2, r3 = rng.getrandbits(19), rng.getrandbits(22), \
+                rng.getrandbits(23)
+            triples.append((r1 & ~0x100 | (one == 0) << 8,
+                            r2 & ~0x400 | (one == 1) << 10,
+                            r3 & ~0x400 | (one == 2) << 10))
+        return triples + [(rng.getrandbits(19), rng.getrandbits(22),
+                           rng.getrandbits(23)) for _ in range(4)]
+
+    @pytest.mark.parametrize("length", [0, 1, 11, 12, 13, 87, 1047])
+    def test_matches_per_step_path(self, length):
+        for registers in self._registers():
+            with fastpath.force(False):
+                reference = A51(bytes(8))
+                reference.restore_state(registers)
+                want = reference.keystream(length)
+            out = bytearray(length)
+            after = a51._run_bytes(*registers, out)
+            assert (bytes(out), after) == (want, reference.save_state()), \
+                (length, registers)
+
+    def test_majority_tables_match_clock_majority(self):
+        """Each window triple, loaded at the clock bits over a marker
+        bit (so every clocked register changes), run through four
+        reference clocks."""
+        first, second = a51._a51_tables()[:2]
+        for index in range(4096):
+            registers = ((index & 15) << 5 | 1, (index >> 4 & 15) << 7 | 1,
+                         (index >> 8) << 7 | 1)
+            counts, masks = [0, 0, 0], [0, 0, 0]
+            for step in range(4):
+                clocked = A51._clock_majority(*registers)
+                for i in range(3):
+                    if clocked[i] != registers[i]:
+                        counts[i] += 1
+                        masks[i] |= 8 >> step
+                registers = clocked
+            assert first[index] == (*counts, *(m << 13 for m in masks))
+            assert second[index] == (*counts, *(m << 9 for m in masks))
+
+    def test_select_table_matches_bit_gather(self):
+        """Entry ``mask << 9 | top``: step ``s`` emits the register's
+        top bit after the clocks ``mask`` gave it so far."""
+        select = a51._a51_tables()[2]
+        assert len(select) == 1 << 17
+        for mask in range(256):
+            sources, clocks = [], 0
+            for step in range(8):
+                clocks += mask >> (7 - step) & 1
+                sources.append(8 - clocks)
+            want = bytes(sum((top >> source & 1) << (7 - step)
+                             for step, source in enumerate(sources))
+                         for top in range(512))
+            assert select[mask << 9:(mask + 1) << 9] == want, mask
 
 
 class TestInterface:
