@@ -23,15 +23,13 @@ from typing import Dict, List
 from ..conformance.fuzzcorpus import default_targets, mutation_stream
 from ..crypto.rng import DeterministicDRBG
 from ..hardware.battery import Battery
-from ..observability import probe
-from ..observability.attribution import reconcile_energy
 from ..observability.metrics import (
     export_adversary_population,
     export_dos_responder,
     export_runtime,
 )
-from ..observability.scenario import HANDSET_BATTERY_J, ORIGIN, ScenarioResult
-from ..observability.spans import Telemetry
+from ..observability.scenario import (HANDSET_BATTERY_J, ScenarioResult,
+                                      ScenarioWorld, handset_capacities)
 from ..protocols.dos import CookieProtectedResponder
 from ..protocols.faults import FaultyChannel
 from ..protocols.gateway_runtime import (
@@ -42,8 +40,8 @@ from ..protocols.gateway_runtime import (
     submit_rounds,
 )
 from ..protocols.alerts import ProtocolAlert
-from ..protocols.reliable import VirtualClock
 from ..protocols.transport import ChannelClosed
+from ..protocols.wap import GATEWAY_NAME, ORIGIN_NAME
 from .population import (
     AdversaryPopulation,
     CookieFloodAdversary,
@@ -52,7 +50,6 @@ from .population import (
     TimingProbeAdversary,
 )
 
-GATEWAY_SUBJECT = "gateway.operator"
 SECRET_ROTATION_S = 0.25
 #: Per-handset benign request period, in virtual seconds.
 INTERARRIVAL_S = 0.1
@@ -101,7 +98,7 @@ def _build_population(seed: int, rate_per_class: float, runtime, responder,
     downgrade = DowngradeAdversary(
         "mitm-0", rate_per_class, seed,
         server_config=runtime.gateway.gateway_config, ca=ca,
-        expected_server=GATEWAY_SUBJECT,
+        expected_server=GATEWAY_NAME,
         battery=Battery(capacity_j=ATTACKER_BATTERY_J))
     timing = TimingProbeAdversary(
         "probe-0", rate_per_class, seed,
@@ -154,36 +151,33 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
     """
     if not 0.0 <= attacker_fraction < 1.0:
         raise ValueError("attacker fraction must be in [0, 1)")
-    clock = VirtualClock()
-    telemetry = Telemetry(
-        seed=("survivability", sessions, requests_per_session,
-              INTERARRIVAL_S, attacker_fraction, fault_rate, seed),
-        clock=clock, label="survivability")
-    batteries = {
-        f"handset-{index:02d}": Battery(capacity_j=HANDSET_BATTERY_J)
-        for index in range(sessions)
-    }
+    world = ScenarioWorld(
+        "survivability",
+        (sessions, requests_per_session, INTERARRIVAL_S, attacker_fraction,
+         fault_rate, seed),
+        handset_capacities(sessions))
+    clock, registry = world.clock, world.telemetry.registry
     channels = {
         f"handset-{index:02d}": FaultyChannel(
             seed=seed * 1000 + index)
         for index in range(sessions)
     }
     horizon_s = requests_per_session * INTERARRIVAL_S
-    with probe.activate(telemetry):
+    with world.activate():
         runtime, handsets, ca = build_gateway_runtime_world(
             sessions=sessions, seed=seed,
             config=survivability_config(),
-            batteries=batteries, clock=clock,
+            batteries=world.batteries, clock=clock,
             channel_factory=channels.__getitem__)
-        runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
-        export_runtime(telemetry.registry, runtime)
+        runtime.set_fault_rate(ORIGIN_NAME, fault_rate, seed=seed)
+        export_runtime(registry, runtime)
 
         # The DoS front gate: benign handsets pass the cookie exchange
         # at attach time; the flood adversary hammers the same gate.
         responder = CookieProtectedResponder(
             rng=DeterministicDRBG(("surv-dos", seed).__repr__()),
             pending_limit=64)
-        export_dos_responder(telemetry.registry, responder)
+        export_dos_responder(registry, responder)
         gate_rng = DeterministicDRBG(("surv-gate", seed).__repr__())
         for index, session_id in enumerate(sorted(handsets)):
             address = f"192.168.1.{index + 2}"
@@ -201,7 +195,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
                              / (1.0 - attacker_fraction)) * benign_rate
             population = _build_population(
                 seed, attacker_rate / 4.0, runtime, responder, channels, ca)
-            export_adversary_population(telemetry.registry, population)
+            export_adversary_population(registry, population)
         runtime.add_ticker(population.tick)
 
         rotation_state = {"last": 0.0}
@@ -213,7 +207,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
 
         runtime.add_ticker(rotate)
 
-        submit_rounds(runtime, handsets, ORIGIN, requests_per_session,
+        submit_rounds(runtime, handsets, ORIGIN_NAME, requests_per_session,
                       INTERARRIVAL_S)
         stats = runtime.run()
 
@@ -239,20 +233,17 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             runtime.sessions[sid].conn.discarded
             for sid in session_ids) - leftover_before
         population.finish(clock.now)
-        counts = drain_replies(runtime, handsets)
-    all_batteries = list(batteries.values()) + [
-        adversary.battery for adversary in population.adversaries]
-    return SurvivabilityResult(
-        telemetry=telemetry,
+        tally = drain_replies(runtime, handsets)
+    return world.result(
+        tally, SurvivabilityResult,
+        extra_batteries=[adversary.battery
+                         for adversary in population.adversaries],
         stats=stats,
-        counts=counts,
         submitted=stats.submitted,
-        batteries=batteries,
         population=population,
         responder=responder,
         breakers={origin: list(breaker.transitions)
                   for origin, breaker in sorted(runtime.breakers.items())},
-        reconciliation=reconcile_energy(telemetry, all_batteries),
         leftover_discarded=leftover_discarded,
         params={
             "sessions": sessions,

@@ -18,9 +18,8 @@ from ..protocols.gateway_runtime import (
     drain_replies,
     submit_rounds,
 )
+from ..protocols.wap import ORIGIN_NAME
 from .sweep import SweepResult, sweep
-
-ORIGIN = "origin.example"
 
 
 def chaos_point(sessions: int = 4, requests_per_session: int = 8,
@@ -34,11 +33,11 @@ def chaos_point(sessions: int = 4, requests_per_session: int = 8,
     """
     runtime, handsets, _ = build_gateway_runtime_world(
         sessions=sessions, seed=seed)
-    runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
-    submit_rounds(runtime, handsets, ORIGIN, requests_per_session,
+    runtime.set_fault_rate(ORIGIN_NAME, fault_rate, seed=seed)
+    submit_rounds(runtime, handsets, ORIGIN_NAME, requests_per_session,
                   interarrival_s)
     stats = runtime.run()
-    counts = drain_replies(runtime, handsets)
+    counts = drain_replies(runtime, handsets).counts
     return {
         "sessions": sessions,
         "offered_per_s": round(sessions / interarrival_s, 3),

@@ -66,46 +66,38 @@ from ..protocols.resumption import (
     resume,
 )
 from ..protocols.transport import ChannelEmpty, DuplexChannel
-from ..protocols.wap import OriginServer, WAPGateway
+from ..protocols.wap import (GATEWAY_NAME, ORIGIN_NAME, OriginServer,
+                             WAPGateway)
 from ..protocols.wtls import WTLSConnection, _rederive, connection_pair
 from .journal import CheckpointJournal
 from .ring import ConsistentRing
 from .scheduler import Event, EventScheduler
 from .snapshot import capture_connection, restore_connection
 
-GATEWAY_NAME = "gateway.operator"
-ORIGIN_NAME = "origin.example"
+VNODES = 8                    # ring points per shard
+HEARTBEAT_INTERVAL_S = 0.5
+HEARTBEAT_MISS_THRESHOLD = 2  # misses before a shard is declared dead
+FAILOVER_DELAY_S = 0.25       # detection -> migration complete
+RESTART_DELAY_S = 4.0         # crash detection -> shard back up
+SEQUENCE_SKIP = 64            # torn-tail cover on warm restore
+TICKET_GENERATION_LIMIT = 8   # ticket-cache rotations a ticket survives
+#: Every shard's runtime tunables.  ``reply_batch`` stays 1: a batched
+#: outbox is volatile state the checkpoint does not cover.
+SHARD_RUNTIME = RuntimeConfig()
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Fleet-level tunables (per-shard tunables ride in ``runtime``)."""
+    """The fleet sizing a scenario chooses; everything else is a module
+    constant above."""
 
     shards: int = 4
-    vnodes: int = 8
-    heartbeat_interval_s: float = 0.5
-    heartbeat_miss_threshold: int = 2
-    failover_delay_s: float = 0.25   # detection -> migration complete
-    restart_delay_s: float = 4.0     # crash detection -> shard back up
-    sequence_skip: int = 64          # torn-tail cover on warm restore
     journal_index_limit: int = 64
     ticket_cache_limit: int = 64
-    ticket_generation_limit: int = 8
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("fleet needs at least one shard")
-        if self.heartbeat_interval_s <= 0 or self.failover_delay_s < 0:
-            raise ValueError("watchdog timings must be sensible")
-        if self.heartbeat_miss_threshold < 1:
-            raise ValueError("miss threshold must be at least 1")
-        if self.sequence_skip < 1:
-            raise ValueError("sequence skip must be at least 1")
-        if self.runtime.reply_batch != 1:
-            # A batched outbox is volatile state the checkpoint does not
-            # cover; the fleet's atomicity story requires reply==durable.
-            raise ValueError("fleet shards require reply_batch == 1")
 
 
 @dataclass
@@ -237,12 +229,12 @@ class ShardedFleet:
         for index in range(self.config.shards):
             self.shards.append(self._build_shard(index, restart_epoch=0))
         self.ring = ConsistentRing(
-            [shard.name for shard in self.shards], vnodes=self.config.vnodes)
+            [shard.name for shard in self.shards], vnodes=VNODES)
         self._by_name = {shard.name: shard for shard in self.shards}
         for shard in self.shards:
             self.scheduler.add_source(shard)
             shard.heartbeat = self.scheduler.every(
-                self.config.heartbeat_interval_s,
+                HEARTBEAT_INTERVAL_S,
                 self._make_heartbeat(shard), label=f"hb-{shard.name}")
 
         # Fleet-shared resumption state: the bounded, seeded-eviction
@@ -252,7 +244,7 @@ class ShardedFleet:
             capacity=self.config.ticket_cache_limit,
             eviction_rng=DeterministicDRBG(
                 ("fleet-tickets", seed).__repr__()),
-            generation_limit=self.config.ticket_generation_limit)
+            generation_limit=TICKET_GENERATION_LIMIT)
 
         self._crash_rng = DeterministicDRBG(("fleet-crash", seed).__repr__())
         self._ticket_rng = DeterministicDRBG(
@@ -295,7 +287,7 @@ class ShardedFleet:
                 certificate=self._gw_cert, private_key=self._gw_key))
         gateway.register_origin(self.origin)
         runtime = GatewayRuntime(
-            gateway, config=self.config.runtime, clock=self.clock)
+            gateway, config=SHARD_RUNTIME, clock=self.clock)
         runtime.answer_hook = self._on_answer
         runtime.shard_label = name
         journal = CheckpointJournal(
@@ -477,7 +469,7 @@ class ShardedFleet:
             self.stats.heartbeat_misses += 1
             probe.event("fleet.heartbeat_miss", shard=shard.name,
                         misses=shard.misses)
-            if shard.misses >= self.config.heartbeat_miss_threshold \
+            if shard.misses >= HEARTBEAT_MISS_THRESHOLD \
                     and not shard.detected:
                 shard.detected = True
                 shard.detected_time = now
@@ -485,11 +477,11 @@ class ShardedFleet:
                 probe.event("fleet.crash_detected", shard=shard.name,
                             at_s=round(now, 6))
                 self.scheduler.after(
-                    self.config.failover_delay_s,
+                    FAILOVER_DELAY_S,
                     lambda when, shard=shard: self._migrate(shard, when),
                     label=f"migrate-{shard.name}")
                 self.scheduler.after(
-                    self.config.restart_delay_s,
+                    RESTART_DELAY_S,
                     lambda when, shard=shard: self._restart(shard, when),
                     label=f"restart-{shard.name}")
         return beat
@@ -502,7 +494,7 @@ class ShardedFleet:
             # Nobody to migrate onto yet; try again next heartbeat.
             self.stats.migration_deferrals += 1
             self.scheduler.after(
-                self.config.heartbeat_interval_s,
+                HEARTBEAT_INTERVAL_S,
                 lambda when, shard=crashed: self._migrate(shard, when),
                 label=f"migrate-retry-{crashed.name}")
             return
@@ -557,7 +549,7 @@ class ShardedFleet:
                 self._black_hole_inbound(session_id, channel)
                 conn = restore_connection(
                     snapshot, channel.endpoint_b(),
-                    sequence_skip=self.config.sequence_skip)
+                    sequence_skip=SEQUENCE_SKIP)
                 target.runtime.adopt_session(session_id, conn, battery)
                 self.stats.migrations_warm += 1
                 self.stats.checkpoints_restored += 1
@@ -586,7 +578,7 @@ class ShardedFleet:
                 target.runtime.send_control_reply(
                     session_id,
                     busy_reply("recovering",
-                               retry_after_s=self.config.failover_delay_s),
+                               retry_after_s=FAILOVER_DELAY_S),
                     shed_reason="recovering")
             self._checkpoint(session_id)
 
@@ -610,7 +602,7 @@ class ShardedFleet:
         while True:
             try:
                 payload = conn.receive_next(
-                    max_skip=self.config.runtime.malformed_skip)
+                    max_skip=SHARD_RUNTIME.malformed_skip)
             except ChannelEmpty:
                 break
             self.reply_buffer[session_id].append(payload)
@@ -750,7 +742,7 @@ class ShardedFleet:
         while True:
             try:
                 replies.append(conn.receive_next(
-                    max_skip=self.config.runtime.malformed_skip))
+                    max_skip=SHARD_RUNTIME.malformed_skip))
             except ChannelEmpty:
                 break
         return replies

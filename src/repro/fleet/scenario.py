@@ -17,44 +17,15 @@ back is the acceptance ledger for the crash-fault-tolerance plane:
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, Iterable, Tuple
-
-from ..hardware.battery import Battery
-from ..observability import probe
-from ..observability.attribution import reconcile_energy
 from ..observability.metrics import export_fleet
-from ..observability.scenario import HANDSET_BATTERY_J, ScenarioResult
-from ..observability.spans import Telemetry
-from ..protocols.gateway_runtime import classify_reply, classify_shed_reason
-from ..protocols.reliable import VirtualClock
-from .runtime import ORIGIN_NAME, CrashPlan, FleetConfig, ShardedFleet
+from ..observability.scenario import (HANDSET_BATTERY_J, ScenarioResult,
+                                      ScenarioWorld, handset_capacities)
+from ..protocols.gateway_runtime import request_rounds, tally_replies
+from .runtime import (HEARTBEAT_INTERVAL_S, ORIGIN_NAME, RESTART_DELAY_S,
+                      CrashPlan, FleetConfig, ShardedFleet)
 
 #: When the first shard dies, in virtual seconds.
 CRASH_START_S = 0.4
-
-
-def tally_replies(fleet: ShardedFleet, session_ids: Iterable[str]
-                  ) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
-    """Collect every session's replies from ``fleet``, in order.
-
-    Returns ``(counts, per_session, shed_reasons)``: served / degraded /
-    shed totals, replies decoded per session, and shed totals per
-    ``reason=`` token.
-    """
-    counts = {"served": 0, "degraded": 0, "shed": 0}
-    per_session: Dict[str, int] = {}
-    shed_reasons: Dict[str, int] = {}
-    for session_id in session_ids:
-        replies = fleet.collect_replies(session_id)
-        per_session[session_id] = len(replies)
-        for reply in replies:
-            kind = classify_reply(reply)
-            counts[kind] += 1
-            if kind == "shed":
-                reason = classify_shed_reason(reply)
-                shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
-    return counts, per_session, shed_reasons
 
 
 def run_failover(sessions: int = 24, shards: int = 4,
@@ -78,8 +49,8 @@ def run_failover(sessions: int = 24, shards: int = 4,
     without forking the scenario.  ``probe_enabled=False`` runs the
     identical scenario with the probe seam dark (no spans, no
     activation — the zero-overhead baseline the observability bench
-    compares against); the returned reconciliation is then vacuous,
-    since nothing attributes energy.
+    compares against); nothing then attributes energy, so the result
+    carries no reconciliation.
     """
     # Size the bounded stores *below* the per-shard session count:
     # journal-index evictions force some sessions down the cold
@@ -90,52 +61,39 @@ def run_failover(sessions: int = 24, shards: int = 4,
         shards=shards,
         journal_index_limit=max(2, (2 * sessions) // (3 * shards)),
         ticket_cache_limit=max(3, (2 * sessions) // 3))
-    clock = VirtualClock()
-    telemetry = Telemetry(
-        seed=("fleet-failover", sessions, shards, requests_per_session,
-              interarrival_s, seed),
-        clock=clock, label="fleet-failover")
-    batteries = {
-        f"handset-{index:02d}": Battery(capacity_j=HANDSET_BATTERY_J)
-        for index in range(sessions)
-    }
+    world = ScenarioWorld(
+        "fleet-failover",
+        (sessions, shards, requests_per_session, interarrival_s, seed),
+        handset_capacities(sessions), lit=probe_enabled)
     horizon_s = requests_per_session * interarrival_s
-    crash_spacing_s = max(
-        horizon_s / max(1, shards),
-        config.restart_delay_s + config.heartbeat_interval_s)
-    activation = (probe.activate(telemetry) if probe_enabled
-                  else contextlib.nullcontext())
-    with activation:
-        fleet = ShardedFleet(config=config, seed=seed, clock=clock)
+    crash_spacing_s = max(horizon_s / max(1, shards),
+                          RESTART_DELAY_S + HEARTBEAT_INTERVAL_S)
+    with world.activate():
+        fleet = ShardedFleet(config=config, seed=seed, clock=world.clock)
         if probe_enabled:
-            export_fleet(telemetry.registry, fleet)
-        finisher = instrument(fleet, telemetry) if instrument else None
-        session_ids = sorted(batteries)
+            export_fleet(world.telemetry.registry, fleet)
+        finisher = instrument(fleet, world.telemetry) if instrument else None
+        session_ids = sorted(world.batteries)
         for session_id in session_ids:
-            fleet.attach_session(session_id, battery=batteries[session_id])
+            fleet.attach_session(session_id,
+                                 battery=world.batteries[session_id])
         plan = CrashPlan.seeded_sweep(
             shards, start_s=CRASH_START_S, spacing_s=crash_spacing_s,
-            seed=seed, jitter_s=config.heartbeat_interval_s / 2.0)
+            seed=seed, jitter_s=HEARTBEAT_INTERVAL_S / 2.0)
         fleet.apply_plan(plan)
-        for round_index in range(requests_per_session):
-            for slot, session_id in enumerate(session_ids):
-                when = (round_index * interarrival_s
-                        + slot * interarrival_s / max(1, sessions))
-                fleet.submit_at(
-                    when, session_id, ORIGIN_NAME,
-                    f"req-{session_id}-{round_index}".encode())
+        for when, session_id, payload in request_rounds(
+                session_ids, requests_per_session, interarrival_s):
+            fleet.submit_at(when, session_id, ORIGIN_NAME, payload)
         stats = fleet.run()
         if finisher is not None:
             finisher()
-        counts, per_session, shed_reasons = tally_replies(
-            fleet, session_ids)
-    return ScenarioResult(
-        telemetry=telemetry,
+        tally = tally_replies({session_id: fleet.collect_replies(session_id)
+                               for session_id in session_ids})
+    return world.result(
+        tally,
         stats=stats,
-        counts=counts,
         submitted=fleet.submitted,
-        batteries=batteries,
-        reconciliation=reconcile_energy(telemetry, batteries.values()),
+        fleet=fleet,
         params={
             "sessions": sessions,
             "shards": shards,
@@ -146,7 +104,4 @@ def run_failover(sessions: int = 24, shards: int = 4,
             "seed": seed,
             "battery_capacity_j": HANDSET_BATTERY_J,
         },
-        fleet=fleet,
-        per_session_replies=per_session,
-        shed_reasons=shed_reasons,
     )

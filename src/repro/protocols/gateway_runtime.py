@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from collections import deque
 
@@ -45,10 +46,11 @@ from ..hardware.energy import EnergyModel
 from ..observability import probe
 from .alerts import BadRecordMAC, DecodeError, ProtocolAlert, ReplayError
 from .certificates import CertificateAuthority
-from .handshake import ClientConfig, ServerConfig
+from .handshake import ClientConfig
 from .reliable import VirtualClock
 from .transport import ChannelClosed, ChannelEmpty, DuplexChannel
-from .wap import DEGRADED_PREFIX, HandlerFailure, OriginServer, WAPGateway
+from .wap import (DEGRADED_PREFIX, GATEWAY_NAME, HandlerFailure, WAPGateway,
+                  build_gateway)
 from .wtls import WTLSConnection, wtls_connect
 
 BUSY_PREFIX = b"GW-BUSY:"
@@ -728,29 +730,12 @@ def build_gateway_runtime_world(
     """A full N-handset world: CA, origin, gateway, runtime, and
     ``sessions`` attached handsets named ``handset-00`` ....
 
-    Mirrors :func:`~repro.protocols.wap.build_wap_world` (same CA/origin
+    Shares :func:`~repro.protocols.wap.build_gateway` with
+    :func:`~repro.protocols.wap.build_wap_world` (same CA/origin
     construction) so single-session transparency can be checked against
     it; returns ``(runtime, {session_id: handset_conn}, ca)``.
     """
-    ca = CertificateAuthority(
-        "WAP-CA", DeterministicDRBG(("ca", seed).__repr__()))
-    gw_key, gw_cert = ca.issue(
-        "gateway.operator", DeterministicDRBG(("gw", seed).__repr__()))
-    origin_key, origin_cert = ca.issue(
-        "origin.example", DeterministicDRBG(("origin", seed).__repr__()))
-    handler = handler or (lambda request: b"OK:" + request)
-    origin = OriginServer(
-        name="origin.example", handler=handler,
-        config=ServerConfig(
-            rng=DeterministicDRBG(("origin-rng", seed).__repr__()),
-            certificate=origin_cert, private_key=origin_key))
-    gateway = WAPGateway(
-        ca=ca,
-        rng=DeterministicDRBG(("gw-rng", seed).__repr__()),
-        gateway_config=ServerConfig(
-            rng=DeterministicDRBG(("gw-srv-rng", seed).__repr__()),
-            certificate=gw_cert, private_key=gw_key))
-    gateway.register_origin(origin)
+    gateway, ca = build_gateway(seed, handler)
     runtime = GatewayRuntime(gateway, config=config, clock=clock)
     handsets: Dict[str, WTLSConnection] = {}
     batteries = batteries or {}
@@ -758,7 +743,7 @@ def build_gateway_runtime_world(
         session_id = f"handset-{index:02d}"
         client = ClientConfig(
             rng=DeterministicDRBG((session_id, seed).__repr__()),
-            ca=ca, expected_server="gateway.operator")
+            ca=ca, expected_server=GATEWAY_NAME)
         handsets[session_id] = runtime.attach_session(
             session_id, client, battery=batteries.get(session_id),
             channel=(channel_factory(session_id)
@@ -766,31 +751,60 @@ def build_gateway_runtime_world(
     return runtime, handsets, ca
 
 
-def submit_rounds(runtime: GatewayRuntime,
-                  handsets: Dict[str, WTLSConnection], origin: str,
-                  requests_per_session: int, interarrival_s: float) -> None:
-    """Queue the chaos traffic shape on ``runtime``.
-
-    ``requests_per_session`` rounds; in each, every handset (sorted by
-    session id) sends one request, staggered evenly across the
-    ``interarrival_s`` period so the aggregate offered load is
-    ``len(handsets) / interarrival_s`` requests per virtual second.
-    """
-    session_ids = sorted(handsets)
+def request_rounds(session_ids: Sequence[str], requests_per_session: int,
+                   interarrival_s: float
+                   ) -> Iterator[Tuple[float, str, bytes]]:
+    """The chaos traffic shape as ``(when, session_id, payload)``:
+    ``requests_per_session`` rounds in which every session, in order,
+    sends ``req-<session>-<round>``, staggered evenly across the
+    ``interarrival_s`` period."""
     sessions = len(session_ids)
     for round_index in range(requests_per_session):
         for slot, session_id in enumerate(session_ids):
-            handsets[session_id].send(
-                f"req-{session_id}-{round_index}".encode())
-            runtime.submit(
-                session_id, origin,
-                arrival_offset_s=round_index * interarrival_s
-                + slot * interarrival_s / max(1, sessions))
+            yield (round_index * interarrival_s
+                   + slot * interarrival_s / max(1, sessions),
+                   session_id, f"req-{session_id}-{round_index}".encode())
+
+
+def submit_rounds(runtime: GatewayRuntime,
+                  handsets: Dict[str, WTLSConnection], origin: str,
+                  requests_per_session: int, interarrival_s: float) -> None:
+    """Queue :func:`request_rounds` over the sorted handsets on
+    ``runtime``."""
+    for when, session_id, payload in request_rounds(
+            sorted(handsets), requests_per_session, interarrival_s):
+        handsets[session_id].send(payload)
+        runtime.submit(session_id, origin, arrival_offset_s=when)
+
+
+class ReplyTally(NamedTuple):
+    """What :func:`tally_replies` returns, named as in a scenario result."""
+
+    counts: Dict[str, int]
+    per_session_replies: Dict[str, int]
+    shed_reasons: Dict[str, int]
+
+
+def tally_replies(replies: Dict[str, List[bytes]]) -> ReplyTally:
+    """Classify ``{session_id: [reply, ...]}``: served / degraded / shed
+    totals, replies per session, and shed totals per ``reason=``."""
+    counts = {"served": 0, "degraded": 0, "shed": 0}
+    per_session: Dict[str, int] = {}
+    shed_reasons: Dict[str, int] = {}
+    for session_id, session_replies in replies.items():
+        per_session[session_id] = len(session_replies)
+        for reply in session_replies:
+            kind = classify_reply(reply)
+            counts[kind] += 1
+            if kind == "shed":
+                reason = classify_shed_reason(reply)
+                shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
+    return ReplyTally(counts, per_session, shed_reasons)
 
 
 def drain_replies(runtime: GatewayRuntime,
-                  handsets: Dict[str, WTLSConnection]) -> Dict[str, int]:
-    """Read every pending handset reply; served/degraded/shed counts.
+                  handsets: Dict[str, WTLSConnection]) -> ReplyTally:
+    """Read and tally every pending handset reply.
 
     Raises :class:`RuntimeError` when the runtime left a submitted
     request unanswered — the every-request-answered invariant of every
@@ -801,9 +815,10 @@ def drain_replies(runtime: GatewayRuntime,
         raise RuntimeError(
             f"a request went unanswered: {stats.answered} answered of "
             f"{stats.submitted} submitted")
-    counts = {"served": 0, "degraded": 0, "shed": 0}
+    replies: Dict[str, List[bytes]] = {}
     for session_id in sorted(handsets):
         conn = handsets[session_id]
+        replies[session_id] = []
         while conn.endpoint.pending():
-            counts[classify_reply(conn.receive())] += 1
-    return counts
+            replies[session_id].append(conn.receive())
+    return tally_replies(replies)

@@ -30,6 +30,11 @@ from .wtls import WTLSConnection, wtls_connect
 
 RequestHandler = Callable[[bytes], bytes]
 
+#: The subject of the gateway's certificate, which every handset expects.
+GATEWAY_NAME = "gateway.operator"
+#: The one origin server every gateway world registers.
+ORIGIN_NAME = "origin.example"
+
 DEGRADED_PREFIX = b"GW-DEGRADED:"
 
 
@@ -184,41 +189,41 @@ class WAPGateway:
         return reply
 
 
+def build_gateway(seed: int = 0, handler: Optional[RequestHandler] = None
+                  ) -> Tuple[WAPGateway, CertificateAuthority]:
+    """The CA, a gateway certified as :data:`GATEWAY_NAME`, and the
+    :data:`ORIGIN_NAME` origin registered behind it; every key and RNG
+    derives from ``seed``.  Returns ``(gateway, ca)``."""
+    def rng(label: str) -> DeterministicDRBG:
+        return DeterministicDRBG((label, seed).__repr__())
+
+    ca = CertificateAuthority("WAP-CA", rng("ca"))
+    gw_key, gw_cert = ca.issue(GATEWAY_NAME, rng("gw"))
+    origin_key, origin_cert = ca.issue(ORIGIN_NAME, rng("origin"))
+    origin = OriginServer(
+        name=ORIGIN_NAME,
+        handler=handler or (lambda request: b"OK:" + request),
+        config=ServerConfig(rng=rng("origin-rng"), certificate=origin_cert,
+                            private_key=origin_key))
+    gateway = WAPGateway(
+        ca=ca, rng=rng("gw-rng"),
+        gateway_config=ServerConfig(rng=rng("gw-srv-rng"),
+                                    certificate=gw_cert, private_key=gw_key))
+    gateway.register_origin(origin)
+    return gateway, ca
+
+
 def build_wap_world(seed: int = 0,
                     handler: Optional[RequestHandler] = None):
     """Convenience constructor for a full handset-gateway-origin setup.
 
     Returns ``(handset_wtls_connection, gateway, ca)`` ready for
-    ``gateway.forward(handset_conn, "origin.example")`` round-trips.
+    ``gateway.forward(ORIGIN_NAME)`` round-trips.
     """
-    ca = CertificateAuthority("WAP-CA", DeterministicDRBG(("ca", seed).__repr__()))
-    gw_key, gw_cert = ca.issue(
-        "gateway.operator", DeterministicDRBG(("gw", seed).__repr__()))
-    origin_key, origin_cert = ca.issue(
-        "origin.example", DeterministicDRBG(("origin", seed).__repr__()))
-
-    handler = handler or (lambda request: b"OK:" + request)
-    origin = OriginServer(
-        name="origin.example",
-        handler=handler,
-        config=ServerConfig(
-            rng=DeterministicDRBG(("origin-rng", seed).__repr__()),
-            certificate=origin_cert, private_key=origin_key,
-        ),
-    )
-    gateway = WAPGateway(
-        ca=ca,
-        rng=DeterministicDRBG(("gw-rng", seed).__repr__()),
-        gateway_config=ServerConfig(
-            rng=DeterministicDRBG(("gw-srv-rng", seed).__repr__()),
-            certificate=gw_cert, private_key=gw_key,
-        ),
-    )
-    gateway.register_origin(origin)
-
+    gateway, ca = build_gateway(seed, handler)
     handset_cfg = ClientConfig(
         rng=DeterministicDRBG(("handset", seed).__repr__()),
-        ca=ca, expected_server="gateway.operator",
+        ca=ca, expected_server=GATEWAY_NAME,
     )
     handset_conn, gateway_side = wtls_connect(handset_cfg, gateway.gateway_config)
     # The gateway holds its side of the WTLS session:

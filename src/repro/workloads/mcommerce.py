@@ -39,14 +39,11 @@ from typing import Dict, List, Tuple
 
 from ..crypto.rng import DeterministicDRBG
 from ..fleet.runtime import ORIGIN_NAME, FleetConfig, ShardedFleet
-from ..fleet.scenario import tally_replies
-from ..hardware.battery import Battery, BatteryEmpty
+from ..hardware.battery import BatteryEmpty
 from ..hardware.energy import EnergyModel
 from ..observability import probe
-from ..observability.attribution import reconcile_energy
 from ..observability.metrics import export_fleet
-from ..observability.scenario import ScenarioResult
-from ..observability.spans import Telemetry
+from ..observability.scenario import ScenarioResult, ScenarioWorld
 from ..protocols.ciphersuites import (
     ALL_SUITES,
     RSA_WITH_3DES_SHA,
@@ -57,6 +54,7 @@ from ..protocols.ciphersuites import (
     RSA_WITH_TRIVIUM_SHA,
     CipherSuite,
 )
+from ..protocols.gateway_runtime import tally_replies
 from ..protocols.payment import (
     Merchant,
     OrderInfo,
@@ -65,7 +63,6 @@ from ..protocols.payment import (
     create_payment,
     non_repudiation_evidence,
 )
-from ..protocols.reliable import VirtualClock
 
 MERCHANT_NAME = "shop.example"
 
@@ -267,25 +264,21 @@ def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
     pays per transaction when everything works.
     """
     plans = plan_workload(sessions, seed, duration_s)
-    clock = VirtualClock()
-    telemetry = Telemetry(
-        seed=("mcommerce", sessions, shards, duration_s, seed),
-        clock=clock, label="mcommerce")
-    batteries = {
-        plan.session_id: Battery(capacity_j=next(
-            k.capacity_j for k in BATTERY_CLASSES
-            if k.name == plan.battery_class))
-        for plan in plans
-    }
+    world = ScenarioWorld(
+        "mcommerce", (sessions, shards, duration_s, seed),
+        {plan.session_id: next(k.capacity_j for k in BATTERY_CLASSES
+                               if k.name == plan.battery_class)
+         for plan in plans})
+    batteries = world.batteries
     energy = EnergyModel()
     payments: List[Dict[str, object]] = []
     compute_mj: Dict[str, float] = {}
     dual_signature_mj = 0.0
     brownouts: Dict[str, int] = {}
-    with probe.activate(telemetry):
+    with world.activate():
         fleet = ShardedFleet(config=FleetConfig(shards=shards), seed=seed,
-                             clock=clock)
-        export_fleet(telemetry.registry, fleet)
+                             clock=world.clock)
+        export_fleet(world.telemetry.registry, fleet)
         merchant = Merchant(name=MERCHANT_NAME, ca=fleet.ca)
         pay_gateway = PaymentGateway(ca=fleet.ca)
         cardholder = fleet.ca.issue(
@@ -344,17 +337,13 @@ def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
                         brownouts[plan.battery_class] = (
                             brownouts.get(plan.battery_class, 0) + 1)
         stats = fleet.run()
-        counts, per_session, _ = tally_replies(
-            fleet, [plan.session_id for plan in plans])
-    return MCommerceResult(
-        telemetry=telemetry,
+        tally = tally_replies({plan.session_id: fleet.collect_replies(
+            plan.session_id) for plan in plans})
+    return world.result(
+        tally, MCommerceResult,
         stats=stats,
-        counts=counts,
         submitted=fleet.submitted,
-        batteries=batteries,
-        reconciliation=reconcile_energy(telemetry, batteries.values()),
         fleet=fleet,
-        per_session_replies=per_session,
         plans=plans,
         payments=payments,
         compute_mj=compute_mj,
