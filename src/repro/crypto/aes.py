@@ -247,7 +247,7 @@ class AES:
     def cbc_decrypt(self, data, iv: int) -> bytes:
         """Fast-path CBC decryption of a block-aligned record (see
         :meth:`cbc_encrypt`)."""
-        return fastpath.aes_cbc(data, iv, self._schedule(True), decrypt=True)
+        return fastpath.aes_cbc_decrypt(data, iv, self._schedule(True))
 
     def _schedule(self, decrypt: bool) -> bytes:
         """The fast kernel's packed schedule for one direction, built

@@ -13,12 +13,16 @@ replacements for the probe-free common case.
 
 Three families of kernel live here:
 
-* **AES T-tables** — four 256-entry tables fusing SubBytes, ShiftRows
-  and MixColumns into one lookup+XOR per state byte (and the inverse
-  tables plus the equivalent-inverse-cipher key transform for
-  decryption).  Every table is derived programmatically from
+* **AES** — encryption runs four 256-entry T-tables fusing SubBytes,
+  ShiftRows and MixColumns into one lookup+XOR per state byte, a block
+  at a time, because CBC encryption chains; :func:`aes_cbc` runs a
+  whole CBC record in one call.  Decryption does not chain, so
+  :func:`aes_cbc_decrypt` runs every block of a record at once as one
+  wide int: InvShiftRows by masks and shifts, then four
+  ``bytes.translate`` tables fusing InvSubBytes with the InvMixColumns
+  multipliers.  Every table is derived programmatically from
   :data:`repro.crypto.aes.SBOX` and GF(2^8) arithmetic, so nothing is
-  transcribed.  :func:`aes_cbc` runs a whole CBC record in one call.
+  transcribed.
 * **DES table fusion** — every FIPS 46-3 bit permutation (IP, FP)
   becomes a handful of per-byte lookups via
   :func:`byte_permutation_tables`, and the whole key schedule (PC1,
@@ -39,12 +43,14 @@ Packed schedules
 A keyed cipher hands its kernel one packed big-endian ``bytes``
 schedule per direction it runs (:func:`aes_encrypt_schedule`,
 :func:`aes_decrypt_schedule`, :func:`des_schedule`): 176 bytes for
-AES-128, 384 for 3DES.  The kernels unpack it into round-key quads once
-per record call with :func:`struct.iter_unpack`, about 2 µs against a
-55 µs three-block AES record.  The paper's §4 platform is bound by
-memory as much as by cycles: a gateway keeps four record ciphers per
-handset session, and as tuples of boxed ints their schedules would pin
-3.5–4 KiB each where the key material is a tenth of that.
+AES-128, 384 for 3DES.  The block-at-a-time kernels unpack it into
+round-key quads once per record call with :func:`struct.iter_unpack`,
+about 2 µs against a 55 µs three-block AES record; the wide AES
+decryption repeats each 16-byte round key across the record.  The
+paper's §4 platform is bound by memory as much as by cycles: a gateway
+keeps four record ciphers per handset session, and as tuples of boxed
+ints their schedules would pin 3.5–4 KiB each where the key material
+is a tenth of that.
 
 The switch
 ----------
@@ -122,11 +128,11 @@ def force(flag: bool):
 
 
 # ---------------------------------------------------------------------------
-# AES: T-tables fusing SubBytes + ShiftRows + MixColumns
+# AES: T-tables for encryption, one wide int per record for decryption
 # ---------------------------------------------------------------------------
 
 _AES_ENC_TABLES: Optional[Tuple[List[int], ...]] = None
-_AES_DEC_TABLES: Optional[Tuple[List[int], ...]] = None
+_AES_INV_TABLES: Optional[Tuple[bytes, ...]] = None
 
 
 def _rotr8(word: int) -> int:
@@ -157,34 +163,36 @@ def _aes_enc_tables() -> Tuple[List[int], ...]:
     return _AES_ENC_TABLES
 
 
-def _aes_dec_tables() -> Tuple[List[int], ...]:
-    """TD0..TD3 for the equivalent inverse cipher (InvSubBytes fused
-    with InvMixColumns); TD0[x] packs (14u, 9u, 13u, 11u) for
-    u = InvS[x]."""
-    global _AES_DEC_TABLES
-    if _AES_DEC_TABLES is None:
-        from .aes import INV_SBOX, _gf_mul
+def _aes_inv_tables() -> Tuple[bytes, ...]:
+    """``bytes.translate`` tables for the wide inverse cipher: InvS
+    fused with each InvMixColumns multiplier (0e, 0b, 0d, 09), then
+    InvS alone and S (which :func:`aes_decrypt_schedule` uses to undo
+    the InvS of a key)."""
+    global _AES_INV_TABLES
+    if _AES_INV_TABLES is None:
+        from .aes import INV_SBOX, SBOX, _gf_mul
 
-        td0 = []
-        for x in range(256):
-            u = INV_SBOX[x]
-            td0.append(
-                (_gf_mul(u, 14) << 24)
-                | (_gf_mul(u, 9) << 16)
-                | (_gf_mul(u, 13) << 8)
-                | _gf_mul(u, 11)
-            )
-        td1 = [_rotr8(t) for t in td0]
-        td2 = [_rotr8(t) for t in td1]
-        td3 = [_rotr8(t) for t in td2]
-        _AES_DEC_TABLES = (td0, td1, td2, td3, INV_SBOX)
-    return _AES_DEC_TABLES
+        _AES_INV_TABLES = (
+            *(bytes(_gf_mul(u, m) for u in INV_SBOX) for m in (14, 11, 13, 9)),
+            bytes(INV_SBOX), bytes(SBOX))
+    return _AES_INV_TABLES
 
 
-def _relabel(words: Sequence[int]) -> tuple:
-    """A decryption key quad ``(k0, k3, k2, k1)``: the order matching
-    the state relabelling :func:`aes_cbc` uses for the inverse cipher."""
-    return words[0], words[3], words[2], words[1]
+# 16-byte (one block) patterns, as ints, of the byte masks the wide
+# inverse cipher repeats across a record.  Row r of column c is byte
+# 4c + r of the block.  InvShiftRows turns row r right by r columns in
+# two steps: rows 1 and 3 by one column, then rows 2 and 3 by two.  A
+# step keeps the other rows (``_KEEP``) and takes each turned row from
+# a right shift within the block (``_IN``) or, for the columns that
+# wrap round, from a left shift (``_WRAP``).  ``_HI24``/``_LO8`` split
+# each column for a one-byte rotation.
+_KEEP1 = 0xFF00FF00FF00FF00FF00FF00FF00FF00
+_IN1, _WRAP1 = 0x0000000000FF00FF00FF00FF00FF00FF, 0x00FF00FF000000000000000000000000
+_KEEP2 = 0xFFFF0000FFFF0000FFFF0000FFFF0000
+_IN2, _WRAP2 = 0x00000000000000000000FFFF0000FFFF, 0x0000FFFF0000FFFF0000000000000000
+_HI24 = 0xFFFFFF00FFFFFF00FFFFFF00FFFFFF00
+_LO8 = 0x000000FF000000FF000000FF000000FF
+_LOW_BYTE = bytes(15) + b"\x01"
 
 
 def _pack_words(quads) -> bytes:
@@ -193,66 +201,70 @@ def _pack_words(quads) -> bytes:
     return struct.pack(f">{len(words)}I", *words)
 
 
+def _inv_mix_sub(state: bytes, hi24: int, lo8: int) -> int:
+    """InvMixColumns(InvSubBytes(``state``)) over any number of blocks,
+    as one big-endian int; ``hi24``/``lo8`` are :data:`_HI24` and
+    :data:`_LO8` repeated across the blocks.
+
+    Row r of a column is ``0e·a[r] ^ 0b·a[r+1] ^ 0d·a[r+2] ^ 09·a[r+3]``
+    for a = InvS(column).  Each product is one ``translate`` over the
+    whole buffer, and the three byte rotations within each column run
+    Horner-style: ``E ^ rot(B ^ rot(D ^ rot(N)))``.
+    """
+    te, tb, td, t9, _, _ = _aes_inv_tables()
+    x = int.from_bytes(state.translate(t9), "big")
+    x = int.from_bytes(state.translate(td), "big") ^ ((x << 8) & hi24) ^ ((x >> 24) & lo8)
+    x = int.from_bytes(state.translate(tb), "big") ^ ((x << 8) & hi24) ^ ((x >> 24) & lo8)
+    return int.from_bytes(state.translate(te), "big") ^ ((x << 8) & hi24) ^ ((x >> 24) & lo8)
+
+
 def aes_encrypt_schedule(round_keys: Sequence[Sequence[int]]) -> bytes:
-    """The :func:`aes_cbc` schedule for encryption: the round keys of
+    """The :func:`aes_cbc` schedule: the round keys of
     :func:`repro.crypto.aes.key_expansion`, packed big-endian, round 0
     first (176 bytes for AES-128)."""
     return _pack_words(round_keys)
 
 
 def aes_decrypt_schedule(round_keys: Sequence[Sequence[int]]) -> bytes:
-    """Equivalent-inverse-cipher key schedule for :func:`aes_cbc`.
+    """Equivalent-inverse-cipher key schedule for :func:`aes_cbc_decrypt`.
 
-    Reverses the round key order and applies InvMixColumns to every
-    inner round key, so decryption can run the same table-lookup shape
-    as encryption.  Packed like :func:`aes_encrypt_schedule`; computed
-    once per :class:`~repro.crypto.aes.AES` instance that decrypts.
+    The round keys in reverse order, InvMixColumns applied to every
+    inner one, packed like :func:`aes_encrypt_schedule`: K10,
+    InvMix(K9) … InvMix(K1), K0 for AES-128.  The inner keys go through
+    one wide :func:`_inv_mix_sub`, after an S translate cancels its
+    InvS.  Computed once per :class:`~repro.crypto.aes.AES` instance
+    that decrypts.
     """
-    from .aes import SBOX
-
-    td0, td1, td2, td3, _ = _aes_dec_tables()
-    # TDi[S[b]] is InvMixColumns applied to byte b in position i.
-    words = iter([
-        td0[SBOX[w >> 24]] ^ td1[SBOX[(w >> 16) & 255]]
-        ^ td2[SBOX[(w >> 8) & 255]] ^ td3[SBOX[w & 255]]
-        for round_key in round_keys[-2:0:-1] for w in round_key])
-    return _pack_words([_relabel(round_keys[-1]),
-                        *map(_relabel, zip(words, words, words, words)),
-                        _relabel(round_keys[0])])
+    inner = _pack_words(round_keys[-2:0:-1]).translate(_aes_inv_tables()[5])
+    ones = int.from_bytes(_LOW_BYTE * (len(inner) >> 4), "big")
+    mixed = _inv_mix_sub(inner, _HI24 * ones, _LO8 * ones)
+    return (_pack_words(round_keys[-1:]) + mixed.to_bytes(len(inner), "big")
+            + _pack_words(round_keys[:1]))
 
 
-def aes_cbc(data, iv: int, schedule: bytes, decrypt: bool = False) -> bytes:
-    """T-table AES-CBC over a whole block-aligned record in one frame.
+def aes_cbc(data, iv: int, schedule: bytes) -> bytes:
+    """T-table AES-CBC encryption over a whole block-aligned record in
+    one frame.
 
     ``data`` is ``bytes`` or a ``memoryview``; ``iv`` is the 128-bit IV
     as an int and ``schedule`` is the packed ``bytes`` of
-    :func:`aes_encrypt_schedule` or :func:`aes_decrypt_schedule`,
-    unpacked here into round-key quads once per call (about 2 µs) so a
-    keyed cipher holds 176 bytes of key material, not eleven tuples of
-    boxed ints.  One ``struct.unpack`` reads every word, the chain XOR
-    runs on ints, and one ``struct.pack`` writes the result.  With
-    ``iv=0`` and one block this is plain AES.
-
-    The inverse cipher's ShiftRows runs the other way, so its round
-    reads the state words in the order (0, 3, 2, 1) where encryption
-    reads (0, 1, 2, 3).  Keeping the decryption state relabelled as
-    ``(s0, s3, s2, s1)`` (and its keys likewise, see
-    :func:`_relabel`) makes both directions the same round below.
+    :func:`aes_encrypt_schedule`, unpacked here into round-key quads
+    once per call (about 2 µs) so a keyed cipher holds 176 bytes of key
+    material, not eleven tuples of boxed ints.  One ``struct.unpack``
+    reads every word, the chain XOR runs on ints, and one
+    ``struct.pack`` writes the result.  With ``iv=0`` and one block
+    this is plain AES.  CBC encryption chains, so blocks run one at a
+    time; decryption does not, and :func:`aes_cbc_decrypt` runs the
+    whole record at once.
     """
-    if decrypt:
-        t0, t1, t2, t3, box = _aes_dec_tables()
-    else:
-        t0, t1, t2, t3, box = _aes_enc_tables()
+    t0, t1, t2, t3, box = _aes_enc_tables()
     (r0, r1, r2, r3), *inner, (f0, f1, f2, f3) = struct.iter_unpack(">4I", schedule)
     count = len(data) >> 2
     p0, p1, p2, p3 = iv >> 96, (iv >> 64) & MASK32, (iv >> 32) & MASK32, iv & MASK32
     out: List[int] = []
     words = iter(struct.unpack(f">{count}I", data))
     for w0, w1, w2, w3 in zip(words, words, words, words):
-        if decrypt:
-            s0, s1, s2, s3 = w0 ^ r0, w3 ^ r1, w2 ^ r2, w1 ^ r3
-        else:
-            s0, s1, s2, s3 = w0 ^ p0 ^ r0, w1 ^ p1 ^ r1, w2 ^ p2 ^ r2, w3 ^ p3 ^ r3
+        s0, s1, s2, s3 = w0 ^ p0 ^ r0, w1 ^ p1 ^ r1, w2 ^ p2 ^ r2, w3 ^ p3 ^ r3
         for k0, k1, k2, k3 in inner:
             s0, s1, s2, s3 = (
                 t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ k0,
@@ -260,22 +272,60 @@ def aes_cbc(data, iv: int, schedule: bytes, decrypt: bool = False) -> bytes:
                 t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ k2,
                 t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ k3,
             )
-        # Final round: (Inv)SubBytes + (Inv)ShiftRows only, no MixColumns.
-        o0 = ((box[s0 >> 24] << 24) | (box[(s1 >> 16) & 255] << 16)
+        # Final round: SubBytes + ShiftRows only, no MixColumns.
+        p0 = ((box[s0 >> 24] << 24) | (box[(s1 >> 16) & 255] << 16)
               | (box[(s2 >> 8) & 255] << 8) | box[s3 & 255]) ^ f0
-        o1 = ((box[s1 >> 24] << 24) | (box[(s2 >> 16) & 255] << 16)
+        p1 = ((box[s1 >> 24] << 24) | (box[(s2 >> 16) & 255] << 16)
               | (box[(s3 >> 8) & 255] << 8) | box[s0 & 255]) ^ f1
-        o2 = ((box[s2 >> 24] << 24) | (box[(s3 >> 16) & 255] << 16)
+        p2 = ((box[s2 >> 24] << 24) | (box[(s3 >> 16) & 255] << 16)
               | (box[(s0 >> 8) & 255] << 8) | box[s1 & 255]) ^ f2
-        o3 = ((box[s3 >> 24] << 24) | (box[(s0 >> 16) & 255] << 16)
+        p3 = ((box[s3 >> 24] << 24) | (box[(s0 >> 16) & 255] << 16)
               | (box[(s1 >> 8) & 255] << 8) | box[s2 & 255]) ^ f3
-        if decrypt:
-            out += (o0 ^ p0, o3 ^ p1, o2 ^ p2, o1 ^ p3)
-            p0, p1, p2, p3 = w0, w1, w2, w3
-        else:
-            out += (o0, o1, o2, o3)
-            p0, p1, p2, p3 = o0, o1, o2, o3
+        out += (p0, p1, p2, p3)
     return struct.pack(f">{count}I", *out)
+
+
+def aes_cbc_decrypt(data, iv: int, schedule: bytes) -> bytes:
+    """AES-CBC decryption of a whole block-aligned record as one wide int.
+
+    CBC decryption does not chain, so every block runs each round at
+    once: the record (``bytes`` or a ``memoryview``) becomes one
+    big-endian int, and a round is InvShiftRows as two steps of shifts
+    and row masks on it, one ``to_bytes``, the body of
+    :func:`_inv_mix_sub` (inlined: a call per round costs about 15% on
+    a five-block record) and an XOR with the round key repeated across
+    the record.  The last
+    round is InvS only, and the chain is one XOR with ``IV ‖ C[:-16]``.
+    ``schedule`` is :func:`aes_decrypt_schedule`'s.  The masks and
+    repeated keys are built per call, as multiples of one int with a 1
+    in each block's low byte, so nothing is kept per record length.
+    With ``iv=0`` and one block this is plain AES.
+    """
+    size = len(data)
+    if not size:
+        return b""
+    te, tb, td, t9, inv, _ = _aes_inv_tables()
+    from_bytes = int.from_bytes
+    ones = from_bytes(_LOW_BYTE * (size >> 4), "big")
+    keep1, in1, wrap1, keep2, in2, wrap2, hi24, lo8 = (
+        mask * ones for mask in (_KEEP1, _IN1, _WRAP1, _KEEP2, _IN2, _WRAP2, _HI24, _LO8))
+    first, *inner, last = (from_bytes(schedule[i:i + 16], "big") * ones
+                           for i in range(0, len(schedule), 16))
+    state = from_bytes(data, "big")
+    chain = (iv << (8 * size - 128)) | (state >> 128)
+    state ^= first
+    for key in inner:
+        state = (state & keep1) | ((state >> 32) & in1) | ((state << 96) & wrap1)
+        state = (state & keep2) | ((state >> 64) & in2) | ((state << 64) & wrap2)
+        s = state.to_bytes(size, "big")
+        x = from_bytes(s.translate(t9), "big")
+        x = from_bytes(s.translate(td), "big") ^ ((x << 8) & hi24) ^ ((x >> 24) & lo8)
+        x = from_bytes(s.translate(tb), "big") ^ ((x << 8) & hi24) ^ ((x >> 24) & lo8)
+        state = from_bytes(s.translate(te), "big") ^ ((x << 8) & hi24) ^ ((x >> 24) & lo8) ^ key
+    state = (state & keep1) | ((state >> 32) & in1) | ((state << 96) & wrap1)
+    state = (state & keep2) | ((state >> 64) & in2) | ((state << 64) & wrap2)
+    s = state.to_bytes(size, "big").translate(inv)
+    return (from_bytes(s, "big") ^ last ^ chain).to_bytes(size, "big")
 
 
 def aes_encrypt_block(block: bytes, schedule: bytes) -> bytes:
@@ -285,9 +335,9 @@ def aes_encrypt_block(block: bytes, schedule: bytes) -> bytes:
 
 
 def aes_decrypt_block(block: bytes, schedule: bytes) -> bytes:
-    """T-table AES decryption of one 16-byte block (equivalent inverse
-    cipher; one-block :func:`aes_cbc` call with a zero IV)."""
-    return aes_cbc(block, 0, schedule, decrypt=True)
+    """AES decryption of one 16-byte block (one-block
+    :func:`aes_cbc_decrypt` call with a zero IV)."""
+    return aes_cbc_decrypt(block, 0, schedule)
 
 
 # ---------------------------------------------------------------------------

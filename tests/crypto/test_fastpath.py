@@ -495,6 +495,91 @@ class TestCBCRecordKernel:
         assert len(recorder.by_label()["des.sbox_out"]) == 6 * 16 * 8
 
 
+_KERNEL_ONLY = pytest.mark.skipif(
+    not fastpath.enabled(),
+    reason="checks a fast-path kernel alone; REPRO_FASTPATH=0 runs the "
+           "reference loops, which the differential tests cover")
+
+
+class TestAESDecryptKernel:
+    """The wide-int AES-CBC decryption kernel ≡ the reference
+    ``decrypt_block`` chain, at sizes around its per-record masks."""
+
+    BLOCKS = (1, 2, 3, 5, 64, 65, 1025)
+    KEY_SIZES = [16, 24, 32]
+
+    _expected = {}
+
+    @classmethod
+    def _case(cls, key_size):
+        """``(cipher, [(iv, ciphertext, reference plaintext)])`` per
+        record length; the reference chains run once per key size."""
+        rng = random.Random(0xDEC + key_size)
+        cipher = AES(bytes(rng.randrange(256) for _ in range(key_size)))
+        if key_size not in cls._expected:
+            records = []
+            for blocks in cls.BLOCKS:
+                iv = bytes(rng.randrange(256) for _ in range(16))
+                ct = bytes(rng.randrange(256) for _ in range(16 * blocks))
+                records.append((iv, ct, _reference_cbc(cipher, iv, ct,
+                                                       decrypt=True)))
+            cls._expected[key_size] = records
+        return cipher, cls._expected[key_size]
+
+    @_KERNEL_ONLY
+    @pytest.mark.parametrize("key_hex,ct_hex", TestAESKnownAnswers.VECTORS,
+                             ids=["C.1", "C.2", "C.3"])
+    def test_fips_197_decrypts_through_cbc_decrypt(self, key_hex, ct_hex):
+        cipher = AES(bytes.fromhex(key_hex))
+        assert cipher.cbc_decrypt(bytes.fromhex(ct_hex), 0) == FIPS_PT
+
+    @_KERNEL_ONLY
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    @pytest.mark.parametrize("key_size", KEY_SIZES,
+                             ids=lambda n: f"AES-{8 * n}")
+    def test_records_match_the_reference_chain(self, key_size, wrap):
+        cipher, records = self._case(key_size)
+        for iv, ct, expected in records:
+            assert cipher.cbc_decrypt(wrap(ct), int.from_bytes(iv, "big")) \
+                == expected, len(ct) // 16
+
+    @_KERNEL_ONLY
+    def test_iv_changes_only_block_0(self):
+        cipher, records = self._case(16)
+        iv, ct, _ = records[3]
+        from_zero = cipher.cbc_decrypt(ct, 0)
+        from_iv = cipher.cbc_decrypt(ct, int.from_bytes(iv, "big"))
+        assert from_iv[16:] == from_zero[16:]
+        assert xor_bytes(from_iv[:16], from_zero[:16]) == iv
+
+    @_KERNEL_ONLY
+    @pytest.mark.parametrize("factory,key", [
+        (AES, bytes(range(16))), (DES, bytes(range(8))),
+        (TripleDES, bytes(range(24)))], ids=["AES", "DES", "3DES"])
+    def test_empty_record_decrypts_to_nothing(self, factory, key):
+        cipher = factory(key)
+        assert cipher.cbc_decrypt(b"", (1 << 8 * cipher.block_size) - 1) == b""
+
+    @_KERNEL_ONLY
+    def test_every_record_length_leaves_at_most_1_kib(self):
+        # The masks and repeated round keys depend on the record length;
+        # a cache per length would keep kilobytes per length seen.
+        cipher = AES(bytes(range(16)))
+        data = memoryview(bytes(range(256)) * 65)
+        cipher.cbc_decrypt(data[:16], 1)  # build the tables and schedule
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for blocks in range(1, 1026):
+                cipher.cbc_decrypt(data[:16 * blocks], 1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1024, held
+
+
 class TestDESByteTableKeySchedule:
     """Sixteen nibble lookups ≡ the reference PC1/rotation/PC2 schedule."""
 
@@ -574,12 +659,11 @@ class TestPackedSchedules:
         assert isinstance(enc, bytes) and isinstance(dec, bytes)
         assert [list(q) for q in struct.iter_unpack(">4I", enc)] == round_keys
         # Equivalent inverse cipher: reversed order, InvMixColumns on the
-        # inner keys, each quad relabelled (k0, k3, k2, k1).
+        # inner keys, in natural word order.
         inverse = ([round_keys[-1]]
                    + [_inverse_key_quad(rk) for rk in round_keys[-2:0:-1]]
                    + [round_keys[0]])
-        assert [list(q) for q in struct.iter_unpack(">4I", dec)] == [
-            [k0, k3, k2, k1] for k0, k1, k2, k3 in inverse]
+        assert [list(q) for q in struct.iter_unpack(">4I", dec)] == inverse
 
     def test_tdes_schedules_unpack_to_ede_order_both_ways(self):
         s1, s2, s3 = (_reference_des_keys(self.TDES_KEY[i:i + 8])
