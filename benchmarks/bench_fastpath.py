@@ -17,6 +17,7 @@ Runs two ways:
 from __future__ import annotations
 
 import time
+from statistics import median
 from typing import Callable, List, Tuple
 
 import pytest
@@ -90,33 +91,59 @@ WORKLOADS: List[Tuple[str, Callable[[bytes], bytes], int, float]] = [
 
 FAST_SCALE = 16  # fast side gets a proportionally larger payload
 
+#: Each side's share of a measurement: at least ``MIN_SECONDS`` of work
+#: in at least ``MIN_PAIRS`` reference/fast window pairs.
+MIN_SECONDS = 0.2
+MIN_PAIRS = 5
+WINDOW_SECONDS = 0.02
 
-def _throughput(fn: Callable[[bytes], bytes], payload: bytes,
-                min_seconds: float = 0.2) -> float:
-    """Bytes/second, timed over at least ``min_seconds`` of work."""
-    fn(payload)  # warm up (table construction, hashlib binding)
-    iterations = 0
+
+def _window(fn: Callable[[bytes], bytes], payload: bytes,
+            seconds: float) -> Tuple[float, int]:
+    """(seconds, bytes) of whole calls, timed over at least ``seconds``."""
+    done = 0
     start = time.perf_counter()
     while True:
         fn(payload)
-        iterations += 1
+        done += len(payload)
         elapsed = time.perf_counter() - start
-        if elapsed >= min_seconds:
-            return iterations * len(payload) / elapsed
+        if elapsed >= seconds:
+            return elapsed, done
 
 
 def measure(name: str) -> Tuple[float, float, float]:
-    """(reference B/s, fast B/s, speedup) for one named workload."""
+    """(reference B/s, fast B/s, speedup) for one named workload.
+
+    The two sides run in short alternating windows, so a slow phase of
+    a shared host lands on both sides of a pair; the speedup is the
+    median of the per-pair ratios, and each throughput the median of
+    its side's windows."""
     for wl_name, fn, ref_size, _floor in WORKLOADS:
         if wl_name == name:
             break
     else:
         raise KeyError(name)
+    ref_payload = b"\xA5" * ref_size
+    fast_payload = b"\xA5" * (ref_size * FAST_SCALE)
     with fastpath.force(False):
-        ref = _throughput(fn, b"\xA5" * ref_size)
+        fn(ref_payload)  # warm up (table construction, hashlib binding)
     with fastpath.force(True):
-        fast = _throughput(fn, b"\xA5" * (ref_size * FAST_SCALE))
-    return ref, fast, fast / ref
+        fn(fast_payload)
+    refs: List[float] = []
+    fasts: List[float] = []
+    ref_total = fast_total = 0.0
+    while (len(refs) < MIN_PAIRS or ref_total < MIN_SECONDS
+           or fast_total < MIN_SECONDS):
+        with fastpath.force(False):
+            elapsed, done = _window(fn, ref_payload, WINDOW_SECONDS)
+        ref_total += elapsed
+        refs.append(done / elapsed)
+        with fastpath.force(True):
+            elapsed, done = _window(fn, fast_payload, WINDOW_SECONDS)
+        fast_total += elapsed
+        fasts.append(done / elapsed)
+    ratios = [fast / ref for ref, fast in zip(refs, fasts)]
+    return median(refs), median(fasts), median(ratios)
 
 
 def _required_speedup(name: str) -> float:

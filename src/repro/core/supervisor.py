@@ -29,9 +29,8 @@ three failure classes into a *measured, recorded* degradation:
   returns to service with fresh keys instead of limping on with a
   zeroised store.
 
-Every action lands in a :class:`DegradationReport` — the device-side
-mirror of :class:`~repro.protocols.recovery.RecoveryReport` — so tests
-and benches can assert exactly which degraded modes ran.
+Every action lands in a :class:`DegradationReport`, so tests and
+benches can assert exactly which degraded modes ran.
 """
 
 from __future__ import annotations

@@ -15,15 +15,13 @@ __all__ = [
     "CipherSuite", "ALL_SUITES", "SUITES_BY_NAME", "negotiate",
     "suites_for_registry",
     "ClientConfig", "ServerConfig", "Session", "run_handshake",
-    "run_handshake_with_fallback", "HandshakeAttemptLog",
-    "SecureConnection", "connect", "connect_with_fallback",
+    "SecureConnection", "connect",
     "RecordEncoder", "RecordDecoder", "make_record_pair",
     "prf", "master_secret", "derive_key_block",
     "DuplexChannel", "Endpoint", "ChannelClosed", "ChannelEmpty",
     "FaultyChannel", "FaultModel", "FaultStats", "GilbertElliott",
     "ReliableLink", "ReliableEndpoint", "ReliableStats", "ARQConfig",
     "VirtualClock", "RetryBudgetExhausted",
-    "ResilientSession", "RecoveryReport", "ReconnectPolicy",
     "WTLSConnection", "wtls_connect",
     "WEPStation", "WEPFrame",
     "SecurityAssociation", "make_tunnel",
@@ -57,20 +55,18 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".gateway_runtime": "BUSY_PREFIX BreakerConfig CircuitBreaker "
                         "GatewayRuntime RuntimeConfig RuntimeStats "
                         "TokenBucket build_gateway_runtime_world busy_reply",
-    ".handshake": "ClientConfig HandshakeAttemptLog ServerConfig Session "
-                  "run_handshake run_handshake_with_fallback",
+    ".handshake": "ClientConfig ServerConfig Session run_handshake",
     ".ipsec": "SecurityAssociation make_tunnel",
     ".kdf": "derive_key_block master_secret prf",
     ".payment": "DualSignedPayment Merchant OrderInfo PaymentError "
                 "PaymentGateway PaymentInfo create_payment "
                 "non_repudiation_evidence",
     ".records": "RecordDecoder RecordEncoder make_record_pair",
-    ".recovery": "ReconnectPolicy RecoveryReport ResilientSession",
     ".reliable": "ARQConfig ReliableEndpoint ReliableLink ReliableStats "
                  "RetryBudgetExhausted VirtualClock",
     ".resumption": "CachedSession SessionCache cache_session resume",
     ".smartcard": "APDU CardResponse SIMCard kiosk_cloning_attack",
-    ".tls": "SecureConnection connect connect_with_fallback",
+    ".tls": "SecureConnection connect",
     ".transport": "ChannelClosed ChannelEmpty DuplexChannel Endpoint",
     ".wap": "DEGRADED_PREFIX HandlerFailure OriginServer WAPGateway "
             "build_wap_world",

@@ -15,8 +15,8 @@ SSL 3.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from ..crypto.bitops import constant_time_compare
 from ..crypto.dh import DHGroup, DHParty
@@ -27,17 +27,15 @@ from ..crypto.rsa import RSAPrivateKey
 from ..crypto.sha1 import sha1
 from ..observability import probe
 from ..observability.attribution import handshake_cycles
-from .alerts import BadRecordMAC, CertificateError, DecodeError, HandshakeFailure
+from .alerts import BadRecordMAC, CertificateError, HandshakeFailure
 from .certificates import Certificate, CertificateAuthority
 from .ciphersuites import ALL_SUITES, SUITES_BY_NAME, CipherSuite, negotiate
 from .kdf import derive_key_block, finished_verify_data, master_secret
 from .messages import ClientHello, ClientKeyExchange, Finished, ServerHello
 from .records import CONTENT_HANDSHAKE, RecordDecoder, RecordEncoder, make_record_pair
-from .transport import ChannelClosed, ChannelEmpty, Endpoint
+from .transport import Endpoint
 
 PREMASTER_BYTES = 48
-
-EndpointFactory = Callable[[], Tuple[Endpoint, Endpoint]]
 
 
 @dataclass
@@ -343,72 +341,6 @@ def _run_handshake(client: ClientConfig, server: ServerConfig,
         handshake_messages=len(server_transcript) + 2,
     )
     return client_session, server_session
-
-
-@dataclass
-class HandshakeAttemptLog:
-    """What it took to get a handshake through a hostile link."""
-
-    attempts: int = 0
-    suite_fallbacks: int = 0
-    link_failures: int = 0
-    failures: List[str] = field(default_factory=list)
-
-
-def run_handshake_with_fallback(
-        client: ClientConfig, server: ServerConfig,
-        endpoint_factory: EndpointFactory,
-        max_attempts: int = 4,
-) -> Tuple[Session, Session, HandshakeAttemptLog]:
-    """Retry the handshake, degrading gracefully instead of giving up.
-
-    Two recovery dimensions, mirroring what period handsets actually
-    shipped:
-
-    * a :class:`~repro.protocols.alerts.HandshakeFailure` (negotiation
-      or verification failed) drops the client's *most preferred* suite
-      and retries with the rest of the preference list — the fallback
-      walk through the §3.1 cipher-suite matrix;
-    * a link-level failure (frame lost before any ARQ —
-      :class:`~repro.protocols.transport.ChannelEmpty` — or a reset,
-      a damaged record, an unparseable message) retries on a fresh link
-      from ``endpoint_factory`` without narrowing the suites.
-
-    Returns ``(client_session, server_session, log)``; raises
-    :class:`~repro.protocols.alerts.HandshakeFailure` after
-    ``max_attempts`` attempts (or once the preference list is empty).
-    """
-    log = HandshakeAttemptLog()
-    suites = list(client.suites)
-    for attempt in range(1, max_attempts + 1):
-        log.attempts = attempt
-        client_ep, server_ep = endpoint_factory()
-        trial_client = replace(client, suites=list(suites))
-        try:
-            client_session, server_session = run_handshake(
-                trial_client, server, client_ep, server_ep)
-            return client_session, server_session, log
-        except HandshakeFailure as exc:
-            log.failures.append(f"handshake: {exc}")
-            if attempt >= max_attempts:
-                raise HandshakeFailure(
-                    f"handshake failed after {attempt} attempts: "
-                    f"{log.failures}") from exc
-            if len(suites) > 1:
-                suites = suites[1:]
-                log.suite_fallbacks += 1
-            # With one suite left there is nothing to fall back to;
-            # keep retrying it on fresh links until attempts run out.
-        except (ChannelEmpty, ChannelClosed, BadRecordMAC,
-                DecodeError) as exc:
-            log.link_failures += 1
-            log.failures.append(f"link: {type(exc).__name__}: {exc}")
-            if attempt >= max_attempts:
-                raise HandshakeFailure(
-                    f"handshake failed after {attempt} attempts: "
-                    f"{log.failures}") from exc
-    raise HandshakeFailure(  # pragma: no cover - loop always returns/raises
-        f"handshake failed: {log.failures}")
 
 
 def _encode_dh_server(group: DHGroup, party: DHParty,

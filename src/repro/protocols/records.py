@@ -80,9 +80,8 @@ class RecordEncoder:
 
     @property
     def sequence(self) -> int:
-        """Next record's implicit sequence number (diagnostics: the
-        recovery layer reads it to report how far a session got before
-        teardown)."""
+        """Next record's implicit sequence number (diagnostics: how far
+        a session got; a failed send leaves it unchanged)."""
         return self._sequence
 
     def encode(self, content_type: int, payload: bytes) -> bytes:

@@ -62,8 +62,8 @@ class RetryBudgetExhausted(ChannelClosed):
     """A frame exceeded its retry budget: the link is declared dead.
 
     Subclasses :class:`~repro.protocols.transport.ChannelClosed` so the
-    session-recovery layer treats it exactly like a link reset
-    (reconnect / resume) rather than a protocol error.
+    layer above treats it exactly like a link reset rather than a
+    protocol error.
     """
 
 

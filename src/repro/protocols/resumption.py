@@ -158,8 +158,8 @@ def resume(client: ClientConfig, server: ServerConfig,
     session or the Finished exchange does not verify (in which case
     callers fall back to a full handshake, as the real protocol does).
     Pass ``endpoints=(client_ep, server_ep)`` to resume over pre-built
-    endpoints — how :mod:`repro.protocols.recovery` reconnects over a
-    fresh (possibly lossy, ARQ-protected) link after a reset.
+    endpoints, e.g. a fresh (possibly lossy, ARQ-protected) link after
+    a reset.
     """
     if endpoints is not None:
         client_ep, server_ep = endpoints

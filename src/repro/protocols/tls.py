@@ -5,27 +5,15 @@ landscape.  :func:`connect` wires a client and server configuration
 through a :class:`~repro.protocols.transport.DuplexChannel` (optionally
 adversarial) and returns two :class:`SecureConnection` objects whose
 ``send``/``receive`` move authenticated, encrypted application data.
-
-:func:`connect_with_fallback` is the robust variant: it retries failed
-handshakes on fresh links, walking down the cipher-suite preference
-list on repeated negotiation failures (see
-:func:`~repro.protocols.handshake.run_handshake_with_fallback`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..observability import probe
 from .alerts import ProtocolAlert, UnexpectedMessage
-from .handshake import (
-    ClientConfig,
-    HandshakeAttemptLog,
-    ServerConfig,
-    Session,
-    run_handshake,
-    run_handshake_with_fallback,
-)
+from .handshake import ClientConfig, ServerConfig, Session, run_handshake
 from .records import CONTENT_APPLICATION
 from .transport import DuplexChannel, Endpoint
 
@@ -128,42 +116,4 @@ def connect(client: ClientConfig, server: ServerConfig,
     )
 
 
-def connect_with_fallback(
-        client: ClientConfig, server: ServerConfig,
-        endpoint_factory: Optional[
-            Callable[[], Tuple[Endpoint, Endpoint]]] = None,
-        max_attempts: int = 4,
-) -> Tuple[SecureConnection, SecureConnection, HandshakeAttemptLog]:
-    """Connect with handshake retry and cipher-suite fallback.
-
-    ``endpoint_factory`` supplies a fresh ``(client_ep, server_ep)``
-    pair per attempt (a new link — leftover frames from a failed
-    attempt must not leak into the next one); by default each attempt
-    gets a fresh perfect :class:`DuplexChannel`.  Returns both
-    connections plus the
-    :class:`~repro.protocols.handshake.HandshakeAttemptLog` describing
-    what the retry machinery had to do.
-    """
-    last: dict = {}
-
-    def factory() -> Tuple[Endpoint, Endpoint]:
-        if endpoint_factory is not None:
-            pair = endpoint_factory()
-        else:
-            fresh = DuplexChannel()
-            pair = (fresh.endpoint_a(), fresh.endpoint_b())
-        last["pair"] = pair
-        return pair
-
-    client_session, server_session, log = run_handshake_with_fallback(
-        client, server, factory, max_attempts=max_attempts)
-    client_ep, server_ep = last["pair"]
-    return (
-        SecureConnection(client_session, client_ep),
-        SecureConnection(server_session, server_ep),
-        log,
-    )
-
-
-__all__ = ["SecureConnection", "connect", "connect_with_fallback",
-           "ProtocolAlert"]
+__all__ = ["SecureConnection", "connect", "ProtocolAlert"]

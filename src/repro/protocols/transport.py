@@ -11,9 +11,9 @@ The channel distinguishes two read failures that a perfect FIFO never
 had to: an *empty* read (:class:`ChannelEmpty` — the link is up but no
 frame has arrived, the normal case on a lossy bearer) and a *closed*
 read (:class:`ChannelClosed` — the writer half-closed or the link was
-reset).  Recovery layers (:mod:`repro.protocols.reliable`,
-:mod:`repro.protocols.recovery`) react very differently to the two:
-empty means wait/retransmit, closed means reconnect.
+reset).  The ARQ layer (:mod:`repro.protocols.reliable`) reacts very
+differently to the two: empty means wait/retransmit, closed means the
+link is gone.
 """
 
 from __future__ import annotations

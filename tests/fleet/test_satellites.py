@@ -1,19 +1,8 @@
-"""Satellite fixes riding the fleet PR.
-
-* the bounded resumption cache: seeded eviction and rotation GC;
-* :class:`~repro.protocols.recovery.ReconnectPolicy`: the reconnect
-  path honours a per-attempt virtual-time deadline with exponential
-  backoff and seeded jitter, surfacing ``reconnect_deadline_exceeded``
-  instead of hammering resumption forever.
-"""
-
-import pytest
+"""The bounded resumption cache behind the fleet's ticket store:
+seeded eviction and rotation GC."""
 
 from repro.crypto.rng import DeterministicDRBG
-from repro.protocols.recovery import ReconnectPolicy, ResilientSession
-from repro.protocols.reliable import VirtualClock
 from repro.protocols.resumption import CachedSession, SessionCache
-from repro.protocols.transport import DuplexChannel
 
 
 def entry(tag: int) -> CachedSession:
@@ -82,85 +71,3 @@ class TestBoundedSessionCache:
             assert cache.rotate() == 0
         assert len(cache) == 1
 
-
-class TestReconnectPolicy:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ReconnectPolicy(deadline_s=0.0)
-        with pytest.raises(ValueError):
-            ReconnectPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            ReconnectPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            ReconnectPolicy(base_backoff_s=-1.0)
-
-    def test_legacy_path_makes_exactly_one_resume_attempt(
-            self, client_config, server_config):
-        session = ResilientSession(client_config, server_config)
-        session.establish()
-        session.server_cache.invalidate(session.session_id)
-        assert session.reconnect() == "full"
-        assert session.report.resume_attempts == 1
-        assert session.report.reconnect_deadline_exceeded == 0
-
-    def test_deadline_exceeded_is_surfaced_and_falls_back_to_full(
-            self, client_config, server_config):
-        clock = VirtualClock()
-        session = ResilientSession(
-            client_config, server_config, clock=clock,
-            reconnect_policy=ReconnectPolicy(
-                deadline_s=0.5, base_backoff_s=1.0, max_attempts=10))
-        session.establish()
-        session.server_cache.invalidate(session.session_id)
-        assert session.reconnect() == "full"
-        # One failed resume, then the backoff (capped at the default
-        # max_backoff_s of 0.8) blows the 0.5 s deadline before
-        # attempt two.
-        assert session.report.resume_attempts == 1
-        assert session.report.reconnect_deadline_exceeded == 1
-        assert session.report.full_handshakes == 2
-        assert clock.now >= 0.8
-        assert any("deadline" in failure
-                   for failure in session.report.failures)
-
-    def test_backoff_retries_until_the_link_comes_back(
-            self, client_config, server_config):
-        clock = VirtualClock()
-        calls = {"n": 0}
-
-        def flaky_factory():
-            calls["n"] += 1
-            channel = DuplexChannel()
-            if calls["n"] in (2, 3):     # the two resume tries that fail
-                channel.close()
-            return channel.endpoint_a(), channel.endpoint_b()
-
-        session = ResilientSession(
-            client_config, server_config,
-            endpoint_factory=flaky_factory, clock=clock,
-            reconnect_policy=ReconnectPolicy(
-                deadline_s=10.0, base_backoff_s=0.1, backoff_factor=2.0,
-                jitter_s=0.01, max_attempts=5))
-        session.establish()              # factory call 1
-        assert session.reconnect() == "resumed"
-        assert session.report.resume_attempts == 3
-        assert session.report.resumptions == 1
-        assert session.report.reconnect_deadline_exceeded == 0
-        # Two backoffs elapsed on the virtual clock (0.1 + 0.2 plus
-        # seeded jitter, bounded by jitter_s per attempt).
-        assert 0.3 <= clock.now <= 0.32
-
-    def test_backoff_and_jitter_are_deterministic(
-            self, client_config, server_config):
-        def run():
-            clock = VirtualClock()
-            session = ResilientSession(
-                client_config, server_config, clock=clock,
-                reconnect_policy=ReconnectPolicy(
-                    deadline_s=5.0, base_backoff_s=0.05, max_attempts=3))
-            session.establish()
-            session.server_cache.invalidate(session.session_id)
-            session.reconnect()
-            return clock.now, session.report.resume_attempts
-
-        assert run() == run()

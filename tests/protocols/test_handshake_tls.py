@@ -12,6 +12,7 @@ from repro.protocols.certificates import CertificateAuthority
 from repro.protocols.ciphersuites import (
     ALL_SUITES,
     DH_WITH_3DES_SHA,
+    LIGHTWEIGHT_SUITES,
     RSA_WITH_3DES_SHA,
     RSA_WITH_AES_SHA,
     RSA_WITH_RC2_MD5,
@@ -80,6 +81,21 @@ class TestNegotiation:
         assert conn_s.receive() == b"up " + suite.name.encode()
         conn_s.send(b"down")
         assert conn_c.receive() == b"down"
+
+    def test_legacy_server_walks_past_lightweight_preference(
+            self, ca, server_credentials):
+        """A handset leading with the lightweight stream family still
+        converges with a gateway that predates the rollout: negotiation
+        skips the unsupported suites and the one handshake lands on the
+        first shared legacy suite."""
+        legacy = [s for s in ALL_SUITES if s not in LIGHTWEIGHT_SUITES]
+        client = make_client(ca, suites=list(LIGHTWEIGHT_SUITES) + legacy)
+        server = make_server(server_credentials, suites=list(legacy))
+        conn_c, conn_s = connect(client, server)
+        assert conn_c.suite_name == legacy[0].name
+        assert conn_s.suite_name == conn_c.suite_name
+        conn_c.send(b"legacy gateway, lightweight handset")
+        assert conn_s.receive() == b"legacy gateway, lightweight handset"
 
 
 class TestAuthentication:

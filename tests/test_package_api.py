@@ -33,8 +33,7 @@ NOT_FOR_THE_FLEET = [
         "analysis", "attacks", "conformance", "core", "adversary",
         "workloads")),
     *(f"repro.protocols.{name}" for name in (
-        "smartcard", "dos", "recovery", "aka", "bearer", "ipsec",
-        "payment")),
+        "smartcard", "dos", "aka", "bearer", "ipsec", "payment")),
     "repro.hardware.accelerators",
     "repro.hardware.engine_program",
 ]
