@@ -198,8 +198,11 @@ def _crypt_block(block64: int, round_keys: List[int],
 
 
 class DESKernel:
-    """The fast-path CBC record kernel shared by :class:`DES` and
-    :class:`~repro.crypto.tdes.TripleDES`.
+    """The fast-path CBC record kernels shared by :class:`DES` and
+    :class:`~repro.crypto.tdes.TripleDES`: the block-at-a-time
+    :func:`~repro.crypto.fastpath.des_cbc` and, for long records'
+    decryption, the record-wide
+    :func:`~repro.crypto.fastpath.des_cbc_decrypt`.
 
     Each direction's packed :func:`~repro.crypto.fastpath.des_cbc`
     schedule is built on first use from the round keys the subclass's
@@ -221,7 +224,17 @@ class DESKernel:
         return fastpath.des_cbc(data, iv, self._schedule(False))
 
     def cbc_decrypt(self, data, iv: int) -> bytes:
-        """CBC decryption of a block-aligned record."""
+        """CBC decryption of a block-aligned record.
+
+        Records of :data:`~repro.crypto.fastpath.DES_WIDE_MIN_BLOCKS`
+        blocks or more run every block through each round at once
+        (:func:`~repro.crypto.fastpath.des_cbc_decrypt`); shorter ones
+        take the block-at-a-time loop kernel that encryption uses, which
+        is faster below that length because a wide round has a fixed
+        cost.
+        """
+        if len(data) >= fastpath.DES_WIDE_MIN_BLOCKS * BLOCK_SIZE:
+            return fastpath.des_cbc_decrypt(data, iv, self._schedule(True))
         return fastpath.des_cbc(data, iv, self._schedule(True), decrypt=True)
 
     def _schedule(self, decrypt: bool) -> bytes:

@@ -55,18 +55,18 @@ class TripleDES(DESKernel):
 
     def encrypt_block(self, block: bytes) -> bytes:
         """EDE encrypt one 8-byte block."""
+        if len(block) != BLOCK_SIZE:
+            raise InvalidBlockSize("3DES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
-            if len(block) != BLOCK_SIZE:
-                raise InvalidBlockSize("3DES", len(block), BLOCK_SIZE)
             return fastpath.des_cbc(block, 0, self._schedule(False))
         des1, des2, des3 = self._passes
         return des3.encrypt_block(des2.decrypt_block(des1.encrypt_block(block)))
 
     def decrypt_block(self, block: bytes) -> bytes:
         """EDE decrypt one 8-byte block."""
+        if len(block) != BLOCK_SIZE:
+            raise InvalidBlockSize("3DES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
-            if len(block) != BLOCK_SIZE:
-                raise InvalidBlockSize("3DES", len(block), BLOCK_SIZE)
             return fastpath.des_cbc(block, 0, self._schedule(True))
         des1, des2, des3 = self._passes
         return des1.decrypt_block(des2.encrypt_block(des3.decrypt_block(block)))

@@ -580,6 +580,134 @@ class TestAESDecryptKernel:
         assert held <= 1024, held
 
 
+class TestDESDecryptKernel:
+    """The wide-int DES/3DES-CBC decryption kernel ≡ the reference
+    ``decrypt_block`` chain, at record lengths on both sides of
+    :data:`~repro.crypto.fastpath.DES_WIDE_MIN_BLOCKS`."""
+
+    BLOCKS = list(range(1, 41)) + [78, 130, 1025]
+    #: Distinct ciphertext blocks; longer records repeat them, so a
+    #: record's neighbouring lanes still differ.
+    PERIOD = 130
+    KEY = random.Random(0x3DE5).randbytes(24)
+    CIPHERS = [("DES", DES, KEY[:8]), ("3DES-1key", TripleDES, KEY[:8]),
+               ("3DES-2key", TripleDES, KEY[:16]),
+               ("3DES-3key", TripleDES, KEY)]
+    #: SP 800-67 Appendix B: K1 ‖ K2 ‖ K3, ECB plaintext and ciphertext.
+    TDES_KAT = ("0123456789abcdef23456789abcdef01456789abcdef0123",
+                b"The qufck brown fox jump",
+                "a826fd8ce53b855fcce21c8112256fe668d5c05dd9b6b900")
+
+    _expected = {}
+
+    @classmethod
+    def _case(cls, key):
+        """``(iv, ciphertext, reference plaintext)`` of the longest record;
+        a shorter record is a prefix of both.  ``decrypt_block`` runs
+        once per distinct ciphertext block."""
+        if key not in cls._expected:
+            rng = random.Random(key)
+            iv = bytes(rng.randrange(256) for _ in range(8))
+            blocks = [bytes(rng.randrange(256) for _ in range(8))
+                      for _ in range(cls.PERIOD)]
+            record = b"".join(blocks) * -(-max(cls.BLOCKS) // cls.PERIOD)
+            record = record[:8 * max(cls.BLOCKS)]
+            cipher = (DES if len(key) == 8 else TripleDES)(key)
+            with fastpath.force(False):
+                plain = {block: cipher.decrypt_block(block) for block in blocks}
+            chained = iv + record[:-8]
+            cls._expected[key] = (iv, record, b"".join(
+                xor_bytes(plain[record[i:i + 8]], chained[i:i + 8])
+                for i in range(0, len(record), 8)))
+        return cls._expected[key]
+
+    @staticmethod
+    def _ecb_as_cbc(ct, pt, blocks):
+        """An ECB known answer as a zero-IV CBC record of ``blocks``
+        blocks: the ciphertext repeated, plaintext i is P_i ^ C_(i-1)."""
+        copies = -(-8 * blocks // len(ct))
+        record = (ct * copies)[:8 * blocks]
+        return record, xor_bytes((pt * copies)[:8 * blocks],
+                                 bytes(8) + record[:-8])
+
+    @_KERNEL_ONLY
+    def test_fips_46_3_decrypts_through_cbc_decrypt(self):
+        cipher = DES(bytes.fromhex("133457799BBCDFF1"))
+        ct, pt = bytes.fromhex("85E813540F0AB405"), bytes.fromhex("0123456789ABCDEF")
+        assert fastpath.des_cbc_decrypt(ct, 0, cipher._schedule(True)) == pt
+        for blocks in (1, fastpath.DES_WIDE_MIN_BLOCKS, 40):
+            record, expected = self._ecb_as_cbc(ct, pt, blocks)
+            assert cipher.cbc_decrypt(record, 0) == expected, blocks
+
+    @_KERNEL_ONLY
+    def test_sp_800_67_3des_decrypts_through_cbc_decrypt(self):
+        key_hex, pt, ct_hex = self.TDES_KAT
+        cipher, ct = TripleDES(bytes.fromhex(key_hex)), bytes.fromhex(ct_hex)
+        schedule = cipher._schedule(True)
+        assert b"".join(fastpath.des_cbc_decrypt(ct[i:i + 8], 0, schedule)
+                        for i in range(0, 24, 8)) == pt
+        for blocks in (3, fastpath.DES_WIDE_MIN_BLOCKS, 40):
+            record, expected = self._ecb_as_cbc(ct, pt, blocks)
+            assert cipher.cbc_decrypt(record, 0) == expected, blocks
+
+    @_KERNEL_ONLY
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    @pytest.mark.parametrize("name,factory,key", CIPHERS,
+                             ids=[c[0] for c in CIPHERS])
+    def test_records_match_the_reference_chain(self, name, factory, key, wrap):
+        iv, record, expected = self._case(key)
+        cipher, iv_int = factory(key), int.from_bytes(iv, "big")
+        for blocks in self.BLOCKS:
+            assert cipher.cbc_decrypt(wrap(record[:8 * blocks]), iv_int) \
+                == expected[:8 * blocks], blocks
+
+    @_KERNEL_ONLY
+    def test_iv_changes_only_block_0(self):
+        iv, record, _ = self._case(self.KEY)
+        cipher, record = TripleDES(self.KEY), record[:8 * 40]
+        from_zero = cipher.cbc_decrypt(record, 0)
+        from_iv = cipher.cbc_decrypt(record, int.from_bytes(iv, "big"))
+        assert from_iv[8:] == from_zero[8:]
+        assert xor_bytes(from_iv[:8], from_zero[:8]) == iv
+
+    @_KERNEL_ONLY
+    def test_every_record_length_leaves_at_most_1_kib(self):
+        # The masks and repeated key words depend on the record length;
+        # a cache per length would keep kilobytes per length seen.  DES
+        # runs the same kernel as 3DES with a third of the rounds, and
+        # tracing every allocation is what makes this test slow.
+        cipher = DES(bytes(range(8)))
+        data = memoryview(bytes(range(256)) * 33)
+        cipher.cbc_decrypt(data[:8], 1)  # build the tables and schedule
+        cipher.cbc_decrypt(data[:8 * fastpath.DES_WIDE_MIN_BLOCKS], 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for blocks in range(1, 1026):
+                cipher.cbc_decrypt(data[:8 * blocks], 1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1024, held
+
+    @_KERNEL_ONLY
+    def test_only_a_long_des_decryption_builds_the_tables(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_DES_WIDE_TABLES", None)
+        short = fastpath.DES_WIDE_MIN_BLOCKS - 1
+        aes, tdes = AES(bytes(range(16))), TripleDES(bytes(range(24)))
+        CBC(aes, bytes(16)).decrypt(CBC(aes, bytes(16)).encrypt(bytes(1024)))
+        sealed = CBC(tdes, bytes(8)).encrypt(bytes(1024), pad=False)
+        assert CBC(tdes, bytes(8)).decrypt(sealed[:8 * short], pad=False) \
+            == bytes(8 * short)
+        tdes.decrypt_block(sealed[:8])
+        assert fastpath._DES_WIDE_TABLES is None
+        assert CBC(tdes, bytes(8)).decrypt(sealed, pad=False) == bytes(1024)
+        tables = fastpath._DES_WIDE_TABLES
+        assert len(tables) == 8 and all(len(t) == 256 for t in tables)
+
+
 class TestDESByteTableKeySchedule:
     """Sixteen nibble lookups ≡ the reference PC1/rotation/PC2 schedule."""
 

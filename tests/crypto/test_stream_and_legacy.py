@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import fastpath
 from repro.crypto.des import DES
 from repro.crypto.errors import InvalidBlockSize, InvalidKeyLength
 from repro.crypto.rc2 import RC2
@@ -159,6 +160,16 @@ class TestTripleDES:
     def test_invalid_key_length(self):
         with pytest.raises(InvalidKeyLength):
             TripleDES(bytes(12))
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+    @pytest.mark.parametrize("method", ["encrypt_block", "decrypt_block"])
+    def test_block_size_error_names_3des(self, fast, method):
+        with fastpath.force(fast):
+            cipher = TripleDES(bytes(range(24)))
+            with pytest.raises(InvalidBlockSize) as raised:
+                getattr(cipher, method)(b"abc")
+        assert raised.value.algorithm == "3DES"
+        assert raised.value.args[0].startswith("3DES:")
 
 
 @settings(max_examples=30, deadline=None)
