@@ -13,7 +13,7 @@ scenario exercises:
   (``_encode_one``/``_decode``) to isolate the disabled-probe cost;
 * **arq** — go-back-N delivery over a lossy channel (retransmit spans);
 * **gateway** — one WTLS->TLS->WTLS proxied request through the WAP
-  gateway (admit/forward/wired-leg spans plus battery attribution).
+  gateway (admit/serve/wired-leg spans plus battery attribution).
 
 Runs two ways:
 
@@ -39,7 +39,8 @@ from repro.protocols.faults import FaultModel, FaultyChannel
 from repro.protocols.kdf import KeyBlock
 from repro.protocols.records import CONTENT_APPLICATION, make_record_pair
 from repro.protocols.reliable import ReliableLink
-from repro.protocols.wap import build_wap_world
+from repro.protocols.gateway_runtime import build_gateway_runtime_world
+from repro.protocols.wap import ORIGIN_NAME
 
 REPEATS = 5
 
@@ -104,12 +105,17 @@ def _arq_workload(messages: int = 40):
 
 
 def _gateway_workload(requests: int = 6):
-    handset, gateway, _ca = build_wap_world(seed=5)
+    runtime, handsets, _ca = build_gateway_runtime_world(sessions=1, seed=5)
+    handset = handsets["handset-00"]
 
     def run() -> None:
+        # One request a virtual second: the admission bucket never sheds.
         for i in range(requests):
             handset.send(f"GET /bench/{i}".encode())
-            gateway.forward("origin.example")
+            runtime.submit("handset-00", ORIGIN_NAME,
+                           arrival_offset_s=float(i))
+        runtime.run()
+        for _ in range(requests):
             handset.receive()
 
     return run

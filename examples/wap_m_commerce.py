@@ -13,21 +13,30 @@ Run:  python examples/wap_m_commerce.py
 
 from repro.crypto.aes import AES
 from repro.crypto.modes import CBC
-from repro.protocols.wap import build_wap_world
+from repro.protocols.gateway_runtime import build_gateway_runtime_world
+
+
+def purchase(seed: int, handler, request: bytes):
+    """One handset sends ``request`` through the gateway; returns the
+    reply and the gateway's plaintext log."""
+    runtime, handsets, _ = build_gateway_runtime_world(
+        sessions=1, seed=seed, handler=handler)
+    handset = handsets["handset-00"]
+    handset.send(request)
+    runtime.submit("handset-00", "origin.example")
+    runtime.run()
+    return handset.receive(), runtime.gateway.plaintext_log
 
 
 def main() -> None:
     print("== phase 1: plain WAP (WTLS to gateway, TLS to origin) ==")
-    handset, gateway, _ = build_wap_world(
-        seed=99, handler=lambda request: b"CONFIRMED:" + request)
-
-    handset.send(b"BUY ringtone-42 CARD=4111111111111111")
-    gateway.forward("origin.example")
-    reply = handset.receive()
+    reply, plaintext_log = purchase(
+        99, lambda request: b"CONFIRMED:" + request,
+        b"BUY ringtone-42 CARD=4111111111111111")
     print(f"handset got: {reply.decode()}")
 
     print("gateway plaintext log (the WAP gap!):")
-    for item in gateway.plaintext_log:
+    for item in plaintext_log:
         print(f"  - {item.decode()}")
 
     print("\n== phase 2: application-layer security closes the gap ==")
@@ -42,14 +51,11 @@ def main() -> None:
     def secure_origin(request: bytes) -> bytes:
         return seal(b"CONFIRMED:" + open_(request))
 
-    handset2, gateway2, _ = build_wap_world(seed=100, handler=secure_origin)
-    handset2.send(seal(b"BUY ringtone-42 CARD=4111111111111111"))
-    gateway2.forward("origin.example")
-    reply2 = open_(handset2.receive())
-    print(f"handset got: {reply2.decode()}")
+    sealed_reply, plaintext_log = purchase(
+        100, secure_origin, seal(b"BUY ringtone-42 CARD=4111111111111111"))
+    print(f"handset got: {open_(sealed_reply).decode()}")
 
-    leaked = any(b"4111111111111111" in item
-                 for item in gateway2.plaintext_log)
+    leaked = any(b"4111111111111111" in item for item in plaintext_log)
     print(f"card number visible at gateway: {leaked}")
     assert not leaked
 

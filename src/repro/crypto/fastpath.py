@@ -202,6 +202,11 @@ _IN2, _WRAP2 = 0x00000000000000000000FFFF0000FFFF, 0x0000FFFF0000FFFF00000000000
 _HI24 = 0xFFFFFF00FFFFFF00FFFFFF00FFFFFF00
 _LO8 = 0x000000FF000000FF000000FF000000FF
 _LOW_BYTE = bytes(15) + b"\x01"
+#: One AES block as four big-endian words.  :func:`aes_cbc` reads and
+#: writes records a block at a time through this one format: a format
+#: per record length would grow :mod:`struct`'s cache of compiled
+#: formats with every length.
+_BLOCK128 = struct.Struct(">4I")
 
 
 def _pack_words(quads) -> bytes:
@@ -259,20 +264,19 @@ def aes_cbc(data, iv: int, schedule: bytes) -> bytes:
     as an int and ``schedule`` is the packed ``bytes`` of
     :func:`aes_encrypt_schedule`, unpacked here into round-key quads
     once per call (about 2 µs) so a keyed cipher holds 176 bytes of key
-    material, not eleven tuples of boxed ints.  One ``struct.unpack``
-    reads every word, the chain XOR runs on ints, and one
-    ``struct.pack`` writes the result.  With ``iv=0`` and one block
-    this is plain AES.  CBC encryption chains, so blocks run one at a
-    time; decryption does not, and :func:`aes_cbc_decrypt` runs the
-    whole record at once.
+    material, not eleven tuples of boxed ints.  The :data:`_BLOCK128`
+    format reads and writes a block at a time and the chain XOR runs on
+    ints.  With ``iv=0`` and one block this is plain AES.  CBC
+    encryption chains, so blocks run one at a time; decryption does
+    not, and :func:`aes_cbc_decrypt` runs the whole record at once.
     """
     t0, t1, t2, t3, box = _aes_enc_tables()
-    (r0, r1, r2, r3), *inner, (f0, f1, f2, f3) = struct.iter_unpack(">4I", schedule)
-    count = len(data) >> 2
+    (r0, r1, r2, r3), *inner, (f0, f1, f2, f3) = _BLOCK128.iter_unpack(schedule)
     p0, p1, p2, p3 = iv >> 96, (iv >> 64) & MASK32, (iv >> 32) & MASK32, iv & MASK32
-    out: List[int] = []
-    words = iter(struct.unpack(f">{count}I", data))
-    for w0, w1, w2, w3 in zip(words, words, words, words):
+    pack = _BLOCK128.pack
+    out: List[bytes] = []
+    append = out.append
+    for w0, w1, w2, w3 in _BLOCK128.iter_unpack(data):
         s0, s1, s2, s3 = w0 ^ p0 ^ r0, w1 ^ p1 ^ r1, w2 ^ p2 ^ r2, w3 ^ p3 ^ r3
         for k0, k1, k2, k3 in inner:
             s0, s1, s2, s3 = (
@@ -290,8 +294,8 @@ def aes_cbc(data, iv: int, schedule: bytes) -> bytes:
               | (box[(s0 >> 8) & 255] << 8) | box[s1 & 255]) ^ f2
         p3 = ((box[s3 >> 24] << 24) | (box[(s0 >> 16) & 255] << 16)
               | (box[(s1 >> 8) & 255] << 8) | box[s2 & 255]) ^ f3
-        out += (p0, p1, p2, p3)
-    return struct.pack(f">{count}I", *out)
+        append(pack(p0, p1, p2, p3))
+    return b"".join(out)
 
 
 def aes_cbc_decrypt(data, iv: int, schedule: bytes) -> bytes:

@@ -47,6 +47,7 @@ from ..observability.tracecontext import TraceContext, attach, baggage_attrs
 from ..protocols.alerts import HandshakeFailure
 from ..protocols.certificates import CertificateAuthority
 from ..protocols.gateway_runtime import (
+    MALFORMED_SKIP,
     GatewayRuntime,
     RuntimeConfig,
     busy_reply,
@@ -601,8 +602,7 @@ class ShardedFleet:
         conn = self.handsets[session_id]
         while True:
             try:
-                payload = conn.receive_next(
-                    max_skip=SHARD_RUNTIME.malformed_skip)
+                payload = conn.receive_next(max_skip=MALFORMED_SKIP)
             except ChannelEmpty:
                 break
             self.reply_buffer[session_id].append(payload)
@@ -741,8 +741,7 @@ class ShardedFleet:
         conn = self.handsets[session_id]
         while True:
             try:
-                replies.append(conn.receive_next(
-                    max_skip=SHARD_RUNTIME.malformed_skip))
+                replies.append(conn.receive_next(max_skip=MALFORMED_SKIP))
             except ChannelEmpty:
                 break
         return replies

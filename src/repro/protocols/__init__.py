@@ -26,10 +26,10 @@ __all__ = [
     "WEPStation", "WEPFrame",
     "SecurityAssociation", "make_tunnel",
     "SIM", "HomeRegister", "BaseStation", "Handset", "clone_sim",
-    "WAPGateway", "OriginServer", "build_wap_world", "HandlerFailure",
+    "WAPGateway", "OriginServer", "HandlerFailure",
     "DEGRADED_PREFIX",
     "GatewayRuntime", "RuntimeConfig", "RuntimeStats", "CircuitBreaker",
-    "BreakerConfig", "TokenBucket", "build_gateway_runtime_world",
+    "TokenBucket", "build_gateway_runtime_world",
     "busy_reply", "BUSY_PREFIX",
     "SessionCache", "CachedSession", "cache_session", "resume",
     "USIM", "AuthenticationCentre", "ServingNetwork3G", "AKAChallenge",
@@ -52,7 +52,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                      "suites_for_registry",
     ".dos": "CookieProtectedResponder FloodReport flood_experiment",
     ".faults": "FaultModel FaultStats FaultyChannel GilbertElliott",
-    ".gateway_runtime": "BUSY_PREFIX BreakerConfig CircuitBreaker "
+    ".gateway_runtime": "BUSY_PREFIX CircuitBreaker "
                         "GatewayRuntime RuntimeConfig RuntimeStats "
                         "TokenBucket build_gateway_runtime_world busy_reply",
     ".handshake": "ClientConfig ServerConfig Session run_handshake",
@@ -68,8 +68,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".smartcard": "APDU CardResponse SIMCard kiosk_cloning_attack",
     ".tls": "SecureConnection connect",
     ".transport": "ChannelClosed ChannelEmpty DuplexChannel Endpoint",
-    ".wap": "DEGRADED_PREFIX HandlerFailure OriginServer WAPGateway "
-            "build_wap_world",
+    ".wap": "DEGRADED_PREFIX HandlerFailure OriginServer WAPGateway",
     ".wep": "WEPFrame WEPStation",
     ".wtls": "WTLSConnection wtls_connect",
 })

@@ -1,8 +1,9 @@
 """Overload-resilient multi-session WAP gateway runtime.
 
-The seed-state :class:`~repro.protocols.wap.WAPGateway` serves exactly
-one handset (``handset_side`` is a single WTLS connection) and answers
-origin trouble with a blind per-call retry.  This module is the
+Every request that crosses the WAP gateway goes through this module:
+:class:`~repro.protocols.wap.WAPGateway` holds the origins, the wired
+TLS legs and the WAP-gap plaintext log, and :class:`GatewayRuntime`
+holds the handset sessions and serves their requests.  It is the
 gateway *under load*: the operating condition §2 assumes when it calls
 the gateway "trusted infrastructure" serving a handset population, and
 the DoS posture of §3.2 applied one layer up from the handshake cookies
@@ -18,17 +19,18 @@ scheduler and guards the proxy path with three mechanisms:
   growing unbounded state: the memory/CPU analogue of the stateless
   cookie defence;
 * **per-request virtual-time deadlines** — a request whose service
-  cannot start before its deadline is answered ``GW-BUSY: deadline``
-  rather than occupying the server after the handset gave up;
-* **a closed → open → half-open circuit breaker per origin** — repeated
-  wired-leg failures open the breaker and subsequent requests fast-fail
-  degraded (no origin traffic at all); after a cooling period one
-  half-open probe decides between closing it and re-opening.
+  cannot start within :data:`DEADLINE_S` of its arrival is answered
+  ``GW-BUSY: deadline`` rather than occupying the server after the
+  handset gave up;
+* **a closed → open → half-open circuit breaker per origin** —
+  :data:`BREAKER_FAILURE_THRESHOLD` consecutive wired-leg failures open
+  the breaker and subsequent requests fast-fail degraded (no origin
+  traffic at all); after :data:`BREAKER_RESET_S` one half-open probe
+  decides between closing it and re-opening.
 
 Every request therefore gets exactly one of three answers — real,
 ``GW-DEGRADED:`` or ``GW-BUSY:`` — and with no faults injected and no
-overload the runtime is byte-for-byte transparent versus the
-single-session ``WAPGateway.forward`` path (the tests pin this).
+overload every answer is the origin handler's reply to the request.
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: A request must *start* service within this many virtual seconds of
+#: its arrival, or it is answered ``GW-BUSY: reason=deadline``.
+DEADLINE_S = 4.0
+#: Damaged records one receive skips before it answers ``malformed``.
+MALFORMED_SKIP = 16
+#: Consecutive wired-leg failures that open an origin's breaker.
+BREAKER_FAILURE_THRESHOLD = 3
+#: Virtual seconds an open breaker cools before its half-open probe.
+BREAKER_RESET_S = 5.0
+
 
 def busy_reply(reason: str, retry_after_s: Optional[float] = None) -> bytes:
     """Structured load-shed rejection: machine-parseable reason and an
@@ -88,33 +100,17 @@ def classify_shed_reason(reply: bytes) -> Optional[str]:
     return "unknown"
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit-breaker tunables."""
-
-    failure_threshold: int = 3      # consecutive failures that open it
-    reset_timeout_s: float = 5.0    # open -> half-open cooling period
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure threshold must be at least 1")
-        if self.reset_timeout_s <= 0:
-            raise ValueError("reset timeout must be positive")
-
-
 class CircuitBreaker:
     """Per-origin wired-leg health gate (closed → open → half-open).
 
-    Replaces the blind per-call retry: when an origin keeps failing the
-    gateway stops hammering it (and stops burning a service slot per
-    doomed attempt) until the cooling period elapses, then risks one
+    After :data:`BREAKER_FAILURE_THRESHOLD` consecutive failures the
+    gateway stops hammering the origin (and stops burning a service
+    slot per doomed attempt) for :data:`BREAKER_RESET_S`, then risks one
     half-open probe.
     """
 
-    def __init__(self, origin: str,
-                 config: Optional[BreakerConfig] = None) -> None:
+    def __init__(self, origin: str) -> None:
         self.origin = origin
-        self.config = config or BreakerConfig()
         self.state = CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
@@ -134,7 +130,7 @@ class CircuitBreaker:
     def allow(self, now: float) -> bool:
         """Whether an attempt may touch the origin right now."""
         if self.state == OPEN:
-            if now - self.opened_at >= self.config.reset_timeout_s:
+            if now - self.opened_at >= BREAKER_RESET_S:
                 self._transition(now, HALF_OPEN)
                 self._probe_in_flight = True
             else:
@@ -161,7 +157,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state == HALF_OPEN or (
                 self.state == CLOSED and self.consecutive_failures
-                >= self.config.failure_threshold):
+                >= BREAKER_FAILURE_THRESHOLD):
             self._transition(now, OPEN)
         if self.state == OPEN:
             self.opened_at = now
@@ -215,20 +211,15 @@ class RuntimeConfig:
     bucket_capacity: float = 16.0   # admission burst budget
     bucket_refill_per_s: float = 8.0  # sustained admission rate (req/s)
     service_time_s: float = 0.05    # virtual service time per request
-    deadline_s: float = 4.0         # request must *start* by arrival+this
     reply_batch: int = 1            # replies coalesced per WTLS batch
-    malformed_skip: int = 16        # damaged records skipped per receive
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
             raise ValueError("queue limit must be at least 1")
-        if self.service_time_s < 0 or self.deadline_s <= 0:
-            raise ValueError("service time / deadline must be sensible")
+        if self.service_time_s < 0:
+            raise ValueError("service time cannot be negative")
         if self.reply_batch < 1:
             raise ValueError("reply batch must be at least 1")
-        if self.malformed_skip < 0:
-            raise ValueError("malformed skip budget cannot be negative")
 
 
 @dataclass
@@ -341,7 +332,6 @@ class GatewayRuntime:
         self._server_free_at = 0.0
         self._seq = 0
         self._tickers: List[Callable[[float], None]] = []
-        self._outages: Dict[str, List[Tuple[float, float]]] = {}
         self._fault_rates: Dict[str, Tuple[float, DeterministicDRBG]] = {}
         #: Called with ``(session_id, payload)`` for every answer the
         #: runtime sends (served, degraded, or shed).  A supervisor one
@@ -357,31 +347,12 @@ class GatewayRuntime:
 
     # -- session management --------------------------------------------------
 
-    def attach_session(self, session_id: str, client: ClientConfig,
-                       battery: Optional[Battery] = None,
-                       channel: Optional[DuplexChannel] = None
-                       ) -> WTLSConnection:
-        """Handshake a new handset WTLS session; returns the handset's
-        connection (the gateway keeps its own side).
-
-        ``channel`` lets the session ride a caller-owned link — e.g. a
-        :class:`~repro.protocols.faults.FaultyChannel` an adversary can
-        inject frames into (the handset writes ``a->b``, so injected
-        attacker frames travel toward the gateway on that direction).
-        """
-        if session_id in self.sessions:
-            raise ValueError(f"session {session_id!r} already attached")
-        handset_conn, gateway_side = wtls_connect(
-            client, self.gateway.gateway_config, channel=channel)
-        self.sessions[session_id] = _Session(
-            gateway_side, battery, session_id=session_id)
-        return handset_conn
-
     def adopt_session(self, session_id: str, gateway_side: WTLSConnection,
                       battery: Optional[Battery] = None) -> None:
-        """Adopt an already-established gateway-side WTLS connection
-        (e.g. ``gateway.handset_side`` from
-        :func:`~repro.protocols.wap.build_wap_world`)."""
+        """Serve an established WTLS session.  ``gateway_side`` is the
+        gateway's end of a handshake against ``gateway.gateway_config``
+        (:func:`~repro.protocols.wtls.wtls_connect`), or a session a
+        fleet shard restored or migrated."""
         if session_id in self.sessions:
             raise ValueError(f"session {session_id!r} already attached")
         self.sessions[session_id] = _Session(
@@ -392,23 +363,20 @@ class GatewayRuntime:
     def breaker_for(self, destination: str) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding one origin."""
         if destination not in self.breakers:
-            self.breakers[destination] = CircuitBreaker(
-                destination, self.config.breaker)
+            self.breakers[destination] = CircuitBreaker(destination)
         return self.breakers[destination]
 
     def add_ticker(self, ticker: Callable[[float], None]) -> None:
         """Register a hook called with ``clock.now`` as time advances."""
         self._tickers.append(ticker)
 
-    def set_outage(self, destination: str,
-                   windows: Sequence[Tuple[float, float]]) -> None:
-        """Schedule wired-leg outage windows ``[(start_s, end_s), ...]``
-        for an origin: attempts inside a window fail as link resets."""
-        self._outages[destination] = sorted(windows)
-
     def set_fault_rate(self, destination: str, rate: float,
                        seed: int = 0) -> None:
-        """Seeded i.i.d. wired-leg failure probability per attempt."""
+        """Seeded i.i.d. wired-leg failure probability per attempt.
+
+        A rate of 1.0 is an outage: every attempt fails as a link reset
+        until a later call (e.g. from an :meth:`add_ticker` hook) sets
+        the rate back to 0."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError("fault rate must be a probability")
         self._fault_rates[destination] = (
@@ -517,8 +485,7 @@ class GatewayRuntime:
         try:
             # WTLS decrypt (the gap), skipping records that fail to
             # open — injected garbage, replays, corrupted frames.
-            request = session.conn.receive_next(
-                max_skip=self.config.malformed_skip)
+            request = session.conn.receive_next(max_skip=MALFORMED_SKIP)
         except (BadRecordMAC, DecodeError, ReplayError, ChannelEmpty):
             # Nothing valid to read: the pending frames were all
             # malformed (a wire-injection flood) or the link ran dry.
@@ -553,7 +520,7 @@ class GatewayRuntime:
         self._queue.append(_Pending(
             request=request, session_id=arrival.session_id,
             destination=arrival.destination, arrival=now,
-            deadline=now + self.config.deadline_s))
+            deadline=now + DEADLINE_S))
         return "admitted"
 
     # -- service -------------------------------------------------------------
@@ -608,7 +575,7 @@ class GatewayRuntime:
             self.gateway.degraded_responses += 1
             return DEGRADED_PREFIX + b" origin circuit open"
         try:
-            self._maybe_inject_outage(destination, now)
+            self._maybe_inject_fault(destination, now)
             reply = self.gateway._proxy_once(destination, pending.request)
         except HandlerFailure:
             # Origin reachable, application failed: not a breaker event.
@@ -635,12 +602,7 @@ class GatewayRuntime:
         session.served += 1
         return reply
 
-    def _maybe_inject_outage(self, destination: str, now: float) -> None:
-        for start, end in self._outages.get(destination, ()):
-            if start <= now < end:
-                raise ChannelClosed(
-                    f"origin {destination} outage "
-                    f"[{start:.3f}, {end:.3f})s at t={now:.3f}s")
+    def _maybe_inject_fault(self, destination: str, now: float) -> None:
         fault = self._fault_rates.get(destination)
         if fault is not None:
             rate, drbg = fault
@@ -728,12 +690,14 @@ def build_gateway_runtime_world(
         channel_factory: Optional[Callable[[str], DuplexChannel]] = None,
 ) -> Tuple[GatewayRuntime, Dict[str, WTLSConnection], CertificateAuthority]:
     """A full N-handset world: CA, origin, gateway, runtime, and
-    ``sessions`` attached handsets named ``handset-00`` ....
+    ``sessions`` handsets named ``handset-00`` ... whose WTLS sessions
+    the runtime serves; returns ``(runtime, {session_id: handset_conn},
+    ca)``.
 
-    Shares :func:`~repro.protocols.wap.build_gateway` with
-    :func:`~repro.protocols.wap.build_wap_world` (same CA/origin
-    construction) so single-session transparency can be checked against
-    it; returns ``(runtime, {session_id: handset_conn}, ca)``.
+    ``channel_factory`` lets a session ride a caller-owned link — e.g. a
+    :class:`~repro.protocols.faults.FaultyChannel` an adversary can
+    inject frames into (the handset writes ``a->b``, so injected
+    attacker frames travel toward the gateway on that direction).
     """
     gateway, ca = build_gateway(seed, handler)
     runtime = GatewayRuntime(gateway, config=config, clock=clock)
@@ -744,10 +708,12 @@ def build_gateway_runtime_world(
         client = ClientConfig(
             rng=DeterministicDRBG((session_id, seed).__repr__()),
             ca=ca, expected_server=GATEWAY_NAME)
-        handsets[session_id] = runtime.attach_session(
-            session_id, client, battery=batteries.get(session_id),
+        handsets[session_id], gateway_side = wtls_connect(
+            client, gateway.gateway_config,
             channel=(channel_factory(session_id)
                      if channel_factory is not None else None))
+        runtime.adopt_session(session_id, gateway_side,
+                              batteries.get(session_id))
     return runtime, handsets, ca
 
 

@@ -21,12 +21,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..crypto.rng import DeterministicDRBG
 from ..observability import probe
-from .alerts import ProtocolAlert
 from .certificates import CertificateAuthority
 from .handshake import ClientConfig, ServerConfig
 from .tls import SecureConnection, connect
-from .transport import ChannelClosed
-from .wtls import WTLSConnection, wtls_connect
 
 RequestHandler = Callable[[bytes], bytes]
 
@@ -41,11 +38,14 @@ DEGRADED_PREFIX = b"GW-DEGRADED:"
 class HandlerFailure(Exception):
     """The origin's application handler raised mid-proxy.
 
-    Distinct from the transport failures (:class:`ProtocolAlert`,
-    :class:`ChannelClosed`): the origin is *reachable*, its application
-    code failed.  Retrying over a fresh TLS leg cannot help, so
-    :meth:`WAPGateway.forward` answers degraded immediately and counts
-    it in ``handler_failures`` instead of the wired-leg ledger.
+    Distinct from the transport failures
+    (:class:`~repro.protocols.alerts.ProtocolAlert`,
+    :class:`~repro.protocols.transport.ChannelClosed`): the origin is
+    *reachable*, its application code failed.  The
+    :class:`~repro.protocols.gateway_runtime.GatewayRuntime` answers it
+    degraded, keeps the TLS leg, counts it in ``handler_failures``
+    instead of the wired-leg ledger and does not charge the origin's
+    circuit breaker.
     """
 
 
@@ -60,7 +60,10 @@ class OriginServer:
 
 @dataclass
 class WAPGateway:
-    """Protocol translator between the WTLS and TLS worlds.
+    """Protocol translator between the WTLS and TLS worlds: the origin
+    registry, the cached wired TLS legs and the WAP-gap plaintext log.
+    :class:`~repro.protocols.gateway_runtime.GatewayRuntime` holds the
+    handset sessions and proxies each request through it.
 
     The gateway is *trusted infrastructure* in the WAP model; the
     plaintext log makes the implied trust explicit and measurable.
@@ -76,8 +79,6 @@ class WAPGateway:
     _server_connections: Dict[str, SecureConnection] = field(default_factory=dict)
     _origin_sides: Dict[str, SecureConnection] = field(default_factory=dict)
     _servers: Dict[str, OriginServer] = field(default_factory=dict)
-
-    handset_side: Optional[WTLSConnection] = None
 
     def register_origin(self, server: OriginServer) -> None:
         """Make an origin server reachable through this gateway."""
@@ -124,69 +125,12 @@ class WAPGateway:
             response = server.handler(inbound)
         except Exception as exc:
             # Application failure, not transport: the TLS legs are fine,
-            # so keep them cached and let forward() answer degraded.
+            # so keep them cached and let the runtime answer degraded.
             raise HandlerFailure(
                 f"origin {destination!r} handler raised "
                 f"{type(exc).__name__}: {exc}") from exc
         origin_conn.send(response)
         return gw_conn.receive()
-
-    def forward(self, destination: str, wired_retries: int = 1) -> bytes:
-        """Take one pending WTLS request from the handset, proxy it over
-        TLS to the origin, and return the response over WTLS.
-
-        The decrypt-then-re-encrypt through gateway memory is the WAP
-        gap: the request and response both land in ``plaintext_log``.
-
-        The wired leg degrades gracefully: a failed TLS exchange tears
-        down the cached origin connection and retries over a fresh one
-        (up to ``wired_retries`` times); if the origin stays
-        unreachable the handset gets a ``GW-DEGRADED:`` response
-        instead of the gateway crashing mid-proxy.
-        """
-        if self.handset_side is None:
-            raise RuntimeError("gateway has no handset WTLS session")
-        telemetry = probe.active
-        if telemetry is None:
-            return self._forward_inner(destination, wired_retries)
-        with telemetry.span("gateway.forward",
-                            origin=destination) as span:
-            reply = self._forward_inner(destination, wired_retries)
-            span.set(degraded=reply.startswith(DEGRADED_PREFIX))
-            return reply
-
-    def _forward_inner(self, destination: str, wired_retries: int) -> bytes:
-        request = self.handset_side.receive()     # WTLS decrypt: the gap
-        self.plaintext_log.append(request)
-        reply: Optional[bytes] = None
-        last_error: Optional[Exception] = None
-        if destination not in self._servers:
-            last_error = KeyError(f"unknown origin {destination!r}")
-        else:
-            for _ in range(wired_retries + 1):
-                try:
-                    reply = self._proxy_once(destination, request)
-                    break
-                except HandlerFailure as exc:
-                    # Deterministic application error: no retry.
-                    self.handler_failures += 1
-                    last_error = exc
-                    break
-                except (ProtocolAlert, ChannelClosed) as exc:
-                    self.wired_leg_failures += 1
-                    last_error = exc
-                    self._drop_wired_leg(destination)
-        if reply is None:
-            assert last_error is not None
-            kind = (b" origin handler error ("
-                    if isinstance(last_error, HandlerFailure)
-                    else b" origin unavailable (")
-            reply = (DEGRADED_PREFIX + kind
-                     + type(last_error).__name__.encode() + b")")
-            self.degraded_responses += 1
-        self.plaintext_log.append(reply)          # the gap again
-        self.handset_side.send(reply)
-        return reply
 
 
 def build_gateway(seed: int = 0, handler: Optional[RequestHandler] = None
@@ -211,21 +155,3 @@ def build_gateway(seed: int = 0, handler: Optional[RequestHandler] = None
                                     certificate=gw_cert, private_key=gw_key))
     gateway.register_origin(origin)
     return gateway, ca
-
-
-def build_wap_world(seed: int = 0,
-                    handler: Optional[RequestHandler] = None):
-    """Convenience constructor for a full handset-gateway-origin setup.
-
-    Returns ``(handset_wtls_connection, gateway, ca)`` ready for
-    ``gateway.forward(ORIGIN_NAME)`` round-trips.
-    """
-    gateway, ca = build_gateway(seed, handler)
-    handset_cfg = ClientConfig(
-        rng=DeterministicDRBG(("handset", seed).__repr__()),
-        ca=ca, expected_server=GATEWAY_NAME,
-    )
-    handset_conn, gateway_side = wtls_connect(handset_cfg, gateway.gateway_config)
-    # The gateway holds its side of the WTLS session:
-    gateway.handset_side = gateway_side
-    return handset_conn, gateway, ca

@@ -580,6 +580,32 @@ class TestAESDecryptKernel:
         assert held <= 1024, held
 
 
+class TestAESEncryptKernel:
+    """The T-table AES-CBC encryption loop keeps nothing per record
+    length."""
+
+    @_KERNEL_ONLY
+    def test_new_record_lengths_leave_at_most_1_kib(self):
+        # A ``struct`` format per record length would stay compiled in
+        # struct's process-wide cache (up to 100 formats); clearing that
+        # cache first makes every length below new to it.
+        cipher = AES(bytes(range(16)))
+        data = memoryview(bytes(range(256)) * 2)
+        struct._clearcache()
+        cipher.cbc_encrypt(data[:16], 1)  # build the tables and schedule
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for blocks in range(2, 26):
+                cipher.cbc_encrypt(data[:16 * blocks], 1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1024, held
+
+
 class TestDESDecryptKernel:
     """The wide-int DES/3DES-CBC decryption kernel ≡ the reference
     ``decrypt_block`` chain, at record lengths on both sides of

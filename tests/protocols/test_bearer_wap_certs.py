@@ -26,7 +26,8 @@ from repro.protocols.messages import (
     Finished,
     ServerHello,
 )
-from repro.protocols.wap import DEGRADED_PREFIX, build_wap_world
+from repro.protocols.gateway_runtime import build_gateway_runtime_world
+from repro.protocols.wap import DEGRADED_PREFIX, ORIGIN_NAME
 
 
 class TestBearer:
@@ -112,87 +113,54 @@ class TestBearer:
             sim.a3_response(b"")
 
 
+def _one_handset(seed, handler=None):
+    """A gateway runtime serving one handset: ``(runtime, handset)``."""
+    runtime, handsets, _ = build_gateway_runtime_world(
+        sessions=1, seed=seed, handler=handler)
+    return runtime, handsets["handset-00"]
+
+
+def _round_trip(runtime, handset, request, origin=ORIGIN_NAME):
+    """Send one request through the gateway; the handset's reply."""
+    handset.send(request)
+    runtime.submit("handset-00", origin)
+    runtime.run()
+    return handset.receive()
+
+
 class TestWAPGateway:
     def test_end_to_end_request(self):
-        handset, gateway, _ = build_wap_world(seed=1)
-        handset.send(b"GET /portfolio")
-        gateway.forward("origin.example")
-        assert handset.receive() == b"OK:GET /portfolio"
+        runtime, handset = _one_handset(seed=1)
+        assert _round_trip(runtime, handset, b"GET /portfolio") == \
+            b"OK:GET /portfolio"
 
     def test_wap_gap_exposes_plaintext(self):
         """The WAP gap: the gateway momentarily holds request and
         response in the clear."""
-        handset, gateway, _ = build_wap_world(seed=2)
-        handset.send(b"PIN 1234")
-        gateway.forward("origin.example")
-        handset.receive()
-        assert b"PIN 1234" in gateway.plaintext_log
-        assert b"OK:PIN 1234" in gateway.plaintext_log
+        runtime, handset = _one_handset(seed=2)
+        _round_trip(runtime, handset, b"PIN 1234")
+        assert runtime.gateway.plaintext_log == [b"PIN 1234", b"OK:PIN 1234"]
 
     def test_multiple_round_trips(self):
-        handset, gateway, _ = build_wap_world(seed=3)
+        runtime, handset = _one_handset(seed=3)
         for i in range(4):
-            handset.send(f"req{i}".encode())
-            gateway.forward("origin.example")
-            assert handset.receive() == f"OK:req{i}".encode()
+            assert _round_trip(runtime, handset, f"req{i}".encode()) == \
+                f"OK:req{i}".encode()
 
     def test_custom_handler(self):
-        handset, gateway, _ = build_wap_world(
+        runtime, handset = _one_handset(
             seed=4, handler=lambda request: request[::-1])
-        handset.send(b"abc")
-        gateway.forward("origin.example")
-        assert handset.receive() == b"cba"
+        assert _round_trip(runtime, handset, b"abc") == b"cba"
 
     def test_unknown_origin_degrades_gracefully(self):
         """An unreachable origin yields a GW-DEGRADED reply over WTLS
         instead of crashing the gateway mid-proxy."""
-        handset, gateway, _ = build_wap_world(seed=5)
-        handset.send(b"GET /nowhere")
-        reply = gateway.forward("no-such-origin.example")
-        assert reply.startswith(DEGRADED_PREFIX)
-        assert handset.receive() == reply
-        assert gateway.degraded_responses == 1
-        assert gateway.wired_leg_failures == 0
-
-    def test_broken_wired_leg_retries_on_fresh_connection(self):
-        """A failed TLS exchange toward the origin tears down the cached
-        leg and the retry succeeds over a fresh handshake."""
-        handset, gateway, _ = build_wap_world(seed=6)
-        handset.send(b"warm up")
-        gateway.forward("origin.example")
-        assert handset.receive() == b"OK:warm up"
-        # Desynchronise the cached TLS leg: its next record fails MAC.
-        gateway._server_connections[
-            "origin.example"].session.encoder._sequence += 1
-        handset.send(b"after the storm")
-        reply = gateway.forward("origin.example")
-        assert reply == b"OK:after the storm"
-        assert handset.receive() == reply
-        assert gateway.wired_leg_failures == 1
-        assert gateway.degraded_responses == 0
-
-    def test_persistently_dead_wired_leg_degrades(self):
-        handset, gateway, _ = build_wap_world(seed=7)
-        handset.send(b"warm up")
-        gateway.forward("origin.example")
-        handset.receive()
-
-        original = gateway._proxy_once
-
-        def always_failing(destination, request):
-            # Re-break every leg, fresh ones included, before using it.
-            gateway._server_connection(destination)
-            gateway._server_connections[
-                destination].session.encoder._sequence += 1
-            return original(destination, request)
-
-        gateway._proxy_once = always_failing
-        handset.send(b"doomed")
-        reply = gateway.forward("origin.example", wired_retries=1)
-        assert reply.startswith(DEGRADED_PREFIX)
-        assert gateway.wired_leg_failures == 2
-        assert gateway.degraded_responses == 1
-        assert handset.receive() == reply
+        runtime, handset = _one_handset(seed=5)
+        reply = _round_trip(runtime, handset, b"GET /nowhere",
+                            origin="no-such-origin.example")
+        assert reply == DEGRADED_PREFIX + b" origin unavailable (KeyError)"
+        assert runtime.gateway.degraded_responses == 1
+        assert runtime.gateway.wired_leg_failures == 0
 
 
 class TestCertificates:

@@ -2,13 +2,13 @@
 
 Covers the unit surfaces (token bucket, circuit breaker, structured
 ``GW-BUSY:`` replies, the three shedding paths), the fault-free
-byte-for-byte transparency pin against single-session
-``WAPGateway.forward``, and the chaos acceptance scenario from the
-issue: 32 concurrent handset sessions with injected origin outages, an
-accelerator failure, and a battery brownout — every request answered,
-the breaker provably cycling closed → open → half-open → closed, and
-the whole run byte-identical across repeats with the same seed (the
-CI chaos job re-runs it across seeds via ``CHAOS_SEED``).
+byte-for-byte transparency pin (every answer is the origin handler's
+reply), and the chaos acceptance scenario: 32 concurrent handset
+sessions with an injected origin outage, an accelerator failure, and a
+battery brownout — every request answered, the breaker provably
+cycling closed → open → half-open → closed, and the whole run
+byte-identical across repeats with the same seed (the CI chaos job
+re-runs it across seeds via ``CHAOS_SEED``).
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from repro.hardware.faults import BatteryBrownout, FaultPlan, wrap_engines
 from repro.hardware.processors import ARM7
 from repro.hardware.workloads import BulkWorkload
 from repro.protocols.gateway_runtime import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RESET_S,
     CLOSED,
+    DEADLINE_S,
     HALF_OPEN,
+    MALFORMED_SKIP,
     OPEN,
-    BreakerConfig,
     CircuitBreaker,
-    GatewayRuntime,
     RuntimeConfig,
     TokenBucket,
     build_gateway_runtime_world,
@@ -38,10 +40,21 @@ from repro.protocols.gateway_runtime import (
     classify_shed_reason,
     drain_replies,
 )
-from repro.protocols.wap import DEGRADED_PREFIX, build_wap_world
+from repro.protocols.wap import DEGRADED_PREFIX
 
 ORIGIN = "origin.example"
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
+
+
+def _outage(runtime, until_s: float) -> None:
+    """Fail every wired-leg attempt to the origin until ``until_s``."""
+    runtime.set_fault_rate(ORIGIN, 1.0)
+
+    def end_outage(now: float) -> None:
+        if now >= until_s:
+            runtime.set_fault_rate(ORIGIN, 0.0)
+
+    runtime.add_ticker(end_outage)
 
 
 # -- token bucket ------------------------------------------------------------
@@ -72,40 +85,52 @@ def test_token_bucket_rejects_bad_parameters():
 # -- circuit breaker ---------------------------------------------------------
 
 
+def _tripped_breaker() -> CircuitBreaker:
+    """A breaker its threshold of failures opened at t=0."""
+    breaker = CircuitBreaker(ORIGIN)
+    for _ in range(BREAKER_FAILURE_THRESHOLD):
+        breaker.record_failure(0.0)
+    assert breaker.state == OPEN
+    return breaker
+
+
 def test_breaker_full_cycle():
-    breaker = CircuitBreaker(ORIGIN, BreakerConfig(
-        failure_threshold=2, reset_timeout_s=1.0))
+    assert (BREAKER_FAILURE_THRESHOLD, BREAKER_RESET_S) == (3, 5.0)
+    breaker = CircuitBreaker(ORIGIN)
     assert breaker.state == CLOSED
     assert breaker.allow(0.0)
     breaker.record_failure(0.0)
-    assert breaker.state == CLOSED          # below threshold
     breaker.record_failure(0.1)
+    assert breaker.state == CLOSED          # below threshold
+    breaker.record_failure(0.2)
     assert breaker.state == OPEN            # threshold reached
-    assert not breaker.allow(0.5)           # cooling: fast-fail
+    assert not breaker.allow(5.1)           # cooling: fast-fail
     assert breaker.fast_fails == 1
-    assert breaker.allow(1.2)               # cooled: half-open probe
+    assert breaker.allow(5.5)               # cooled: half-open probe
     assert breaker.state == HALF_OPEN
-    breaker.record_success(1.2)
+    breaker.record_success(5.5)
     assert breaker.state == CLOSED
+    assert breaker.transitions == [
+        (0.2, CLOSED, OPEN), (5.5, OPEN, HALF_OPEN), (5.5, HALF_OPEN, CLOSED)]
     assert breaker.state_history() == [OPEN, HALF_OPEN, CLOSED]
 
 
 def test_breaker_reopens_on_failed_probe():
-    breaker = CircuitBreaker(ORIGIN, BreakerConfig(
-        failure_threshold=1, reset_timeout_s=1.0))
-    breaker.record_failure(0.0)
-    assert breaker.allow(1.5)               # half-open
-    breaker.record_failure(1.5)             # probe failed
+    breaker = _tripped_breaker()
+    assert breaker.allow(5.5)               # half-open
+    breaker.record_failure(5.5)             # probe failed
     assert breaker.state == OPEN
-    assert not breaker.allow(2.0)           # cooling restarted at 1.5
-    assert breaker.allow(2.6)
+    assert not breaker.allow(10.0)          # cooling restarted at 5.5
+    assert breaker.allow(10.6)
 
 
 def test_breaker_success_resets_failure_streak():
-    breaker = CircuitBreaker(ORIGIN, BreakerConfig(failure_threshold=2))
+    breaker = CircuitBreaker(ORIGIN)
     breaker.record_failure(0.0)
-    breaker.record_success(0.1)
-    breaker.record_failure(0.2)
+    breaker.record_failure(0.1)
+    breaker.record_success(0.2)
+    breaker.record_failure(0.3)
+    breaker.record_failure(0.4)
     assert breaker.state == CLOSED          # streak broken by the success
 
 
@@ -178,18 +203,21 @@ def test_queue_full_shed():
 
 
 def test_deadline_shed_answers_instead_of_serving_stale():
+    assert DEADLINE_S == 4.0
     config = RuntimeConfig(
         queue_limit=32, bucket_capacity=32.0, bucket_refill_per_s=32.0,
-        service_time_s=1.0, deadline_s=1.5)
+        service_time_s=3.0)
     runtime, handsets, _ = build_gateway_runtime_world(
         sessions=1, seed=CHAOS_SEED, config=config)
     for index in range(4):
         handsets["handset-00"].send(f"r{index}".encode())
-        runtime.submit("handset-00", ORIGIN)   # queue 4s of work at t=0
+        runtime.submit("handset-00", ORIGIN)   # 12s of work at t=0
     stats = runtime.run()
     replies = _drain(handsets)["handset-00"]
-    assert stats.shed_deadline > 0
-    assert b"GW-BUSY: reason=deadline" in replies
+    # r0 holds the server until 3s; r1-r3 queue behind it, due to start
+    # by 7s, and r3 would start at 9s.
+    assert stats.shed_deadline == 1
+    assert replies[-1] == b"GW-BUSY: reason=deadline"
     assert stats.answered == stats.submitted
 
 
@@ -241,28 +269,21 @@ def test_session_management_guards():
 
 
 def test_runtime_is_byte_transparent_without_faults():
-    """With no faults and no overload the runtime's answers are
-    byte-for-byte those of the single-session ``WAPGateway.forward``
-    path (same seed, same DRBG streams, same WAP-gap plaintext log)."""
+    """With no faults and no overload every answer is the origin
+    handler's reply byte for byte, and the WAP-gap plaintext log holds
+    each request followed by its reply."""
     requests = [f"request-{index}".encode() for index in range(5)]
-
-    handset_a, gateway_a, _ = build_wap_world(seed=CHAOS_SEED)
-    replies_a = []
-    for request in requests:
-        handset_a.send(request)
-        replies_a.append(gateway_a.forward(ORIGIN))
-
-    handset_b, gateway_b, _ = build_wap_world(seed=CHAOS_SEED)
-    runtime = GatewayRuntime(gateway_b)
-    runtime.adopt_session("h0", gateway_b.handset_side)
+    runtime, handsets, _ = build_gateway_runtime_world(
+        sessions=1, seed=CHAOS_SEED)
     for index, request in enumerate(requests):
-        handset_b.send(request)
-        runtime.submit("h0", ORIGIN, arrival_offset_s=index * 1.0)
+        handsets["handset-00"].send(request)
+        runtime.submit("handset-00", ORIGIN, arrival_offset_s=index * 1.0)
     stats = runtime.run()
 
-    replies_b = [handset_b.receive() for _ in requests]
-    assert replies_b == replies_a
-    assert gateway_b.plaintext_log == gateway_a.plaintext_log
+    assert _drain(handsets)["handset-00"] == [
+        b"OK:" + request for request in requests]
+    assert runtime.gateway.plaintext_log == [
+        item for request in requests for item in (request, b"OK:" + request)]
     assert stats.served == len(requests)
     assert stats.shed == 0 and stats.degraded == 0
     assert runtime.breaker_for(ORIGIN).transitions == []
@@ -271,30 +292,58 @@ def test_runtime_is_byte_transparent_without_faults():
 # -- breaker end-to-end ------------------------------------------------------
 
 
+def test_broken_wired_leg_degrades_then_reconnects():
+    """A failed TLS exchange toward the origin answers degraded and
+    drops the cached leg; the next request reconnects over a fresh
+    handshake."""
+    runtime, handsets, _ = build_gateway_runtime_world(
+        sessions=1, seed=CHAOS_SEED)
+    handset = handsets["handset-00"]
+
+    def round_trip(request: bytes) -> bytes:
+        handset.send(request)
+        runtime.submit("handset-00", ORIGIN)
+        runtime.run()
+        return handset.receive()
+
+    assert round_trip(b"warm up") == b"OK:warm up"
+    # Desynchronise the cached TLS leg: its next record fails MAC.
+    runtime.gateway._server_connections[
+        ORIGIN].session.encoder._sequence += 1
+    assert round_trip(b"in the storm") == (
+        DEGRADED_PREFIX + b" origin unavailable (BadRecordMAC)")
+    assert ORIGIN not in runtime.gateway._server_connections
+    assert round_trip(b"after the storm") == b"OK:after the storm"
+    assert runtime.gateway.wired_leg_failures == 1
+    assert runtime.gateway.degraded_responses == 1
+    assert runtime.breaker_for(ORIGIN).state == CLOSED
+
+
 def test_outage_window_drives_breaker_cycle():
     config = RuntimeConfig(
         bucket_capacity=32.0, bucket_refill_per_s=32.0,
-        service_time_s=0.05,
-        breaker=BreakerConfig(failure_threshold=3, reset_timeout_s=1.0))
+        service_time_s=0.05)
     runtime, handsets, _ = build_gateway_runtime_world(
         sessions=1, seed=CHAOS_SEED, config=config)
-    runtime.set_outage(ORIGIN, [(0.0, 0.5)])
+    _outage(runtime, until_s=0.5)
     # Six requests inside/around the outage open the breaker and then
     # fast-fail; three late ones arrive after the cooling period.
-    offsets = [index * 0.1 for index in range(6)] + [1.5, 1.6, 1.7]
+    offsets = [index * 0.1 for index in range(6)] + [5.5, 5.6, 5.7]
     for index, offset in enumerate(offsets):
         handsets["handset-00"].send(f"r{index}".encode())
         runtime.submit("handset-00", ORIGIN, arrival_offset_s=offset)
     stats = runtime.run()
     breaker = runtime.breaker_for(ORIGIN)
-    history = breaker.state_history()
-    assert history[:3] == [OPEN, HALF_OPEN, CLOSED]
-    assert stats.breaker_fast_fails > 0
-    assert stats.wired_failures >= 3
+    assert [(when, to) for when, _, to in breaker.transitions] == [
+        (pytest.approx(0.25), OPEN), (pytest.approx(5.55), HALF_OPEN),
+        (pytest.approx(5.55), CLOSED)]
+    assert stats.wired_failures == BREAKER_FAILURE_THRESHOLD
+    assert stats.breaker_fast_fails == 3
     assert stats.answered == stats.submitted
     # After the breaker re-closed, requests are served for real again.
-    final = _drain(handsets)["handset-00"][-1]
-    assert classify_reply(final) == "served"
+    assert [classify_reply(reply)
+            for reply in _drain(handsets)["handset-00"]] == [
+        "degraded"] * 6 + ["served"] * 3
 
 
 # -- the acceptance scenario -------------------------------------------------
@@ -305,13 +354,12 @@ def _acceptance_run(seed: int):
     failure, battery brownout, supervisor on the runtime clock."""
     config = RuntimeConfig(
         queue_limit=16, bucket_capacity=12.0, bucket_refill_per_s=6.0,
-        service_time_s=0.05, deadline_s=4.0,
-        breaker=BreakerConfig(failure_threshold=3, reset_timeout_s=1.0))
+        service_time_s=0.05)
     battery = Battery(capacity_j=100.0)
     runtime, handsets, _ = build_gateway_runtime_world(
         sessions=32, seed=seed, config=config,
         batteries={"handset-00": battery})
-    runtime.set_outage(ORIGIN, [(0.0, 0.7)])
+    _outage(runtime, until_s=0.7)
 
     # Device-side chaos on the same virtual clock: the accelerator dies
     # at t=0.5 and recovers at t=2.0; the battery sags at t=1.0.
@@ -332,12 +380,14 @@ def _acceptance_run(seed: int):
 
     runtime.add_ticker(ticker)
 
+    # Rounds 2.8 s apart: the last arrives after the breaker the outage
+    # opened has cooled for BREAKER_RESET_S.
     for round_index in range(3):
         for slot, session_id in enumerate(sorted(handsets)):
             handsets[session_id].send(
                 f"req-{session_id}-{round_index}".encode())
             runtime.submit(session_id, ORIGIN,
-                           arrival_offset_s=round_index * 0.8
+                           arrival_offset_s=round_index * 2.8
                            + slot * 0.02)
     stats = runtime.run()
     replies = _drain(handsets)
@@ -361,7 +411,7 @@ def test_acceptance_chaos_scenario():
 
     # The breaker provably cycled closed -> open -> half-open -> closed.
     history = runtime.breaker_for(ORIGIN).state_history()
-    assert history[:3] == [OPEN, HALF_OPEN, CLOSED]
+    assert history == [OPEN, HALF_OPEN, CLOSED]
     assert stats.breaker_fast_fails > 0
 
     # The accelerator died and the supervisor walked the ladder down to
@@ -394,39 +444,34 @@ def test_acceptance_chaos_scenario_is_deterministic():
 def test_breaker_half_open_admits_exactly_one_probe():
     """Concurrent sessions racing the half-open slot: only the first
     ``allow`` wins the probe; the rest fast-fail until it resolves."""
-    breaker = CircuitBreaker(ORIGIN, BreakerConfig(
-        failure_threshold=1, reset_timeout_s=1.0))
-    breaker.record_failure(0.0)
-    assert breaker.state == OPEN
+    breaker = _tripped_breaker()
 
     # Cooling period over: the first caller transitions to half-open
     # and claims the single probe slot.
-    assert breaker.allow(1.5) is True
+    assert breaker.allow(5.5) is True
     assert breaker.state == HALF_OPEN
     # Every racer while the probe is in flight is fast-failed.
     fast_fails_before = breaker.fast_fails
-    assert breaker.allow(1.5) is False
-    assert breaker.allow(1.6) is False
+    assert breaker.allow(5.5) is False
+    assert breaker.allow(5.6) is False
     assert breaker.fast_fails == fast_fails_before + 2
     assert breaker.state == HALF_OPEN
 
     # Probe succeeds: breaker closes, everyone may pass again.
-    breaker.record_success(1.7)
+    breaker.record_success(5.7)
     assert breaker.state == CLOSED
-    assert breaker.allow(1.8) is True and breaker.allow(1.8) is True
+    assert breaker.allow(5.8) is True and breaker.allow(5.8) is True
 
 
 def test_breaker_failed_probe_releases_slot_for_next_cycle():
-    breaker = CircuitBreaker(ORIGIN, BreakerConfig(
-        failure_threshold=1, reset_timeout_s=1.0))
-    breaker.record_failure(0.0)
-    assert breaker.allow(1.5) is True          # probe slot claimed
-    breaker.record_failure(1.6)                # probe failed -> reopen
+    breaker = _tripped_breaker()
+    assert breaker.allow(5.5) is True          # probe slot claimed
+    breaker.record_failure(5.6)                # probe failed -> reopen
     assert breaker.state == OPEN
-    assert breaker.allow(1.7) is False         # back in cooling
+    assert breaker.allow(5.7) is False         # back in cooling
     # Next cooling period: a fresh probe slot is available again.
-    assert breaker.allow(2.7) is True
-    assert breaker.allow(2.7) is False
+    assert breaker.allow(10.7) is True
+    assert breaker.allow(10.7) is False
 
 
 def test_seconds_until_token_at_exact_refill_boundaries():
@@ -491,17 +536,15 @@ def test_malformed_flood_sheds_structurally():
     from repro.protocols.faults import FaultyChannel
 
     channel = FaultyChannel(seed=7)
-    config = RuntimeConfig(malformed_skip=4)
     runtime, handsets, _ = build_gateway_runtime_world(
-        sessions=1, seed=CHAOS_SEED, config=config,
-        channel_factory=lambda sid: channel)
+        sessions=1, seed=CHAOS_SEED, channel_factory=lambda sid: channel)
     handsets["handset-00"].send(b"drowned request")
-    for index in range(8):
+    for index in range(MALFORMED_SKIP + 4):
         channel.inject("a->b", b"\x15junk-%d" % index, front=True)
     runtime.submit("handset-00", ORIGIN)
     stats = runtime.run()
     assert stats.shed_malformed == 1
-    assert stats.malformed_discarded >= 4
+    assert stats.malformed_discarded == MALFORMED_SKIP + 1
     assert stats.answered == stats.submitted
     reply = handsets["handset-00"].receive()
     assert reply.startswith(b"GW-BUSY: reason=malformed")

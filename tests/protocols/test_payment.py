@@ -116,7 +116,8 @@ class TestDualSignature:
         """The closing §2 argument: the dual-signed request traverses
         the WAP gateway without exposing the card number even in the
         gateway's plaintext log."""
-        from repro.protocols.wap import build_wap_world
+        from repro.protocols.gateway_runtime import (
+            build_gateway_runtime_world)
 
         key, cert = cardholder
         order = OrderInfo("origin.example", "song", 199, "ORD-9")
@@ -129,10 +130,11 @@ class TestDualSignature:
         request = (order_wire.to_bytes() + b"||" + payment_digest
                    + b"||" + signature)
 
-        handset, gateway, _ = build_wap_world(
-            seed=55, handler=lambda req: b"ACK:" + req[:20])
-        handset.send(request)
-        gateway.forward("origin.example")
-        handset.receive()
+        runtime, handsets, _ = build_gateway_runtime_world(
+            sessions=1, seed=55, handler=lambda req: b"ACK:" + req[:20])
+        handsets["handset-00"].send(request)
+        runtime.submit("handset-00", "origin.example")
+        runtime.run()
+        assert handsets["handset-00"].receive() == b"ACK:" + request[:20]
         assert all(CARD.encode() not in item
-                   for item in gateway.plaintext_log)
+                   for item in runtime.gateway.plaintext_log)

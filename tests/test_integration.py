@@ -10,7 +10,7 @@ from repro.protocols.ciphersuites import suites_for_registry
 from repro.protocols.handshake import ClientConfig, ServerConfig
 from repro.protocols.tls import connect
 from repro.protocols.transport import DuplexChannel
-from repro.protocols.wap import build_wap_world
+from repro.protocols.gateway_runtime import build_gateway_runtime_world
 
 
 class TestMCommerceScenario:
@@ -93,11 +93,14 @@ class TestWAPGapScenario:
     gateway sees plaintext, motivating application-layer security."""
 
     def test_gateway_sees_everything_unless_app_layer_encrypts(self):
-        handset, gateway, _ = build_wap_world(seed=40)
-        handset.send(b"account=123 balance-query")
-        gateway.forward("origin.example")
-        handset.receive()
-        assert any(b"account=123" in item for item in gateway.plaintext_log)
+        runtime, handsets, _ = build_gateway_runtime_world(
+            sessions=1, seed=40)
+        handsets["handset-00"].send(b"account=123 balance-query")
+        runtime.submit("handset-00", "origin.example")
+        runtime.run()
+        handsets["handset-00"].receive()
+        assert any(b"account=123" in item
+                   for item in runtime.gateway.plaintext_log)
 
     def test_application_layer_closes_the_gap(self):
         """Encrypting inside the WTLS payload (SET-style, §2) hides the
@@ -113,14 +116,16 @@ class TestWAPGapScenario:
         def app_decrypt(blob):
             return CBC(AES(end_to_end_key), bytes(16)).decrypt(blob)
 
-        handset, gateway, _ = build_wap_world(
-            seed=41, handler=lambda request: request)  # echo origin
+        runtime, handsets, _ = build_gateway_runtime_world(
+            sessions=1, seed=41, handler=lambda request: request)  # echo
         secret = b"account=123 PIN=9876"
-        handset.send(app_encrypt(secret))
-        gateway.forward("origin.example")
-        reply = app_decrypt(handset.receive())
+        handsets["handset-00"].send(app_encrypt(secret))
+        runtime.submit("handset-00", "origin.example")
+        runtime.run()
+        reply = app_decrypt(handsets["handset-00"].receive())
         assert reply == secret
-        assert all(secret not in item for item in gateway.plaintext_log)
+        assert all(secret not in item
+                   for item in runtime.gateway.plaintext_log)
 
 
 class TestLayeredDefenseScenario:

@@ -111,6 +111,20 @@ def test_exports_have_docstrings(package_name):
     assert undocumented == []
 
 
+def test_gateway_has_one_serve_path():
+    """``GatewayRuntime`` is the one way a request crosses the gateway:
+    no single-handset serve loop or breaker settings are exported."""
+    import repro.protocols as protocols
+    from repro.protocols.gateway_runtime import RuntimeConfig
+    from repro.protocols.wap import WAPGateway
+
+    assert not {"build_wap_world", "BreakerConfig"} & set(protocols.__all__)
+    assert not hasattr(WAPGateway, "forward")
+    assert list(RuntimeConfig.__dataclass_fields__) == [
+        "queue_limit", "bucket_capacity", "bucket_refill_per_s",
+        "service_time_s", "reply_batch"]
+
+
 def test_fleet_import_loads_only_what_the_fleet_uses():
     out = _fresh("-c", "import json, sys\n"
                        "import repro.fleet, repro.protocols.wtls\n"
