@@ -25,7 +25,7 @@ def purchase(seed: int, handler, request: bytes):
     handset.send(request)
     runtime.submit("handset-00", "origin.example")
     runtime.run()
-    return handset.receive(), runtime.gateway.plaintext_log
+    return handset.receive(), runtime.plaintext_log
 
 
 def main() -> None:

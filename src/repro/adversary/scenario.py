@@ -97,7 +97,7 @@ def _build_population(seed: int, rate_per_class: float, runtime, responder,
         battery=Battery(capacity_j=ATTACKER_BATTERY_J))
     downgrade = DowngradeAdversary(
         "mitm-0", rate_per_class, seed,
-        server_config=runtime.gateway.gateway_config, ca=ca,
+        server_config=runtime.gateway_config, ca=ca,
         expected_server=GATEWAY_NAME,
         battery=Battery(capacity_j=ATTACKER_BATTERY_J))
     timing = TimingProbeAdversary(

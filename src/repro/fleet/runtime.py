@@ -67,8 +67,7 @@ from ..protocols.resumption import (
     resume,
 )
 from ..protocols.transport import ChannelEmpty, DuplexChannel
-from ..protocols.wap import (GATEWAY_NAME, ORIGIN_NAME, OriginServer,
-                             WAPGateway)
+from ..protocols.wap import GATEWAY_NAME, ORIGIN_NAME, OriginServer
 from ..protocols.wtls import WTLSConnection, _rederive, connection_pair
 from .journal import CheckpointJournal
 from .ring import ConsistentRing
@@ -171,11 +170,10 @@ class _Shard:
     """One gateway shard: runtime + journal + liveness, and the
     scheduler work-source adapter (dead shards report idle)."""
 
-    def __init__(self, index: int, name: str, gateway: WAPGateway,
+    def __init__(self, index: int, name: str,
                  runtime: GatewayRuntime, journal: CheckpointJournal) -> None:
         self.index = index
         self.name = name
-        self.gateway = gateway
         self.runtime = runtime
         self.journal = journal
         self.alive = True
@@ -276,7 +274,7 @@ class ShardedFleet:
 
     def _build_shard(self, index: int, restart_epoch: int) -> _Shard:
         name = f"shard-{index:02d}"
-        gateway = WAPGateway(
+        runtime = GatewayRuntime(
             ca=self.ca,
             rng=DeterministicDRBG(
                 ("fleet-gw-rng", index, restart_epoch,
@@ -285,16 +283,14 @@ class ShardedFleet:
                 rng=DeterministicDRBG(
                     ("fleet-gw-srv", index, restart_epoch,
                      self.seed).__repr__()),
-                certificate=self._gw_cert, private_key=self._gw_key))
-        gateway.register_origin(self.origin)
-        runtime = GatewayRuntime(
-            gateway, config=SHARD_RUNTIME, clock=self.clock)
+                certificate=self._gw_cert, private_key=self._gw_key),
+            origins=[self.origin], config=SHARD_RUNTIME, clock=self.clock)
         runtime.answer_hook = self._on_answer
         runtime.shard_label = name
         journal = CheckpointJournal(
             name, seed=self.seed,
             index_limit=self.config.journal_index_limit)
-        return _Shard(index, name, gateway, runtime, journal)
+        return _Shard(index, name, runtime, journal)
 
     def alive_shards(self) -> List[str]:
         """Names of currently-live shards."""
@@ -335,7 +331,7 @@ class ShardedFleet:
             if span is not None:
                 attach(span, ctx)
             handset_conn, gateway_conn, client_session = _fleet_connect(
-                client, owner.gateway.gateway_config, channel)
+                client, owner.runtime.gateway_config, channel)
         owner.runtime.adopt_session(session_id, gateway_conn, battery)
         self.placement[session_id] = owner.name
         self.channels[session_id] = channel
@@ -620,7 +616,7 @@ class ShardedFleet:
         try:
             client_session, server_session = resume(
                 self.client_configs[session_id],
-                target.gateway.gateway_config,
+                target.runtime.gateway_config,
                 self.client_caches[session_id], self.ticket_cache,
                 self.tickets[session_id],
                 endpoints=(channel.endpoint_a(), channel.endpoint_b()))
@@ -636,7 +632,7 @@ class ShardedFleet:
             new_channel = DuplexChannel()
             client = self.client_configs[session_id]
             handset_conn, gateway_conn, client_session = _fleet_connect(
-                client, target.gateway.gateway_config, new_channel)
+                client, target.runtime.gateway_config, new_channel)
             self.channels[session_id] = new_channel
             self._charge_recovery(
                 session_id, battery, _channel_bytes(new_channel))
@@ -666,7 +662,6 @@ class ShardedFleet:
         fresh = self._build_shard(shard.index,
                                   restart_epoch=shard.crash_count)
         shard.retired_stats.append(shard.runtime.stats)
-        shard.gateway = fresh.gateway
         shard.runtime = fresh.runtime
         shard.journal.reset()
         shard.alive = True

@@ -3,9 +3,9 @@
 The stack grew one ad-hoc ledger per subsystem —
 :class:`~repro.protocols.faults.FaultStats`,
 :class:`~repro.core.supervisor.DegradationReport`,
-:class:`~repro.protocols.gateway_runtime.RuntimeStats`, raw ``int``
-attributes on :class:`~repro.protocols.wap.WAPGateway` — none of which
-could be correlated in one place.  This module is the unification:
+:class:`~repro.protocols.gateway_runtime.RuntimeStats` and the gateway
+runtime's WAP-gap plaintext log — none of which could be correlated in
+one place.  This module is the unification:
 
 * first-class :class:`Counter` metrics with label sets, owned by a
   :class:`MetricsRegistry`;
@@ -286,17 +286,22 @@ def export_battery(registry: MetricsRegistry, battery,
     registry.register_collector(collect)
 
 
-def export_gateway(registry: MetricsRegistry, gateway) -> None:
-    """Adapter for the raw ``int`` counters on
-    :class:`~repro.protocols.wap.WAPGateway` (plus the WAP-gap
-    plaintext exposure, which is a *security* metric)."""
-    attach_ledger(registry, "repro_gateway", gateway,
-                  fields=["wired_leg_failures", "handler_failures",
-                          "degraded_responses"])
-
+def export_gateway(registry: MetricsRegistry, runtime) -> None:
+    """The ``repro_gateway_*`` series of a
+    :class:`~repro.protocols.gateway_runtime.GatewayRuntime`: its
+    wired-leg, handler and degraded counts read through
+    ``runtime.stats``, plus the WAP-gap plaintext exposure, which is a
+    *security* metric."""
     def collect():
-        return [("repro_gateway_plaintext_records", {},
-                 float(len(gateway.plaintext_log)))]
+        stats = runtime.stats
+        return [("repro_gateway_wired_leg_failures", {},
+                 float(stats.wired_failures)),
+                ("repro_gateway_handler_failures", {},
+                 float(stats.handler_failures)),
+                ("repro_gateway_degraded_responses", {},
+                 float(stats.degraded)),
+                ("repro_gateway_plaintext_records", {},
+                 float(len(runtime.plaintext_log)))]
 
     registry.register_collector(collect)
 
@@ -304,7 +309,7 @@ def export_gateway(registry: MetricsRegistry, gateway) -> None:
 def export_runtime(registry: MetricsRegistry, runtime) -> None:
     """One call wiring a whole
     :class:`~repro.protocols.gateway_runtime.GatewayRuntime` world:
-    runtime stats, the gateway's raw counters, per-origin breaker
+    runtime stats, the ``repro_gateway_*`` series, per-origin breaker
     state, and every attached session battery."""
     attach_ledger(registry, "repro_gateway_runtime", runtime.stats,
                   fields=["submitted", "admitted", "served", "degraded",
@@ -314,7 +319,7 @@ def export_runtime(registry: MetricsRegistry, runtime) -> None:
                           "wired_failures", "handler_failures",
                           "battery_refusals", "energy_mj", "shed",
                           "answered"])
-    export_gateway(registry, runtime.gateway)
+    export_gateway(registry, runtime)
 
     def collect_breakers():
         out = []

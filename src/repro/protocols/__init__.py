@@ -26,7 +26,7 @@ __all__ = [
     "WEPStation", "WEPFrame",
     "SecurityAssociation", "make_tunnel",
     "SIM", "HomeRegister", "BaseStation", "Handset", "clone_sim",
-    "WAPGateway", "OriginServer", "HandlerFailure",
+    "OriginServer", "HandlerFailure",
     "DEGRADED_PREFIX",
     "GatewayRuntime", "RuntimeConfig", "RuntimeStats", "CircuitBreaker",
     "TokenBucket", "build_gateway_runtime_world",
@@ -68,7 +68,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".smartcard": "APDU CardResponse SIMCard kiosk_cloning_attack",
     ".tls": "SecureConnection connect",
     ".transport": "ChannelClosed ChannelEmpty DuplexChannel Endpoint",
-    ".wap": "DEGRADED_PREFIX HandlerFailure OriginServer WAPGateway",
+    ".wap": "DEGRADED_PREFIX HandlerFailure OriginServer",
     ".wep": "WEPFrame WEPStation",
     ".wtls": "WTLSConnection wtls_connect",
 })

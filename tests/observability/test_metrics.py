@@ -11,6 +11,7 @@ from repro.observability.metrics import (
     export_gateway,
 )
 from repro.protocols.faults import FaultStats
+from repro.protocols.gateway_runtime import RuntimeStats
 
 
 class TestPrimitives:
@@ -98,20 +99,22 @@ class TestLedgerAdapters:
                               device="handset-00") == pytest.approx(0.75)
 
     def test_gateway_adapter_counts_plaintext_exposure(self):
-        class FakeGateway:
+        class FakeRuntime:
             def __init__(self):
-                self.wired_leg_failures = 0
-                self.handler_failures = 0
-                self.degraded_responses = 0
+                self.stats = RuntimeStats()
                 self.plaintext_log = []
 
         registry = MetricsRegistry()
-        gateway = FakeGateway()
-        export_gateway(registry, gateway)
-        gateway.plaintext_log.extend([b"req", b"resp"])
-        gateway.degraded_responses = 1
+        runtime = FakeRuntime()
+        export_gateway(registry, runtime)
+        runtime.plaintext_log.extend([b"req", b"resp"])
+        runtime.stats.degraded = 1
+        runtime.stats.wired_failures = 2
+        runtime.stats.handler_failures = 3
         assert registry.value("repro_gateway_plaintext_records") == 2.0
         assert registry.value("repro_gateway_degraded_responses") == 1.0
+        assert registry.value("repro_gateway_wired_leg_failures") == 2.0
+        assert registry.value("repro_gateway_handler_failures") == 3.0
 
     def test_attach_ledger_skips_non_numeric(self):
         class Mixed:

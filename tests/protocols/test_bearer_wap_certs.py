@@ -139,7 +139,7 @@ class TestWAPGateway:
         response in the clear."""
         runtime, handset = _one_handset(seed=2)
         _round_trip(runtime, handset, b"PIN 1234")
-        assert runtime.gateway.plaintext_log == [b"PIN 1234", b"OK:PIN 1234"]
+        assert runtime.plaintext_log == [b"PIN 1234", b"OK:PIN 1234"]
 
     def test_multiple_round_trips(self):
         runtime, handset = _one_handset(seed=3)
@@ -159,8 +159,8 @@ class TestWAPGateway:
         reply = _round_trip(runtime, handset, b"GET /nowhere",
                             origin="no-such-origin.example")
         assert reply == DEGRADED_PREFIX + b" origin unavailable (KeyError)"
-        assert runtime.gateway.degraded_responses == 1
-        assert runtime.gateway.wired_leg_failures == 0
+        assert runtime.stats.degraded == 1
+        assert runtime.stats.wired_failures == 0
 
 
 class TestCertificates:

@@ -137,4 +137,4 @@ class TestDualSignature:
         runtime.run()
         assert handsets["handset-00"].receive() == b"ACK:" + request[:20]
         assert all(CARD.encode() not in item
-                   for item in runtime.gateway.plaintext_log)
+                   for item in runtime.plaintext_log)

@@ -100,7 +100,7 @@ class TestWAPGapScenario:
         runtime.run()
         handsets["handset-00"].receive()
         assert any(b"account=123" in item
-                   for item in runtime.gateway.plaintext_log)
+                   for item in runtime.plaintext_log)
 
     def test_application_layer_closes_the_gap(self):
         """Encrypting inside the WTLS payload (SET-style, §2) hides the
@@ -125,7 +125,7 @@ class TestWAPGapScenario:
         reply = app_decrypt(handsets["handset-00"].receive())
         assert reply == secret
         assert all(secret not in item
-                   for item in runtime.gateway.plaintext_log)
+                   for item in runtime.plaintext_log)
 
 
 class TestLayeredDefenseScenario:

@@ -2,10 +2,12 @@
 and importing a package loads only what its caller uses."""
 
 import importlib
+import inspect
 import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -111,18 +113,41 @@ def test_exports_have_docstrings(package_name):
     assert undocumented == []
 
 
+#: Names a cache of the gateway's wired TLS legs has gone by.
+_WIRED_LEG_STATE = re.compile(
+    r"\b_wired_legs?\b|\b_server_connections?\b|\b_origin_sides\b"
+    r"|\b_drop_wired_leg\b")
+
+
 def test_gateway_has_one_serve_path():
     """``GatewayRuntime`` is the one way a request crosses the gateway:
     no single-handset serve loop or breaker settings are exported."""
     import repro.protocols as protocols
     from repro.protocols.gateway_runtime import RuntimeConfig
-    from repro.protocols.wap import WAPGateway
 
     assert not {"build_wap_world", "BreakerConfig"} & set(protocols.__all__)
-    assert not hasattr(WAPGateway, "forward")
     assert list(RuntimeConfig.__dataclass_fields__) == [
         "queue_limit", "bucket_capacity", "bucket_refill_per_s",
         "service_time_s", "reply_batch"]
+
+
+def test_gateway_is_one_object():
+    """``GatewayRuntime`` is the gateway: no second gateway object is
+    exported or passed in, and no other module keeps wired-leg state."""
+    import repro.protocols as protocols
+    from repro.protocols import wap
+    from repro.protocols.gateway_runtime import GatewayRuntime
+
+    assert "WAPGateway" not in protocols.__all__
+    assert not hasattr(wap, "WAPGateway")
+    assert not hasattr(wap, "build_gateway")
+    parameters = inspect.signature(GatewayRuntime.__init__).parameters
+    assert not {"gateway", "energy"} & set(parameters)
+    src = pathlib.Path(repro.__file__).parent
+    keepers = sorted(
+        path.relative_to(src).as_posix() for path in src.rglob("*.py")
+        if _WIRED_LEG_STATE.search(path.read_text(encoding="utf-8")))
+    assert keepers == ["protocols/gateway_runtime.py"]
 
 
 def test_fleet_import_loads_only_what_the_fleet_uses():
