@@ -73,15 +73,15 @@ OUTPUT_SHA256 = {
     },
     "mcommerce": {
         "mcommerce.json":
-            "17647cf3a91c0a87b12f433124a006af146b0919c38eebe73642a20541929fbf",
+            "4ad13943907496637c1033cff2168325b0d98db6b4d558bdc68ab525f6637bfa",
     },
     "fleetwatch": {
         "fleetwatch.json":
-            "0d6f171c9b47061b20573b3b5e3531ce7d6fa7e3cc8935f7c62165833f3cd9a0",
+            "73a16119b9ffb30c19779c20efb98a0c40286f96ac4fbf10fd488030e8af9bde",
         "fleetwatch.jsonl":
-            "166267e588fe81aac548c4f1ebfc57155e1514294a787906fd3831ccac58490b",
+            "eaa3a857d102c7d9b594a2dc5a69abecc6949906fa346eca804685cca13e18fd",
         "fleetwatch.prom":
-            "bfa76bcf1587e12bb979e7058155ff27f7bdb2fb8aba9d9d0029198021961523",
+            "8216bc3235876f0e6e6468e26da9c4d99c8fcfa14f53dbf6f3a55b64bcea8f42",
         "fleetwatch.folded":
             "9cf2a645a414bde0e3fad50662fdb7e07e29d7194a573631da37f406ca939ef6",
     },
