@@ -34,13 +34,13 @@ def build_report(result) -> Dict[str, object]:
         battery.drained_mj for battery in result.batteries.values())
     shards = {}
     for shard in fleet.shards:
-        ledgers = list(shard.retired_stats) + [shard.runtime.stats]
+        ledger = shard.runtime.stats
         shards[shard.name] = {
             "crashes": shard.crash_count,
-            "incarnations": len(ledgers),
-            "served": sum(ledger.served for ledger in ledgers),
-            "degraded": sum(ledger.degraded for ledger in ledgers),
-            "shed": sum(ledger.shed for ledger in ledgers),
+            "incarnations": shard.restarts + 1,
+            "served": ledger.served,
+            "degraded": ledger.degraded,
+            "shed": ledger.shed,
             "checkpoints_written": shard.journal.checkpoints_written,
             "journal_bytes": len(shard.journal),
             "journal_evictions": shard.journal.evictions,

@@ -182,10 +182,8 @@ class _Shard:
         self.crash_time = 0.0
         self.detected_time = 0.0
         self.crash_count = 0
+        self.restarts = 0
         self.heartbeat: Optional[Event] = None
-        # Stats ledgers of previous incarnations (a restart replaces
-        # the runtime; the history must still add up).
-        self.retired_stats: List = []
 
     def next_event_time(self) -> Optional[float]:
         if not self.alive:
@@ -661,8 +659,10 @@ class ShardedFleet:
     def _restart(self, shard: _Shard, now: float) -> None:
         fresh = self._build_shard(shard.index,
                                   restart_epoch=shard.crash_count)
-        shard.retired_stats.append(shard.runtime.stats)
+        # The answer ledger outlives the runtime: one per shard life.
+        fresh.runtime.stats = shard.runtime.stats
         shard.runtime = fresh.runtime
+        shard.restarts += 1
         shard.journal.reset()
         shard.alive = True
         shard.detected = False
@@ -713,18 +713,16 @@ class ShardedFleet:
         return sum(shard.journal.torn_records for shard in self.shards)
 
     def runtime_totals(self) -> Dict[str, float]:
-        """Summed answer ledger across every shard incarnation (live
-        runtimes plus the ledgers retired by restarts)."""
+        """The shards' answer ledgers summed (each ledger spans its
+        shard's restarts)."""
         totals: Dict[str, float] = {
             "submitted": 0, "admitted": 0, "served": 0, "degraded": 0,
             "shed": 0, "shed_malformed": 0, "malformed_discarded": 0,
             "battery_refusals": 0, "energy_mj": 0.0,
         }
         for shard in self.shards:
-            ledgers = list(shard.retired_stats) + [shard.runtime.stats]
-            for stats in ledgers:
-                for key in totals:
-                    totals[key] += getattr(stats, key)
+            for key in totals:
+                totals[key] += getattr(shard.runtime.stats, key)
         totals["energy_mj"] = round(totals["energy_mj"], 9)
         return totals
 

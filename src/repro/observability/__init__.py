@@ -60,10 +60,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                "flamegraph_folds fleet_jsonl fleet_flamegraph_folds "
                "rollup_table",
     ".fleetwatch": "FleetWatch FleetwatchResult run_fleetwatch",
-    ".metrics": "MetricsRegistry Counter attach_ledger",
+    ".metrics": "MetricsRegistry Counter attach_ledger QuantileSketch",
     ".scenario": "run_gateway_chaos ScenarioResult",
     ".slo": "SloSpec SloEngine BurnRatePolicy Alert",
     ".spans": "Telemetry Span SpanEvent derive_trace_id",
-    ".timeseries": "WindowedSeries QuantileSketch register_series",
+    ".timeseries": "WindowedSeries register_series",
     ".tracecontext": "TraceContext FleetTraceStore Journey",
 })

@@ -148,10 +148,8 @@ class FleetWatch:
         self.engine = SloEngine(list(SLOS), list(POLICIES))
         #: Scrape cursor: last seen cumulative value per (name, key).
         self._cursor: Dict[Tuple[str, Tuple], float] = {}
-        #: Per-shard read position into the incarnation ledger list
-        #: (ledger index, offset) — restarts append retired ledgers,
-        #: so positions stay monotone across crashes.
-        self._latency_pos: Dict[str, Tuple[int, int]] = {}
+        #: Per-shard read position into the shard's latency ledger.
+        self._latency_pos: Dict[str, int] = {}
         self._recovery_pos = 0
         self._fed_until = 0.0
         self.samples_taken = 0
@@ -170,21 +168,12 @@ class FleetWatch:
         return value - previous
 
     def _new_latencies(self, shard) -> List[float]:
-        """Served latencies recorded since the last sample, across
-        shard incarnations (restarts swap the live stats object)."""
-        ledgers = list(shard.retired_stats) + [shard.runtime.stats]
-        index, offset = self._latency_pos.get(shard.name, (0, 0))
-        fresh: List[float] = []
-        while index < len(ledgers):
-            latencies = ledgers[index].latencies
-            fresh.extend(latencies[offset:])
-            if index == len(ledgers) - 1:
-                offset = len(latencies)
-                break
-            index += 1
-            offset = 0
-        self._latency_pos[shard.name] = (index, offset)
-        return fresh
+        """Served latencies the shard recorded since the last sample
+        (its ledger survives restarts, so one offset is monotone)."""
+        latencies = shard.runtime.stats.latencies
+        offset = self._latency_pos.get(shard.name, 0)
+        self._latency_pos[shard.name] = len(latencies)
+        return latencies[offset:]
 
     def sample(self, now: float) -> None:
         """One sampler tick: scrape the registry, bank the deltas."""

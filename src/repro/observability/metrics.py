@@ -67,19 +67,68 @@ def interpolate_quantile(bounds: Sequence[float], counts: Sequence[int],
     return lower
 
 
-def quantile_of(values: Sequence[float], q: float,
-                buckets: Sequence[float] = LATENCY_BUCKETS) -> float:
+class QuantileSketch:
+    """A mergeable fixed-bucket quantile sketch.
+
+    The :func:`interpolate_quantile` estimator over a free-standing
+    value (one per window, or one raw list in :func:`quantile_of`)
+    that supports :meth:`merge` — the property windowed aggregation
+    needs.
+    """
+
+    __slots__ = ("bounds", "counts", "total", "sum")
+
+    def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
+        cleaned = sorted(float(b) for b in bounds)
+        if not cleaned or cleaned[-1] != float("inf"):
+            cleaned.append(float("inf"))
+        self.bounds: Tuple[float, ...] = tuple(cleaned)
+        self.counts: List[int] = [0] * len(self.bounds)
+        self.total = 0
+        self.sum = 0.0
+
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        for index, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.counts[index] += 1
+                break
+        self.total += 1
+        self.sum += value
+
+    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
+        """Fold another sketch in (bucket grids must match)."""
+        if other.bounds != self.bounds:
+            raise ValueError("cannot merge sketches with different buckets")
+        for index, count in enumerate(other.counts):
+            self.counts[index] += count
+        self.total += other.total
+        self.sum += other.sum
+        return self
+
+    def quantile(self, q: float) -> float:
+        """Deterministic interpolated quantile (0.0 when empty)."""
+        return interpolate_quantile(self.bounds, self.counts, q)
+
+    def count_le(self, threshold: float) -> int:
+        """Observations known to be <= ``threshold`` (bucket-rounded
+        *down*: only buckets entirely below the threshold count, so
+        SLO good-event counting errs on the strict side)."""
+        good = 0
+        for bound, count in zip(self.bounds, self.counts):
+            if bound <= threshold:
+                good += count
+        return good
+
+
+def quantile_of(values: Iterable[float], q: float) -> float:
     """One-shot bucketed quantile of a raw value list (the shared
     implementation behind the failover/survivability percentile
     fields — no more ad-hoc sorted-index math per ledger)."""
-    bounds = tuple(buckets)
-    counts = [0] * len(bounds)
+    sketch = QuantileSketch()
     for value in values:
-        for index, bound in enumerate(bounds):
-            if value <= bound:
-                counts[index] += 1
-                break
-    return interpolate_quantile(bounds, counts, q)
+        sketch.observe(value)
+    return sketch.quantile(q)
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -373,14 +422,11 @@ def export_fleet(registry: MetricsRegistry, fleet) -> None:
                         float(journal.evictions)))
             out.append(("repro_fleet_journal_torn_records", labels,
                         float(journal.torn_records)))
-            # Answer ledger summed across incarnations (restarts swap
-            # the live stats object; the retired ones still count).
-            ledgers = list(shard.retired_stats) + [shard.runtime.stats]
+            # The shard's answer ledger (a restart keeps it).
+            stats = shard.runtime.stats
             for field_name in ("served", "degraded", "shed", "energy_mj"):
-                total = sum(getattr(stats, field_name)
-                            for stats in ledgers)
                 out.append((f"repro_fleet_shard_{field_name}", labels,
-                            float(total)))
+                            float(getattr(stats, field_name))))
         return out
 
     def collect_recovery():

@@ -5,9 +5,9 @@ asks "what happened *per window* — goodput this second, p95 latency
 during the failover storm, energy split while the attacker fired".
 This module adds the windowed layer, deterministic by construction:
 
-* :class:`QuantileSketch` — a mergeable fixed-bucket sketch on the
-  :func:`~repro.observability.metrics.interpolate_quantile` estimator
-  that :func:`~repro.observability.metrics.quantile_of` also uses.
+* :class:`~repro.observability.metrics.QuantileSketch` per window —
+  the mergeable fixed-bucket sketch that
+  :func:`~repro.observability.metrics.quantile_of` also fills.
   Merging is element-wise count addition, so per-shard window sketches
   combine into fleet-wide ones without re-observing anything;
 * :class:`WindowedSeries` — fixed-width tumbling sub-buckets in a
@@ -28,62 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from .metrics import LATENCY_BUCKETS, MetricsRegistry, interpolate_quantile
-
-
-class QuantileSketch:
-    """A mergeable fixed-bucket quantile sketch.
-
-    The :func:`~repro.observability.metrics.interpolate_quantile`
-    estimator over a free-standing value (one per window) that supports
-    :meth:`merge` — the property windowed aggregation needs.
-    """
-
-    __slots__ = ("bounds", "counts", "total", "sum")
-
-    def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
-        cleaned = sorted(float(b) for b in bounds)
-        if not cleaned or cleaned[-1] != float("inf"):
-            cleaned.append(float("inf"))
-        self.bounds: Tuple[float, ...] = tuple(cleaned)
-        self.counts: List[int] = [0] * len(self.bounds)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                break
-        self.total += 1
-        self.sum += value
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold another sketch in (bucket grids must match)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge sketches with different buckets")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.total += other.total
-        self.sum += other.sum
-        return self
-
-    def quantile(self, q: float) -> float:
-        """Deterministic interpolated quantile (0.0 when empty)."""
-        return interpolate_quantile(self.bounds, self.counts, q)
-
-    def count_le(self, threshold: float) -> int:
-        """Observations known to be <= ``threshold`` (bucket-rounded
-        *down*: only buckets entirely below the threshold count, so
-        SLO good-event counting errs on the strict side)."""
-        good = 0
-        for bound, count in zip(self.bounds, self.counts):
-            if bound <= threshold:
-                good += count
-        return good
+from .metrics import LATENCY_BUCKETS, MetricsRegistry, QuantileSketch
 
 
 @dataclass

@@ -276,10 +276,6 @@ class _Session:
 
     conn: WTLSConnection
     battery: Optional[Battery] = None
-    served: int = 0
-    degraded: int = 0
-    shed: int = 0
-    brownouts: int = 0
     outbox: List[bytes] = field(default_factory=list)
     session_id: str = ""
 
@@ -509,7 +505,6 @@ class GatewayRuntime:
             self.stats.malformed_discarded += (
                 session.conn.discarded - discarded_before)
             self.stats.shed_malformed += 1
-            session.shed += 1
             self._reply(session, busy_reply("malformed"),
                         shed_reason="malformed")
             return "malformed"
@@ -519,14 +514,12 @@ class GatewayRuntime:
         self._charge(session, len(request))
         if not self._bucket.try_take(now):
             self.stats.shed_rate_limited += 1
-            session.shed += 1
             self._reply(session, busy_reply(
                 "rate-limited", self._bucket.seconds_until_token(now)),
                 shed_reason="rate-limited")
             return "rate-limited"
         if len(self._queue) >= self.config.queue_limit:
             self.stats.shed_queue_full += 1
-            session.shed += 1
             self._reply(session, busy_reply(
                 "queue-full",
                 self.config.service_time_s * len(self._queue)),
@@ -563,32 +556,29 @@ class GatewayRuntime:
             # Too stale to be worth origin work: answer shed, zero
             # service time (the check is bookkeeping, not proxying).
             self.stats.shed_deadline += 1
-            session.shed += 1
             self._reply(session, busy_reply("deadline"),
                         shed_reason="deadline")
             return pending.session_id, "shed-deadline"
         finish = start + self.config.service_time_s
         self._server_free_at = finish
         self._advance(finish)
-        reply = self._proxy(pending, session)
+        reply = self._proxy(pending)
         self._reply(session, reply)
         self.stats.latencies.append(finish - pending.arrival)
         outcome = ("degraded" if reply.startswith(DEGRADED_PREFIX)
                    else "served")
         return pending.session_id, outcome
 
-    def _proxy(self, pending: _Pending, session: _Session) -> bytes:
+    def _proxy(self, pending: _Pending) -> bytes:
         destination = pending.destination
         now = self.clock.now
         if destination not in self._origins:
             self.stats.degraded += 1
-            session.degraded += 1
             return DEGRADED_PREFIX + b" origin unavailable (KeyError)"
         breaker = self.breaker_for(destination)
         if not breaker.allow(now):
             self.stats.breaker_fast_fails += 1
             self.stats.degraded += 1
-            session.degraded += 1
             return DEGRADED_PREFIX + b" origin circuit open"
         try:
             self._maybe_inject_fault(destination, now)
@@ -598,7 +588,6 @@ class GatewayRuntime:
             breaker.record_success(now)
             self.stats.handler_failures += 1
             self.stats.degraded += 1
-            session.degraded += 1
             return (DEGRADED_PREFIX
                     + b" origin handler error (HandlerFailure)")
         except (ProtocolAlert, ChannelClosed) as exc:
@@ -607,12 +596,10 @@ class GatewayRuntime:
             # Forget the (possibly broken) leg; the next request reopens it.
             self._wired_legs.pop(destination, None)
             self.stats.degraded += 1
-            session.degraded += 1
             return (DEGRADED_PREFIX + b" origin unavailable ("
                     + type(exc).__name__.encode() + b")")
         breaker.record_success(now)
         self.stats.served += 1
-        session.served += 1
         return reply
 
     def _wired_exchange(self, destination: str, request: bytes) -> bytes:
@@ -734,7 +721,6 @@ class GatewayRuntime:
         except BatteryEmpty:
             # The handset's problem (its supervisor handles brownout);
             # the gateway only records that the charge was refused.
-            session.brownouts += 1
             self.stats.battery_refusals += 1
         return millijoules
 

@@ -2,14 +2,16 @@
 
 Satellite coverage for :func:`repro.observability.metrics.export_fleet`:
 per-shard collector label sets (liveness, journal health, and the
-answer ledger summed across incarnations), the recovery-latency
+answer ledger a restart keeps), the recovery-latency
 percentile gauges, and the ticket-cache gauges — all read through a
 real registry scrape of a finished run, not hand-fed counters.
 """
 
 import pytest
 
+from repro.fleet.runtime import CrashPlan, ShardedFleet
 from repro.fleet.scenario import run_failover
+from repro.protocols.wap import ORIGIN_NAME
 
 SEED = 77
 
@@ -49,16 +51,14 @@ class TestShardCollectors:
             for name in names:
                 assert (metric, _shard_key(name)) in scrape, metric
 
-    def test_answer_ledger_sums_across_incarnations(self, result, scrape):
+    def test_exported_answer_ledger_is_the_shards(self, result, scrape):
         for shard in result.fleet.shards:
-            ledgers = list(shard.retired_stats) + [shard.runtime.stats]
-            assert len(ledgers) >= 2  # the sweep killed every shard
+            assert shard.restarts >= 1  # the sweep killed every shard
+            stats = shard.runtime.stats
             assert scrape[("repro_fleet_shard_served",
-                           _shard_key(shard.name))] == float(
-                sum(ledger.served for ledger in ledgers))
+                           _shard_key(shard.name))] == float(stats.served)
             assert scrape[("repro_fleet_shard_energy_mj",
-                           _shard_key(shard.name))] == pytest.approx(
-                sum(ledger.energy_mj for ledger in ledgers))
+                           _shard_key(shard.name))] == stats.energy_mj
 
     def test_totals_match_fleet_ledger(self, result, scrape):
         totals = result.fleet.runtime_totals()
@@ -71,6 +71,33 @@ class TestShardCollectors:
             scrape[("repro_fleet_shard_crashes", _shard_key(s.name))]
             for s in result.fleet.shards)
         assert crashes == float(result.stats.crashes) > 0
+
+
+def test_restart_keeps_the_shards_answer_ledger():
+    """A restart swaps in a fresh runtime but hands it the crashed
+    one's ledger, so nothing answered before the crash is lost."""
+    fleet = ShardedFleet(seed=SEED)
+    for index in range(4):
+        fleet.attach_session(f"h{index}")
+        fleet.submit_at(0.1, f"h{index}", ORIGIN_NAME, b"ping")
+    shard = fleet.shards[0]
+    before = {}
+
+    def look(now):
+        stats = shard.runtime.stats
+        before.update(runtime=shard.runtime, stats=stats,
+                      answers=(stats.served, stats.energy_mj))
+
+    fleet.scheduler.at(0.9, look, label="look")
+    fleet.apply_plan(CrashPlan().kill_shard(0, 1.0))
+    fleet.run()
+    served, energy_mj = before["answers"]
+    assert served > 0 and energy_mj > 0.0
+    assert shard.runtime is not before["runtime"]
+    assert shard.runtime.stats is before["stats"]
+    assert shard.restarts == 1
+    assert (shard.runtime.stats.served,
+            shard.runtime.stats.energy_mj) == (served, energy_mj)
 
 
 class TestRecoveryGauges:

@@ -7,7 +7,8 @@ The workload is built from its seed through
 It then iterates for ``--seconds`` of wall time (at least once) while
 a ``signal.setitimer(ITIMER_PROF)`` timer interrupts it every
 :data:`INTERVAL_S` of process CPU time and walks the interrupted
-Python stack.  Each function's two shares of the samples are printed:
+Python stack.  Each function's two shares of the samples are printed,
+in tenths of a percent rounded down:
 
 * ``leaf%``: it was the innermost Python frame (builtins such as
   ``pow`` count toward their Python caller);
@@ -88,14 +89,22 @@ class StackSampler:
         signal.signal(signal.SIGPROF, self._previous)
 
     def rows(self) -> List[str]:
-        """One ``leaf% incl% function`` line per listed function."""
+        """One ``leaf% incl% function`` line per listed function.
+
+        Shares are printed in whole tenths of a percent rounded down,
+        so the listed leaf shares never add up to more than 100."""
         total = max(1, self.samples)
+
+        def share(count: int) -> str:
+            tenths = 1000 * count // total
+            return f"{tenths // 10}.{tenths % 10}".rjust(6)
+
         listed = [name for name, count in self.inclusive.items()
                   if 100.0 * count / total >= MIN_SHARE]
         listed.sort(key=lambda name: (-self.leaf[name],
                                       -self.inclusive[name], name))
-        return [f"{100.0 * self.leaf[name] / total:6.1f} "
-                f"{100.0 * self.inclusive[name] / total:6.1f}  {name}"
+        return [f"{share(self.leaf[name])} "
+                f"{share(self.inclusive[name])}  {name}"
                 for name in listed]
 
 
