@@ -61,12 +61,7 @@ __version__ = "1.0.0"
 
 from ._lazy import lazy_exports
 
-__all__ = [
-    "crypto", "protocols", "hardware", "attacks", "core", "analysis",
-    "observability", "conformance", "fleet", "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".analysis": "analysis",
     ".attacks": "attacks",
     ".conformance": "conformance",

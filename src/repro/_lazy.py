@@ -1,29 +1,36 @@
 """PEP 562 lazy exports shared by the package ``__init__`` modules.
 
-A package lists, per submodule, the public names that submodule
-defines.  Reading one of them loads only that submodule; the value is
-then cached in the package namespace, so importing a package costs
-only what its caller uses.
+A package lists, per submodule, the names its callers import through
+the package; that map is its one list of exports.  Reading one of them
+loads only that submodule; the value is then cached in the package
+namespace, so importing a package costs only what its caller uses.
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
-from typing import Callable, Dict, Tuple
+from types import ModuleType
+from typing import Callable, Dict, List, Tuple
 
 
-def lazy_exports(package: str,
-                 sources: Dict[str, str]) -> Tuple[Callable, Callable]:
-    """The module ``__getattr__`` and ``__dir__`` of ``package``.
+def lazy_exports(package: str, sources: Dict[str, str]
+                 ) -> Tuple[List[str], Callable, Callable]:
+    """The module ``__all__``, ``__getattr__`` and ``__dir__`` of ``package``.
 
     ``sources`` maps each module, named relative to the package
     (``".aes"``), to the space-separated names it provides.  A
-    submodule that lists its own name exports itself.  Names the
-    package binds when it is imported never reach ``__getattr__``.
+    submodule that lists its own name exports itself.  ``__all__`` is
+    those names plus the public non-module names the package bound
+    before the call (``from .sha1 import sha1``), which never reach
+    ``__getattr__``; a submodule an import loaded on the way is not
+    exported unless ``sources`` lists it.
     """
     owner = {name: module for module, names in sources.items()
              for name in names.split()}
+    eager = {name for name, value in vars(sys.modules[package]).items()
+             if not name.startswith("_") and value is not lazy_exports
+             and not isinstance(value, ModuleType)}
 
     def __getattr__(name: str):
         module_name = owner.get(name)
@@ -38,4 +45,4 @@ def lazy_exports(package: str,
     def __dir__():
         return sorted(set(vars(sys.modules[package])) | set(owner))
 
-    return __getattr__, __dir__
+    return sorted(eager | set(owner)), __getattr__, __dir__

@@ -13,24 +13,6 @@ loop, and the deliverable is a byte-stable **survivability report**.
 
 from .._lazy import lazy_exports
 
-__all__ = [
-    "Adversary",
-    "AdversaryPopulation",
-    "Alert",
-    "AlertRule",
-    "CookieFloodAdversary",
-    "DowngradeAdversary",
-    "FuzzInjectionAdversary",
-    "StreamStripAdversary",
-    "TimingProbeAdversary",
-    "SurvivabilityResult",
-    "run_survivability",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    ".population": "Adversary AdversaryPopulation Alert AlertRule "
-                   "CookieFloodAdversary DowngradeAdversary "
-                   "FuzzInjectionAdversary StreamStripAdversary "
-                   "TimingProbeAdversary",
-    ".scenario": "SurvivabilityResult run_survivability",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".scenario": "run_survivability",
 })

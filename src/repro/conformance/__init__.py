@@ -30,27 +30,6 @@ for the whole reproduction:
 
 from .._lazy import lazy_exports
 
-__all__ = [
-    "CheckResult", "VectorCorpus", "VectorFile",
-    "load_corpus", "check_vector", "run_vectors",
-    "ORACLES", "run_oracles",
-    "STATES", "SYMBOLS", "TRANSITIONS",
-    "ReferenceServerMachine", "StateMachineReport",
-    "check_model", "golden_messages",
-    "FuzzTarget", "FuzzReport", "CrashRecord",
-    "default_targets", "run_fuzz", "minimize",
-    "persist_crashers", "load_regressions", "replay_regression",
-    "ConformanceReport", "run_conformance", "format_report",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    ".fuzzcorpus": "CrashRecord FuzzReport FuzzTarget default_targets "
-                   "load_regressions minimize persist_crashers "
-                   "replay_regression run_fuzz",
-    ".oracles": "ORACLES run_oracles",
-    ".runner": "ConformanceReport format_report run_conformance",
-    ".statemachine": "STATES SYMBOLS TRANSITIONS ReferenceServerMachine "
-                     "StateMachineReport check_model golden_messages",
-    ".vectors": "CheckResult VectorCorpus VectorFile check_vector load_corpus "
-                "run_vectors",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".runner": "format_report run_conformance",
 })

@@ -17,47 +17,7 @@ from .hmac import hmac
 from .md5 import md5
 from .sha1 import sha1
 
-__all__ = [
-    "fastpath",
-    "AES", "DES", "TripleDES", "RC2", "RC4", "MD5", "SHA1", "HMAC",
-    "A51", "Grain", "Trivium",
-    "md5", "sha1", "hmac", "hmac_verify",
-    "ECB", "CBC", "CTR",
-    "DHGroup", "DHParty", "KEAParty", "KEAKeyPair",
-    "RSAPublicKey", "RSAPrivateKey", "generate_keypair",
-    "modexp", "modexp_sqm", "modexp_ladder", "OperationTimer",
-    "DeterministicDRBG", "HardwareTRNG",
-    "TraceRecorder", "TraceSample",
-    "AlgorithmRegistry", "AlgorithmInfo", "default_registry", "aes_rollout",
-    "lightweight_rollout",
-    "CryptoError", "DecryptionError", "IntegrityError", "InvalidBlockSize",
-    "InvalidKeyLength", "PaddingError", "ParameterError", "RandomnessError",
-    "SignatureError",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    ".a51": "A51",
-    ".aes": "AES",
-    ".des": "DES",
-    ".dh": "DHGroup DHParty",
-    ".errors": "CryptoError DecryptionError IntegrityError InvalidBlockSize "
-               "InvalidKeyLength PaddingError ParameterError RandomnessError "
-               "SignatureError",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".fastpath": "fastpath",
-    ".grain": "Grain",
-    ".hmac": "HMAC hmac_verify",
-    ".kea": "KEAKeyPair KEAParty",
-    ".md5": "MD5",
-    ".modes": "CBC CTR ECB",
-    ".modmath": "OperationTimer modexp modexp_ladder modexp_sqm",
-    ".rc2": "RC2",
-    ".rc4": "RC4",
-    ".registry": "AlgorithmInfo AlgorithmRegistry aes_rollout "
-                 "default_registry lightweight_rollout",
-    ".rng": "DeterministicDRBG HardwareTRNG",
-    ".rsa": "RSAPrivateKey RSAPublicKey generate_keypair",
-    ".sha1": "SHA1",
-    ".tdes": "TripleDES",
-    ".trace": "TraceRecorder TraceSample",
-    ".trivium": "Trivium",
+    ".rng": "DeterministicDRBG",
 })

@@ -10,27 +10,11 @@ resumption / re-handshake paths).
 
 from .._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointJournal",
-    "ConsistentRing",
-    "CrashPlan",
-    "Event",
-    "EventScheduler",
-    "FleetConfig",
-    "FleetStats",
-    "SessionSnapshot",
-    "ShardCrash",
-    "ShardedFleet",
-    "capture_connection",
-    "restore_connection",
-    "run_failover",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".journal": "CheckpointJournal",
     ".ring": "ConsistentRing",
-    ".runtime": "CrashPlan FleetConfig FleetStats ShardCrash ShardedFleet",
+    ".runtime": "ShardedFleet",
     ".scenario": "run_failover",
-    ".scheduler": "Event EventScheduler",
+    ".scheduler": "EventScheduler",
     ".snapshot": "SessionSnapshot capture_connection restore_connection",
 })

@@ -56,7 +56,6 @@ from ..protocols.handshake import (
     ClientConfig,
     ServerConfig,
     Session,
-    run_handshake,
 )
 from ..protocols.kdf import prf
 from ..protocols.reliable import VirtualClock
@@ -68,7 +67,12 @@ from ..protocols.resumption import (
 )
 from ..protocols.transport import ChannelEmpty, DuplexChannel
 from ..protocols.wap import GATEWAY_NAME, ORIGIN_NAME, OriginServer
-from ..protocols.wtls import WTLSConnection, _rederive, connection_pair
+from ..protocols.wtls import (
+    WTLSConnection,
+    _rederive,
+    connection_pair,
+    wtls_connect_session,
+)
 from .journal import CheckpointJournal
 from .ring import ConsistentRing
 from .scheduler import Event, EventScheduler
@@ -200,15 +204,13 @@ class ShardedFleet:
     """Supervisor of N gateway shards with crash-fault tolerance."""
 
     def __init__(self, config: Optional[FleetConfig] = None, seed: int = 0,
-                 clock: Optional[VirtualClock] = None,
-                 handler: Optional[Callable[[bytes], bytes]] = None) -> None:
+                 clock: Optional[VirtualClock] = None) -> None:
         self.config = config or FleetConfig()
         self.seed = seed
         self.clock = clock or VirtualClock()
         self.scheduler = EventScheduler(self.clock)
         self.stats = FleetStats()
         self.energy = EnergyModel()
-        handler = handler or (lambda request: b"OK:" + request)
 
         self.ca = CertificateAuthority(
             "WAP-CA", DeterministicDRBG(("fleet-ca", seed).__repr__()))
@@ -217,7 +219,7 @@ class ShardedFleet:
         origin_key, origin_cert = self.ca.issue(
             ORIGIN_NAME, DeterministicDRBG(("fleet-origin", seed).__repr__()))
         self.origin = OriginServer(
-            name=ORIGIN_NAME, handler=handler,
+            name=ORIGIN_NAME, handler=lambda request: b"OK:" + request,
             config=ServerConfig(
                 rng=DeterministicDRBG(("fleet-origin-rng", seed).__repr__()),
                 certificate=origin_cert, private_key=origin_key))
@@ -328,7 +330,7 @@ class ShardedFleet:
                         session=session_id) as span:
             if span is not None:
                 attach(span, ctx)
-            handset_conn, gateway_conn, client_session = _fleet_connect(
+            handset_conn, gateway_conn, client_session = wtls_connect_session(
                 client, owner.runtime.gateway_config, channel)
         owner.runtime.adopt_session(session_id, gateway_conn, battery)
         self.placement[session_id] = owner.name
@@ -629,7 +631,7 @@ class ShardedFleet:
             # bearer and a full handshake (certificates and all).
             new_channel = DuplexChannel()
             client = self.client_configs[session_id]
-            handset_conn, gateway_conn, client_session = _fleet_connect(
+            handset_conn, gateway_conn, client_session = wtls_connect_session(
                 client, target.runtime.gateway_config, new_channel)
             self.channels[session_id] = new_channel
             self._charge_recovery(
@@ -745,24 +747,6 @@ class ShardedFleet:
 
 def _channel_bytes(channel: DuplexChannel) -> int:
     return sum(len(frame) for _, frame in channel.log)
-
-
-def _fleet_connect(client: ClientConfig, server: ServerConfig,
-                   channel: DuplexChannel
-                   ) -> Tuple[WTLSConnection, WTLSConnection, Session]:
-    """Full handshake then WTLS records — ``wtls_connect`` that also
-    surfaces the negotiated session (the fleet needs the master secret
-    to mint resumption tickets)."""
-    client_ep = channel.endpoint_a()
-    server_ep = channel.endpoint_b()
-    with probe.span("session", kind="wtls",
-                    server=server.certificate.subject):
-        client_session, _server_session = run_handshake(
-            client, server, client_ep, server_ep)
-    suite = client_session.suite
-    handset, gateway = connection_pair(
-        suite, _rederive(client_session.master, suite), client_ep, server_ep)
-    return handset, gateway, client_session
 
 
 def _wtls_from_resumed(client_session: Session, server_session: Session,

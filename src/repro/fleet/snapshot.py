@@ -39,9 +39,9 @@ from ..protocols.wtls import (
     WTLSRecordEncoder,
 )
 
-#: v1 had no trace context; v2 appends one length-prefixed
-#: ``trace_ctx`` field.  ``from_bytes`` accepts both, so journals
-#: written before the observability plane still recover.
+#: v2 ends with one length-prefixed ``trace_ctx`` field.  Journals
+#: live only as long as the fleet that wrote them, so ``from_bytes``
+#: accepts this version alone.
 SNAPSHOT_VERSION = 2
 
 
@@ -129,7 +129,7 @@ class SessionSnapshot:
         """Decode one snapshot; raises ``ValueError`` on damage."""
         reader = _Reader(raw)
         version = reader.take(1)[0]
-        if version not in (1, SNAPSHOT_VERSION):
+        if version != SNAPSHOT_VERSION:
             raise ValueError(f"unknown snapshot version {version}")
         session_id = reader.take_bytes().decode("ascii")
         suite_name = reader.take_bytes().decode("ascii")
@@ -148,7 +148,7 @@ class SessionSnapshot:
         ticket = reader.take_bytes()
         battery_remaining_uj = reader.take_i64()
         mutation = reader.take_u32()
-        trace_ctx = reader.take_bytes() if version >= 2 else b""
+        trace_ctx = reader.take_bytes()
         if reader.pos != len(raw):
             raise ValueError("snapshot has trailing bytes")
         return cls(

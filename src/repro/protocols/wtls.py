@@ -27,7 +27,7 @@ from ..observability import probe
 from . import records_batch
 from .alerts import BadRecordMAC, DecodeError, ProtocolAlert, ReplayError
 from .ciphersuites import CipherSuite
-from .handshake import ClientConfig, ServerConfig, run_handshake
+from .handshake import ClientConfig, ServerConfig, Session, run_handshake
 from .kdf import KeyBlock, derive_key_block
 from .records_batch import WTLS_MAC_BYTES  # truncated HMAC (10 bytes)
 from .transport import DuplexChannel, Endpoint
@@ -235,6 +235,18 @@ def wtls_connect(client: ClientConfig, server: ServerConfig,
     layer above.  ``endpoints`` lets the session ride pre-built
     endpoints (e.g. an ARQ-protected lossy link).
     """
+    handset, gateway, _ = wtls_connect_session(client, server, channel,
+                                               endpoints)
+    return handset, gateway
+
+
+def wtls_connect_session(client: ClientConfig, server: ServerConfig,
+                         channel: Optional[DuplexChannel] = None,
+                         endpoints: Optional[Tuple[Endpoint, Endpoint]] = None
+                         ) -> Tuple[WTLSConnection, WTLSConnection, Session]:
+    """:func:`wtls_connect` that also returns the client's negotiated
+    :class:`~repro.protocols.handshake.Session`, whose master secret
+    mints resumption tickets."""
     if endpoints is not None:
         client_ep, server_ep = endpoints
     else:
@@ -246,8 +258,9 @@ def wtls_connect(client: ClientConfig, server: ServerConfig,
         client_session, _ = run_handshake(client, server, client_ep, server_ep)
     suite = client_session.suite
     # The Finished exchange proved both masters equal: one key block.
-    return connection_pair(suite, _rederive(client_session.master, suite),
-                           client_ep, server_ep)
+    handset, gateway = connection_pair(
+        suite, _rederive(client_session.master, suite), client_ep, server_ep)
+    return handset, gateway, client_session
 
 
 def connection_pair(suite: CipherSuite, keys: KeyBlock,

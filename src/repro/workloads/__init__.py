@@ -10,18 +10,6 @@ handset battery classes — aimed at the sharded gateway fleet.
 
 from .._lazy import lazy_exports
 
-__all__ = [
-    "BATTERY_CLASSES",
-    "SESSION_KINDS",
-    "BatteryClass",
-    "HandsetPlan",
-    "MCommerceResult",
-    "SessionKind",
-    "plan_workload",
-    "run_mcommerce",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    ".mcommerce": "BATTERY_CLASSES SESSION_KINDS BatteryClass HandsetPlan "
-                  "MCommerceResult SessionKind plan_workload run_mcommerce",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".mcommerce": "BATTERY_CLASSES SESSION_KINDS plan_workload run_mcommerce",
 })

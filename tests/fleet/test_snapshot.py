@@ -84,7 +84,8 @@ class TestCodec:
         assert decoded.battery_remaining_uj == 1_234_500
         assert decoded.mutation == 4
 
-    @pytest.mark.parametrize("damage", ["truncate", "trailing", "version"])
+    @pytest.mark.parametrize("damage",
+                             ["truncate", "trailing", "version", "v1"])
     def test_damaged_blobs_raise_value_error(self, damage):
         channel = DuplexChannel()
         _, gateway = _make_world(RSA_WITH_AES_SHA, channel)
@@ -93,6 +94,9 @@ class TestCodec:
             raw = raw[:-3]
         elif damage == "trailing":
             raw = raw + b"\x00"
+        elif damage == "v1":
+            # The pre-trace-context layout: no trailing trace_ctx field.
+            raw = bytes([1]) + raw[1:-2]
         else:
             raw = bytes([99]) + raw[1:]
         with pytest.raises(ValueError):
@@ -107,27 +111,6 @@ class TestVersionCompat:
             "s-00", gateway, trace_ctx=b"\x01ctx-bytes")
         decoded = SessionSnapshot.from_bytes(snapshot.to_bytes())
         assert decoded.trace_ctx == b"\x01ctx-bytes"
-
-    def test_v1_journals_still_decode(self):
-        # A v1 frame is a v2 frame minus the trailing length-prefixed
-        # trace_ctx field, with the version byte rolled back.
-        channel = DuplexChannel()
-        handset, gateway = _make_world(RSA_WITH_AES_SHA, channel)
-        _exchange(handset, gateway, b"warm-up")
-        snapshot = _snap(gateway, mutation=2)
-        assert snapshot.trace_ctx == b""
-        v2 = snapshot.to_bytes()
-        v1 = bytes([1]) + v2[1:-2]
-        decoded = SessionSnapshot.from_bytes(v1)
-        assert decoded == snapshot
-
-    def test_v1_frame_with_trailing_bytes_rejected(self):
-        channel = DuplexChannel()
-        _, gateway = _make_world(RSA_WITH_AES_SHA, channel)
-        v2 = _snap(gateway).to_bytes()
-        v1 = bytes([1]) + v2[1:-2]
-        with pytest.raises(ValueError):
-            SessionSnapshot.from_bytes(v1 + b"\x00\x00")
 
 
 class TestCrashEquivalence:

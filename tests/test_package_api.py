@@ -1,6 +1,7 @@
 """Public API surface: every exported name exists and is documented,
 and importing a package loads only what its caller uses."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -26,6 +27,13 @@ MODULE_EXPORTS = {
               "analysis", "observability", "conformance", "fleet"},
     "repro.crypto": {"fastpath"},
     "repro.observability": {"probe"},
+}
+
+#: Exports a package binds when it is imported, outside its lazy map:
+#: each is named like the submodule that defines it.
+EAGER_EXPORTS = {
+    "repro.analysis": {"sweep"},
+    "repro.crypto": {"hmac", "md5", "sha1"},
 }
 
 #: Modules importing the fleet and WTLS must not load: the fleet's
@@ -111,6 +119,32 @@ def test_exports_have_docstrings(package_name):
         if callable(item) and not getattr(item, "__doc__", None):
             undocumented.append(name)
     assert undocumented == []
+
+
+def _lazy_map_names(package_name: str) -> list:
+    """Every name the ``lazy_exports`` map in the package's
+    ``__init__`` lists, duplicates kept."""
+    path = importlib.import_module(package_name).__file__
+    tree = ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "lazy_exports"):
+            for value in node.args[1].values:
+                names += value.value.split()
+    return names
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_each_export_is_listed_once(package_name):
+    """``__all__`` is the lazy map's names plus the eager bindings, and
+    the package lists no name twice."""
+    names = _lazy_map_names(package_name)
+    eager = EAGER_EXPORTS.get(package_name, set())
+    assert len(names) == len(set(names))
+    assert not eager & set(names)
+    package = importlib.import_module(package_name)
+    assert sorted(package.__all__) == sorted({*names, *eager})
 
 
 #: Names a cache of the gateway's wired TLS legs has gone by.
